@@ -33,7 +33,6 @@ class ParseError(Exception):
 class UnknownWordError(ParseError):
     def __init__(self, word):
         super().__init__(f"unknown word {word!r}")
-        self.word = word
 
 
 class EdgeCapExceeded(ParseError):
@@ -44,6 +43,9 @@ class EdgeCapExceeded(ParseError):
 
 class InputFormatError(ParseError):
     pass
+
+
+MAX_READINGS = 2000  # readings unpacked per turn
 
 
 @dataclass
@@ -58,8 +60,6 @@ class ParseConfig:
     threshold: float = 0.01
     rank_limit: int = 2
     max_edges: int = 20000
-    assume_final_boundary: bool = False
-    max_readings: int = 2000
 
     def __post_init__(self):
         if self.mode not in ("threshold", "rank", "off"):
@@ -68,6 +68,8 @@ class ParseConfig:
             raise ValueError("threshold must be in [0, 1]")
         if self.rank_limit < 1:
             raise ValueError("rank limit must be positive")
+        if self.max_edges < 1:
+            raise ValueError("edge cap must be positive")
 
 
 @dataclass
@@ -88,13 +90,6 @@ class Edge:
         return (self.start, self.end)
 
 
-@dataclass
-class TraceStackEntry:
-    licenser_id: int
-    entry: object  # the V2 LexEntry (carries the trace template)
-    licenser_end: int
-
-
 def propose_trace_sites(turn, config):
     """Select the gap indices eligible for empty-edge introduction.
 
@@ -106,7 +101,7 @@ def propose_trace_sites(turn, config):
     scores = turn.gap_scores
     if scores is None or len(scores) != n:
         raise InputFormatError(
-            f"turn {turn.turn_id!r}: need one gap score per word "
+            f"need one gap score per word "
             f"(got {0 if scores is None else len(scores)} for {n} words)"
         )
     gaps = list(range(1, n + 1))
@@ -115,10 +110,7 @@ def propose_trace_sites(turn, config):
     if config.mode == "rank":
         ordered = sorted(gaps, key=lambda g: (-scores[g - 1], g))
         return ordered[: config.rank_limit]
-    sites = [g for g in gaps if scores[g - 1] >= config.threshold]
-    if config.assume_final_boundary and n not in sites:
-        sites.append(n)
-    return sites
+    return [g for g in gaps if scores[g - 1] >= config.threshold]
 
 
 def is_root_category(cat):
@@ -132,8 +124,7 @@ def is_root_category(cat):
 
 
 class Chart:
-    def __init__(self, n_words):
-        self.n = n_words
+    def __init__(self):
         self.edges = []
         self.by_start = {}  # start -> [edge]
         self.by_end = {}
@@ -186,16 +177,11 @@ def parse(turn, grammar, config):
     t0 = time.perf_counter()
     n = len(turn.words)
     sites = propose_trace_sites(turn, config)
-    chart = Chart(n)
+    chart = Chart()
     agenda = deque()
-    stack = []
+    stack = []  # (licenser edge id, V2 LexEntry, licenser end)
     stats = {"lexical_edges": 0, "empty_edges": 0, "derived_edges": 0,
              "proposed_sites": len(sites), "elapsed_ms": 0.0}
-
-    def cap_check():
-        if len(chart.edges) > config.max_edges:
-            stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
-            raise EdgeCapExceeded(config.max_edges, stats)
 
     # (i) lexical edges, (ii) trace stack
     for i, word in enumerate(turn.words):
@@ -207,20 +193,20 @@ def parse(turn, grammar, config):
             agenda.append(edge)
             stats["lexical_edges"] += 1
             if entry.is_v2:
-                stack.append(TraceStackEntry(edge.edge_id, entry, i + 1))
+                stack.append((edge.edge_id, entry, i + 1))
 
     # (iii) empty edges at eligible gaps, one per (gap, template); the
     # leftmost qualifying V2 edge is recorded as licenser.
     placed = set()
     for g in sorted(sites):
-        for item in stack:
-            if g < item.licenser_end:
+        for licenser_id, entry, licenser_end in stack:
+            if g < licenser_end:
                 continue  # constraint a
-            if (g, item.entry.entry_id) in placed:
+            if (g, entry.entry_id) in placed:
                 continue
-            placed.add((g, item.entry.entry_id))
-            edge, is_new = chart.add(g, g, item.entry.trace_template, "empty",
-                                     entry=item.entry, licenser=item.licenser_id)
+            placed.add((g, entry.entry_id))
+            edge, is_new = chart.add(g, g, entry.trace_template, "empty",
+                                     entry=entry, licenser=licenser_id)
             if is_new:
                 agenda.append(edge)
                 stats["empty_edges"] += 1
@@ -237,7 +223,9 @@ def parse(turn, grammar, config):
             if is_new:
                 stats["derived_edges"] += 1
                 agenda.append(new_edge)
-                cap_check()
+                if len(chart.edges) > config.max_edges:
+                    stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
+                    raise EdgeCapExceeded(config.max_edges, stats)
 
     while agenda:
         edge = agenda.popleft()
@@ -249,17 +237,28 @@ def parse(turn, grammar, config):
             if left is not edge and left.kind != "empty" and left.start < left.end:
                 combine(left, edge)
 
-    roots = [e for e in chart.edges
-             if e.start == 0 and e.end == n and is_root_category(e.category)]
-    trees = []
-    for root in roots:
-        trees.extend(_unpack(root, chart, config.max_readings - len(trees)))
+    result = ParseResult(turn_id=turn.turn_id, n_words=n, readings=[],
+                         proposed_sites=sites, stats=stats, _chart=chart,
+                         _root_trees=[])
+    trees = result._root_trees
+    for root in result.forest:
+        trees.extend(_unpack(root, chart, MAX_READINGS - len(trees)))
     trees.sort(key=lambda t: t.label())
-    readings = [t.label() for t in trees]
+    result.readings = [t.label() for t in trees]
     stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
-    return ParseResult(
-        turn_id=turn.turn_id, n_words=n, readings=readings,
-        proposed_sites=sites, stats=stats, _chart=chart, _root_trees=trees)
+    return result
+
+
+def parse_corpus(turns, grammar, config):
+    """Parse turns in order, yielding one ParseResult each.
+
+    A ParseError is re-raised as a ParseError naming the failing turn.
+    """
+    for turn in turns:
+        try:
+            yield parse(turn, grammar, config)
+        except ParseError as exc:
+            raise ParseError(f"turn {turn.turn_id!r}: {exc}") from exc
 
 
 class DerivTree:
@@ -332,12 +331,7 @@ def extract_pred_arg(result, reading_index):
             if sem is not None:
                 sems.append(sem)
             return cat
-        left = build(tree.left)
-        right = build(tree.right)
-        inst = fs.copy_fs(tree.schema.pattern)
-        fs.unify_mut(inst.attrs["LEFT"], left)
-        fs.unify_mut(fs._deref(inst).attrs["RIGHT"], right)
-        return fs._deref(inst).attrs["MOTHER"]
+        return tree.schema.mother(build(tree.left), build(tree.right))
 
     build(trees[reading_index])
     records = set()

@@ -13,10 +13,8 @@ import json
 import sys
 
 from . import __version__, demo_grammar_text, demo_corpus_text
-from .chart import parse as parse_turn, ParseConfig, ParseError, \
-    propose_trace_sites
-from .corpus import Corpus, CorpusError, load_corpus, loads_corpus, \
-    dumps_corpus
+from .chart import ParseConfig, ParseError, parse_corpus
+from .corpus import CorpusError, load_corpus, loads_corpus, dumps_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
     score_trace_hypotheses
 from .fs import AvmFormatError
@@ -107,18 +105,14 @@ def cmd_score(args):
     return 0
 
 
-def _parse_config(args, mode=None):
-    return ParseConfig(mode=mode or args.mode, threshold=args.threshold,
-                       rank_limit=args.rank_limit, max_edges=args.max_edges)
-
-
 def cmd_parse(args):
     grammar = _load_grammar(args.grammar)
     corpus = _load_corpus(args.corpus)
-    config = _parse_config(args)
+    config = ParseConfig(mode=args.mode, threshold=args.threshold,
+                         rank_limit=args.rank_limit, max_edges=args.max_edges)
     turns = []
-    for turn in sorted(corpus, key=lambda t: t.turn_id):
-        result = parse_turn(turn, grammar, config)
+    for result in parse_corpus(sorted(corpus, key=lambda t: t.turn_id),
+                               grammar, config):
         turns.append({"id": result.turn_id,
                       "readings": result.readings,
                       "proposed_sites": result.proposed_sites,

@@ -15,6 +15,8 @@ An optional leading line ``{"_meta": {...}}`` carries provenance
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from .prosody import SyllableRecord
@@ -43,32 +45,32 @@ class TurnRecord:
 
     def validate(self):
         n = len(self.words)
+        where = f"turn {self.turn_id!r}"
         if not self.words:
-            raise CorpusError(f"turn {self.turn_id!r}: empty word list")
-        if self.gap_scores is not None and len(self.gap_scores) != n:
-            raise CorpusError(
-                f"turn {self.turn_id!r}: gap_scores has "
-                f"{len(self.gap_scores)} entries for {n} words")
-        if self.gold_traces is not None:
-            bad = [g for g in self.gold_traces if not 1 <= g <= n]
+            raise CorpusError(f"{where}: empty word list")
+        for name, ok, what in (
+                ("words", lambda w: isinstance(w, str), "strings"),
+                ("gap_scores", lambda x: isinstance(x, numbers.Real)
+                 and not isinstance(x, bool) and math.isfinite(x) and x >= 0,
+                 "finite numbers >= 0"),
+                ("gold_traces", lambda g: isinstance(g, numbers.Integral)
+                 and not isinstance(g, bool) and 1 <= g <= n, f"gaps 1..{n}"),
+                ("s3_labels", lambda label: label in S3_LABELS, "S3 labels")):
+            values = getattr(self, name)
+            if values is not None and not isinstance(values, list):
+                raise CorpusError(f"{where}: {name} is not a list")
+            bad = [v for v in values or [] if not ok(v)]
             if bad:
-                raise CorpusError(
-                    f"turn {self.turn_id!r}: gold_traces {bad} outside 1..{n}")
-        if self.s3_labels is not None:
-            if len(self.s3_labels) != n:
-                raise CorpusError(
-                    f"turn {self.turn_id!r}: s3_labels has "
-                    f"{len(self.s3_labels)} entries for {n} words")
-            bad = [l for l in self.s3_labels if l not in S3_LABELS]
-            if bad:
-                raise CorpusError(
-                    f"turn {self.turn_id!r}: bad s3_labels {bad}")
-        if self.syllables is not None:
-            for s in self.syllables:
-                if not 1 <= s.word <= n:
-                    raise CorpusError(
-                        f"turn {self.turn_id!r}: syllables references "
-                        f"word {s.word} outside 1..{n}")
+                raise CorpusError(f"{where}: {name} {bad} are not {what}")
+        for name in ("gap_scores", "s3_labels"):
+            values = getattr(self, name)
+            if values is not None and len(values) != n:
+                raise CorpusError(f"{where}: {name} has {len(values)} entries "
+                                  f"for {n} words")
+        bad = [s.word for s in self.syllables or [] if not 1 <= s.word <= n]
+        if bad:
+            raise CorpusError(f"{where}: syllables reference words {bad} "
+                              f"outside 1..{n}")
 
     def word_final_syllables(self):
         """Per word (1-based), the index into self.syllables of its final
@@ -110,16 +112,16 @@ class TurnRecord:
                     for s in d["syllables"]]
             turn = cls(
                 turn_id=d["id"],
-                words=list(d["words"]),
+                words=d["words"],
                 gap_scores=d.get("gap_scores"),
                 gold_traces=sorted(d["gold_traces"]) if d.get("gold_traces")
                 is not None else None,
                 s3_labels=d.get("s3_labels"),
                 syllables=syllables,
             )
+            turn.validate()
         except (KeyError, TypeError) as exc:
             raise CorpusError(f"bad turn record: {exc}") from exc
-        turn.validate()
         return turn
 
 
@@ -152,6 +154,8 @@ def loads_corpus(text):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise CorpusError(f"line {lineno}: expected a JSON object")
         if "_meta" in obj:
             corpus.provenance = obj["_meta"]
             continue
@@ -175,8 +179,3 @@ def dumps_corpus(corpus):
     for t in corpus.turns:
         lines.append(json.dumps(t.to_dict(), sort_keys=True))
     return "\n".join(lines) + "\n"
-
-
-def save_corpus(corpus, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_corpus(corpus))

@@ -181,11 +181,11 @@ def bench(corpus, grammar, config_on, config_off, repeats=1):
     """Parse the corpus sequentially under both configs and time it.
 
     For every turn whose gold trace gaps all pass the gate, the two
-    reading sets must be identical; a mismatch or any parse error aborts
-    with the failing turn id. Each config runs ``repeats`` times; totals
-    are averaged over repeats.
+    reading sets must be identical; a mismatch aborts with an EvalError
+    naming the turn, a parse error with a ParseError naming the turn.
+    Each config runs ``repeats`` times; totals are averaged over repeats.
     """
-    from .chart import parse, propose_trace_sites, ParseError
+    from .chart import parse_corpus, propose_trace_sites
 
     totals = {"on": 0.0, "off": 0.0}
     edges = {"on": 0, "off": 0}
@@ -193,16 +193,12 @@ def bench(corpus, grammar, config_on, config_off, repeats=1):
     readings = {"on": {}, "off": {}}
     for rep in range(repeats):
         for key, config in (("on", config_on), ("off", config_off)):
-            for turn in corpus:
-                try:
-                    result = parse(turn, grammar, config)
-                except ParseError as exc:
-                    raise EvalError(f"turn {turn.turn_id!r}: {exc}") from exc
+            for result in parse_corpus(corpus, grammar, config):
                 totals[key] += result.stats["elapsed_ms"] / 1000.0
                 if rep == 0:
                     edges[key] += result.stats["empty_edges"]
                     sites[key] += result.stats["proposed_sites"]
-                    readings[key][turn.turn_id] = set(result.readings)
+                    readings[key][result.turn_id] = set(result.readings)
     for turn in corpus:
         gold = set(turn.gold_traces or [])
         gated = set(propose_trace_sites(turn, config_on))

@@ -1,6 +1,6 @@
 """Attribute-value matrices with reentrancy, and unification over them.
 
-A feature structure is one of four kinds of node:
+A feature structure is one of three kinds of node:
 
 - an *atom* carrying a string value,
 - an *avm* mapping feature names to child structures (an avm with no
@@ -213,6 +213,28 @@ def subsumes(a, b):
     return walk(a, b)
 
 
+def _refcounts(node):
+    """Number of references to each node reachable from ``node``, keyed
+    by ``id``; a count above 1 marks a shared node."""
+    refcount = {}
+
+    def count(n):
+        k = id(n)
+        if k in refcount:
+            refcount[k] += 1
+            return
+        refcount[k] = 1
+        if n.kind == AVM:
+            for v in n.attrs.values():
+                count(v)
+        elif n.kind == LIST:
+            for v in n.items:
+                count(v)
+
+    count(node)
+    return refcount
+
+
 def equivalent(a, b):
     """Structural identity up to tag renaming."""
     return canonical(a) == canonical(b)
@@ -224,21 +246,7 @@ def canonical(node):
     Shared nodes are numbered in first-visit order, so the form is
     independent of the tag names used when the structure was written.
     """
-    refcount = {}
-
-    def count(n):
-        k = id(n)
-        refcount[k] = refcount.get(k, 0) + 1
-        if refcount[k] > 1:
-            return
-        if n.kind == AVM:
-            for v in sorted(n.attrs):
-                count(n.attrs[v])
-        elif n.kind == LIST:
-            for v in n.items:
-                count(v)
-
-    count(node)
+    refcount = _refcounts(node)
     tags = {}
     out = []
 
@@ -348,21 +356,7 @@ def parse_avm(obj, tags=None):
 
 def to_json(node):
     """Inverse of parse_avm: emit the JSON encoding, inventing tag names."""
-    refcount = {}
-
-    def count(n):
-        k = id(n)
-        refcount[k] = refcount.get(k, 0) + 1
-        if refcount[k] > 1:
-            return
-        if n.kind == AVM:
-            for v in n.attrs.values():
-                count(v)
-        elif n.kind == LIST:
-            for v in n.items:
-                count(v)
-
-    count(node)
+    refcount = _refcounts(node)
     tags = {}
 
     def emit(n):

@@ -47,7 +47,18 @@ class RuleSchema:
     name: str
     # One structure holding LEFT / RIGHT / MOTHER with shared tags.
     pattern: FS
-    head: int  # daughter index (0 = left, 1 = right)
+
+    def mother(self, left, right):
+        """Unify a copy of the pattern with two workspace daughters.
+
+        ``left`` and ``right`` are merged in place, so they must be
+        private copies. Returns the unresolved MOTHER; raises
+        fs.UnificationFailure on a clash.
+        """
+        inst = copy_fs(self.pattern)
+        fs.unify_mut(inst.attrs["LEFT"], left)
+        fs.unify_mut(fs._deref(inst).attrs["RIGHT"], right)
+        return fs._deref(inst).attrs["MOTHER"]
 
     def apply(self, left_cat, right_cat):
         """Instantiate the schema on two daughter categories.
@@ -55,13 +66,9 @@ class RuleSchema:
         Returns the mother category (a fresh structure) or None. The
         daughters are not mutated.
         """
-        inst = copy_fs(self.pattern)
-        l = copy_fs(left_cat)
-        r = copy_fs(right_cat)
         try:
-            fs.unify_mut(inst.attrs["LEFT"], l)
-            fs.unify_mut(fs._deref(inst).attrs["RIGHT"], r)
-            return fs.resolve(fs._deref(inst).attrs["MOTHER"])
+            return fs.resolve(self.mother(copy_fs(left_cat),
+                                          copy_fs(right_cat)))
         except fs.UnificationFailure:
             return None
 
@@ -135,29 +142,6 @@ def apply_v2_lexical_rule(entry):
     )
 
 
-def _check_acyclic(node, where):
-    path = set()
-    done = set()
-
-    def walk(n):
-        if id(n) in done:
-            return
-        if id(n) in path:
-            raise GrammarError(f"cyclic AVM in {where}")
-        path.add(id(n))
-        children = []
-        if n.kind == fs.AVM:
-            children = list(n.attrs.values())
-        elif n.kind == fs.LIST:
-            children = n.items
-        for c in children:
-            walk(c)
-        path.discard(id(n))
-        done.add(id(n))
-
-    walk(node)
-
-
 def load_grammar(text):
     """Parse a grammar document (JSON text) into a Grammar.
 
@@ -189,7 +173,6 @@ def load_grammar(text):
             check_features(cat, features, where)
         except (fs.AvmFormatError, KeyError) as exc:
             raise GrammarError(f"{where}: {exc}") from exc
-        _check_acyclic(cat, where)
         entry = LexEntry(entry_id=item["id"], orth=item["orth"], category=cat)
         register(entry, where)
         v2 = apply_v2_lexical_rule(entry)
@@ -213,12 +196,7 @@ def load_grammar(text):
             raise GrammarError(f"{where}: {exc}") from exc
         except KeyError as exc:
             raise GrammarError(f"{where}: missing key {exc}") from exc
-        head = item.get("head", 1)
-        if head not in (0, 1):
-            raise GrammarError(f"{where}: head index must be 0 or 1")
-        grammar.schemata.append(
-            RuleSchema(name=item["name"], pattern=pattern, head=head)
-        )
+        grammar.schemata.append(RuleSchema(name=item["name"], pattern=pattern))
 
     # Every trace template must instantiate the generic description.
     for entry in grammar.entries_by_id.values():

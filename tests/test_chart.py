@@ -1,8 +1,8 @@
 import pytest
 
 from prosogate.chart import (EdgeCapExceeded, InputFormatError, ParseConfig,
-                             UnknownWordError, extract_pred_arg, parse,
-                             propose_trace_sites)
+                             ParseError, UnknownWordError, extract_pred_arg,
+                             parse, parse_corpus, propose_trace_sites)
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
 
@@ -42,11 +42,6 @@ class TestProposeTraceSites:
         cfg = ParseConfig(mode="rank", rank_limit=2)
         assert propose_trace_sites(t, cfg) == [1, 2]
 
-    def test_assume_final_boundary(self):
-        t = _turn(["a", "b", "c"], [0.5, 0.0, 0.0])
-        cfg = ParseConfig(threshold=0.01, assume_final_boundary=True)
-        assert propose_trace_sites(t, cfg) == [1, 3]
-
     def test_missing_scores_rejected(self):
         t = TurnRecord(turn_id="t", words=["a", "b"])
         with pytest.raises(InputFormatError):
@@ -62,6 +57,8 @@ class TestProposeTraceSites:
             ParseConfig(threshold=1.5)
         with pytest.raises(ValueError):
             ParseConfig(mode="rank", rank_limit=0)
+        with pytest.raises(ValueError):
+            ParseConfig(max_edges=0)
 
 
 def test_v2_tree_bracketing(grammar, demo_corpus):
@@ -141,6 +138,16 @@ def test_unknown_word(grammar):
     t = _turn(["gestern", "explodierte", "er"], [0.0, 0.0, 0.9])
     with pytest.raises(UnknownWordError, match="explodierte"):
         parse(t, grammar, ParseConfig())
+
+
+def test_parse_corpus_names_failing_turn(grammar, demo_corpus):
+    good = _by_id(demo_corpus)["d01"]
+    bad = _turn(["gestern", "explodierte"], [0.0, 0.9], turn_id="x7")
+    results = parse_corpus([good, bad], grammar, ParseConfig())
+    assert next(results).turn_id == "d01"
+    with pytest.raises(ParseError,
+                       match="turn 'x7': unknown word 'explodierte'"):
+        next(results)
 
 
 def test_edge_cap(grammar, demo_corpus):

@@ -42,6 +42,28 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="duplicate"):
             loads_corpus(line + line)
 
+    @pytest.mark.parametrize("line", ["5", "[]", '"x"'])
+    def test_non_object_line_rejected(self, line):
+        with pytest.raises(CorpusError, match="line 2: expected a JSON object"):
+            loads_corpus('{"id": "a", "words": ["x"]}\n' + line + "\n")
+
+    @pytest.mark.parametrize("fields", [
+        '"words": ["x", 3]',
+        '"words": "xy"',
+        '"words": ["x", "y"], "gap_scores": [0.1, "0.2"]',
+        '"words": ["x", "y"], "gap_scores": [-0.5, 0.2]',
+        '"words": ["x", "y"], "gap_scores": [0.5, NaN]',
+        '"words": ["x", "y"], "gap_scores": [0.5, Infinity]',
+        '"words": ["x", "y"], "gap_scores": [true, 0.2]',
+        '"words": ["x", "y"], "gap_scores": 0.5',
+        '"words": ["x", "y"], "gold_traces": ["2"]',
+        '"words": ["x", "y"], "gold_traces": [1.0]',
+        '"words": ["x", "y"], "gold_traces": [true]',
+    ])
+    def test_bad_field_values_rejected(self, fields):
+        with pytest.raises(CorpusError, match="line 1"):
+            loads_corpus('{"id": "a", ' + fields + '}\n')
+
     def test_empty_word_list(self):
         with pytest.raises(CorpusError, match="empty"):
             TurnRecord(turn_id="a", words=[]).validate()
@@ -105,6 +127,18 @@ class TestCliExitCodes:
     def test_missing_file_is_data_error(self, capsys):
         assert run(["parse", "--corpus", "/no/such/file.jsonl"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_non_object_corpus_line_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text("5\n")
+        assert run(["parse", "--corpus", str(bad)]) == 2
+        assert "line 1: expected a JSON object" in capsys.readouterr().err
+
+    def test_unknown_word_error_names_turn(self, tmp_path, capsys):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text('{"id": "q1", "words": ["zzz"], "gap_scores": [0.5]}\n')
+        assert run(["parse", "--corpus", str(bad)]) == 2
+        assert "turn 'q1': unknown word 'zzz'" in capsys.readouterr().err
 
     def test_bad_grammar_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "g.json"

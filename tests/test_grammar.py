@@ -3,6 +3,7 @@ import json
 import pytest
 
 from prosogate import demo_grammar_text, fs
+from prosogate.cli import run
 from prosogate.grammar import (GrammarError, LexEntry, apply_v2_lexical_rule,
                                generic_trace_description, load_grammar)
 from prosogate.fs import is_elist, parse_avm, subsumes, unify
@@ -138,6 +139,16 @@ def test_non_binary_schema_rejected():
     bad = _doc(schemata=[{"name": "x", "daughters": [{}], "mother": {}}])
     with pytest.raises(GrammarError, match="binary"):
         load_grammar(json.dumps(bad))
+
+
+def test_cyclic_lexicon_entry_rejected(tmp_path):
+    bad = _doc(lexicon=[{"id": "x", "orth": "x",
+                         "avm": {"#1": {"LOC": {"HEAD": "#1"}}}}])
+    with pytest.raises(GrammarError, match=r"lexicon\[0\]"):
+        load_grammar(json.dumps(bad))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(bad))
+    assert run(["parse", "--grammar", str(path)]) == 2
 
 
 def test_demo_grammar_loads_clean(grammar):
