@@ -137,13 +137,18 @@ def cmd_eval(args):
     gold_corpus = load_corpus(args.gold)
     with open(args.proposed, encoding="utf-8") as f:
         report = json.load(f)
-    proposed_by_id = {t["id"]: t["proposed_sites"] for t in report["turns"]}
+    try:
+        proposed_by_id = {t["id"]: set(t["proposed_sites"])
+                          for t in report["turns"]}
+    except (KeyError, TypeError) as exc:
+        raise EvalError(
+            f"{args.proposed}: not a parse report: {exc!r}") from exc
     gold, proposed, universe = [], [], []
     for turn in gold_corpus:
         if turn.turn_id not in proposed_by_id:
             raise EvalError(f"turn {turn.turn_id!r} missing from the report")
         gold.append(set(turn.gold_traces or []))
-        proposed.append(set(proposed_by_id[turn.turn_id]))
+        proposed.append(proposed_by_id[turn.turn_id])
         universe.append(set(range(1, len(turn.words) + 1)))
     counts = score_trace_hypotheses(gold, proposed, universe)
     report = metrics(counts)

@@ -17,15 +17,49 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
-from .prosody import SyllableRecord
+from .prosody import REGRESSION_LEN, SyllableRecord
 
 S3_LABELS = ("S3+", "S3-", "S3?")
 
 
 class CorpusError(Exception):
     pass
+
+
+def _finite(values):
+    """Ints or floats (not bools), each convertible to a finite float."""
+    try:
+        return (set(map(type, values)) <= {int, float}
+                and all(map(math.isfinite, values)))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+_scalar_features = attrgetter(*(f.name for f in fields(SyllableRecord)
+                                if type(f.default) is float))
+
+
+def _syllable_from_dict(i, s):
+    """Syllable ``i`` of a turn from its JSON object, with its word and
+    feature types checked. Both regression blocks are required."""
+    try:
+        rec = SyllableRecord.from_dict(s["features"])
+        f0, energy = rec.f0_regression, rec.energy_regression
+        ok = (type(s["word"]) is int and type(f0) is type(energy) is list
+              and len(f0) == len(energy) == REGRESSION_LEN
+              and type(rec.accent) is type(rec.word_final) is bool
+              and _finite((*_scalar_features(rec), *f0, *energy)))
+    except (TypeError, ValueError):  # not a mapping, unknown field, pause < 0
+        ok = False
+    if not ok:
+        raise CorpusError(
+            f"syllable {i}: needs an integer word, and features that are "
+            f"finite numbers (pauses >= 0), true/false flags and two lists "
+            f"of {REGRESSION_LEN} finite numbers")
+    return Syllable(s["word"], rec)
 
 
 @dataclass
@@ -46,12 +80,13 @@ class TurnRecord:
     def validate(self):
         n = len(self.words)
         where = f"turn {self.turn_id!r}"
+        if not isinstance(self.turn_id, str):
+            raise CorpusError(f"{where}: id is not a string")
         if not self.words:
             raise CorpusError(f"{where}: empty word list")
         for name, ok, what in (
                 ("words", lambda w: isinstance(w, str), "strings"),
-                ("gap_scores", lambda x: isinstance(x, numbers.Real)
-                 and not isinstance(x, bool) and math.isfinite(x) and x >= 0,
+                ("gap_scores", lambda x: _finite((x,)) and x >= 0,
                  "finite numbers >= 0"),
                 ("gold_traces", lambda g: isinstance(g, numbers.Integral)
                  and not isinstance(g, bool) and 1 <= g <= n, f"gaps 1..{n}"),
@@ -106,10 +141,8 @@ class TurnRecord:
         try:
             syllables = None
             if d.get("syllables") is not None:
-                syllables = [
-                    Syllable(word=s["word"],
-                             features=SyllableRecord.from_dict(s["features"]))
-                    for s in d["syllables"]]
+                syllables = [_syllable_from_dict(i, s)
+                             for i, s in enumerate(d["syllables"])]
             turn = cls(
                 turn_id=d["id"],
                 words=d["words"],
@@ -147,12 +180,13 @@ class Corpus:
 
 def loads_corpus(text):
     corpus = Corpus()
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CorpusError(f"line {lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
@@ -160,10 +194,13 @@ def loads_corpus(text):
             corpus.provenance = obj["_meta"]
             continue
         try:
-            corpus.turns.append(TurnRecord.from_dict(obj))
+            turn = TurnRecord.from_dict(obj)
+            if turn.turn_id in seen:
+                raise CorpusError(f"duplicate turn id {turn.turn_id!r}")
         except CorpusError as exc:
             raise CorpusError(f"line {lineno}: {exc}") from exc
-    corpus.validate()
+        seen.add(turn.turn_id)
+        corpus.turns.append(turn)
     return corpus
 
 

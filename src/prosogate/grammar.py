@@ -171,9 +171,9 @@ def load_grammar(text):
         try:
             cat = parse_avm(item["avm"])
             check_features(cat, features, where)
+            entry = LexEntry(item["id"], item["orth"], cat)
         except (fs.AvmFormatError, KeyError) as exc:
             raise GrammarError(f"{where}: {exc}") from exc
-        entry = LexEntry(entry_id=item["id"], orth=item["orth"], category=cat)
         register(entry, where)
         v2 = apply_v2_lexical_rule(entry)
         if v2 is not None:
@@ -192,11 +192,12 @@ def load_grammar(text):
             )
             for part in ("LEFT", "RIGHT", "MOTHER"):
                 check_features(pattern.attrs[part], features, f"{where}.{part}")
+            schema = RuleSchema(name=item["name"], pattern=pattern)
         except fs.AvmFormatError as exc:
             raise GrammarError(f"{where}: {exc}") from exc
         except KeyError as exc:
             raise GrammarError(f"{where}: missing key {exc}") from exc
-        grammar.schemata.append(RuleSchema(name=item["name"], pattern=pattern))
+        grammar.schemata.append(schema)
 
     # Every trace template must instantiate the generic description.
     for entry in grammar.entries_by_id.values():

@@ -1,15 +1,16 @@
 """Two-output multilayer perceptron for boundary posteriors.
 
-Architecture is fixed at two sigmoid hidden layers (40/20 nodes by
-default) and two sigmoid output nodes, one for S3+ and one for S3-.
-Training is plain stochastic gradient descent on squared error against
-one-hot targets (1 for the node matching the reference label, 0 for the
-other), with per-epoch class balancing: the minority class is resampled
-with replacement up to the majority count, so each epoch presents an
-equal number of vectors from each class.
+Architecture is fixed at two sigmoid hidden layers (40/20 nodes in the
+default ``TrainConfig``) and two sigmoid output nodes, one for S3+ and
+one for S3-. Training is plain stochastic gradient descent on squared
+error against one-hot targets (1 for the node matching the reference
+label, 0 for the other), with per-epoch class balancing: the minority
+class is resampled with replacement up to the majority count, so each
+epoch presents an equal number of vectors from each class.
 
-``classify`` normalizes the two outputs to a proper posterior (sum 1) by
-default; the raw sigmoid outputs are available with ``raw=True``.
+``classify`` normalizes the two outputs to a proper posterior (sum 1).
+A classifier's JSON names the one prosodic feature layout its weights
+were trained on (``LAYOUT_ID``); loading rejects any other.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prosody import extract_features
+
+LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
 OUTPUT_NODES = 2  # S3+ at index 0, S3- at index 1
 LABEL_INDEX = {"S3+": 0, "S3-": 1}
 
@@ -36,32 +40,24 @@ class TrainConfig:
 
 
 class MlpClassifier:
-    def __init__(self, input_dim, hidden1=40, hidden2=20, seed=0,
-                 layout_id="default-242", weights=None):
+    def __init__(self, input_dim, hidden1, hidden2, seed=0, weights=None):
         self.dims = (input_dim, hidden1, hidden2, OUTPUT_NODES)
         self.seed = seed
-        self.layout_id = layout_id
         self.train_log = []
-        if weights is not None:
-            self.params = weights
-        else:
+        layers = list(zip(self.dims, self.dims[1:]))  # (fan_in, fan_out)
+        if weights is None:
             rng = np.random.default_rng(seed)
-            self.params = []
-            for fan_in, fan_out in zip(self.dims, self.dims[1:]):
+            weights = []
+            for fan_in, fan_out in layers:
                 scale = 1.0 / np.sqrt(fan_in)
-                self.params.append(
-                    rng.uniform(-scale, scale, size=(fan_in, fan_out)))
-                self.params.append(np.zeros(fan_out))
-        for p, shape in zip(self.params, self._shapes()):
-            if p.shape != shape:
-                raise ValueError(f"weight shape {p.shape} != declared {shape}")
-
-    def _shapes(self):
-        shapes = []
-        for fan_in, fan_out in zip(self.dims, self.dims[1:]):
-            shapes.append((fan_in, fan_out))
-            shapes.append((fan_out,))
-        return shapes
+                weights += [rng.uniform(-scale, scale, size=(fan_in, fan_out)),
+                            np.zeros(fan_out)]
+        shapes = [p.shape for p in weights]
+        declared = [s for i, o in layers for s in ((i, o), (o,))]
+        if shapes != declared:
+            raise ValueError(f"classifier weight shapes {shapes} != "
+                             f"declared {declared}")
+        self.params = weights
 
     def _forward(self, x):
         """Returns the activation of every layer, input included."""
@@ -72,18 +68,14 @@ class MlpClassifier:
             acts.append(a)
         return acts
 
-    def raw_outputs(self, x):
+    def classify(self, x):
+        """(p_S3+, p_S3-): the two sigmoid outputs normalized to sum 1."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dims[0]:
             raise ValueError(
                 f"vector length {x.shape[-1]} != input dimension {self.dims[0]}")
-        return self._forward(x)[-1]
-
-    def classify(self, x, raw=False):
-        """(p_S3+, p_S3-); normalized to sum 1 unless raw=True."""
-        out = self.raw_outputs(x)
-        if not raw:
-            out = out / out.sum(axis=-1, keepdims=True)
+        out = self._forward(x)[-1]
+        out = out / out.sum(axis=-1, keepdims=True)
         return float(out[..., 0]), float(out[..., 1])
 
     def loss(self, x, target):
@@ -107,21 +99,24 @@ class MlpClassifier:
         return json.dumps({
             "dims": list(self.dims),
             "seed": self.seed,
-            "layout_id": self.layout_id,
+            "layout_id": LAYOUT_ID,
             "weights": [p.tolist() for p in self.params],
         })
 
     @classmethod
     def from_json(cls, text):
+        """Rebuild a classifier from ``to_json`` text; ValueError if not."""
         d = json.loads(text)
-        dims = d["dims"]
-        weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
-        return cls(dims[0], dims[1], dims[2], seed=d["seed"],
-                   layout_id=d["layout_id"], weights=weights)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json())
+        try:
+            if d["layout_id"] != LAYOUT_ID:
+                raise ValueError(f"classifier layout {d['layout_id']!r} is "
+                                 f"not {LAYOUT_ID!r}")
+            dims = d["dims"]
+            weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
+            return cls(dims[0], dims[1], dims[2], seed=d["seed"],
+                       weights=weights)
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ValueError(f"malformed classifier: {exc!r}") from exc
 
     @classmethod
     def load(cls, path):
@@ -129,7 +124,7 @@ class MlpClassifier:
             return cls.from_json(f.read())
 
 
-def train(data, config=None, seed=0, layout_id="default-242"):
+def train(data, config=None, seed=0):
     """Train a classifier on (vector, s3 label) pairs.
 
     S3? items are excluded (they are held out for evaluation, never
@@ -159,8 +154,7 @@ def train(data, config=None, seed=0, layout_id="default-242"):
     if len(idx_plus) == 0 or len(idx_minus) == 0:
         raise ValueError("training data must contain both S3+ and S3-")
 
-    clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2,
-                        seed=seed, layout_id=layout_id)
+    clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
     targets = np.eye(OUTPUT_NODES)
     rng = np.random.default_rng(seed + 1)
     majority = max(len(idx_plus), len(idx_minus))
@@ -187,7 +181,7 @@ def train(data, config=None, seed=0, layout_id="default-242"):
     return clf
 
 
-def score_turn(clf, turn, layout=None):
+def score_turn(clf, turn):
     """Write boundary scores into a turn from its syllable records.
 
     The score of the gap after word i is the normalized p(S3+) of that
@@ -195,16 +189,7 @@ def score_turn(clf, turn, layout=None):
     turn). Alignment problems (a word with no final-flagged syllable)
     surface as CorpusError from the turn itself.
     """
-    from .prosody import DEFAULT_LAYOUT, extract_features
-
-    if layout is None:
-        layout = DEFAULT_LAYOUT
     records = [s.features for s in turn.syllables or []]
-    finals = turn.word_final_syllables()
-    scores = []
-    for syl_index in finals:
-        vec = extract_features(records, syl_index, layout)
-        p_plus, _ = clf.classify(vec)
-        scores.append(p_plus)
-    turn.gap_scores = scores
-    return scores
+    turn.gap_scores = [clf.classify(extract_features(records, i))[0]
+                       for i in turn.word_final_syllables()]
+    return turn.gap_scores

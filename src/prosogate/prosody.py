@@ -7,7 +7,7 @@ validity flag per position (0 where the context runs off the turn and
 the block is zero-padded), the current syllable's pause lengths, and its
 F0 / energy regression-coefficient blocks.
 
-The default layout totals 242 values:
+The layout is fixed and totals FEATURE_DIM = 242 values:
 
     15 values x 13 positions   195
     validity flags              13
@@ -17,8 +17,8 @@ The default layout totals 242 values:
                                ---
                                242
 
-The composition (not the total) is a layout decision; alternative
-layouts, including masked feature subsets, are first-class.
+A trained classifier's weights are tied to this layout, which its JSON
+names as ``"layout_id": "default-242"``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 PER_SYLLABLE_VALUES = 15
+CONTEXT_RADIUS = 6  # syllables of context on each side
+REGRESSION_LEN = 16  # coefficients in each of the F0 and energy blocks
+FEATURE_DIM = ((PER_SYLLABLE_VALUES + 1) * (2 * CONTEXT_RADIUS + 1)
+               + 2 + 2 * REGRESSION_LEN)
 
 
 class LayoutError(ValueError):
@@ -80,43 +84,17 @@ class SyllableRecord:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class FeatureLayout:
-    layout_id: str = "default-242"
-    context_radius: int = 6
-    f0_reg_len: int = 16
-    energy_reg_len: int = 16
-    # Optional feature subset: indices into the full vector. None = all.
-    mask: tuple | None = None
-
-    @property
-    def positions(self):
-        return 2 * self.context_radius + 1
-
-    @property
-    def full_dim(self):
-        return (PER_SYLLABLE_VALUES * self.positions + self.positions
-                + 2 + self.f0_reg_len + self.energy_reg_len)
-
-    @property
-    def dim(self):
-        return len(self.mask) if self.mask is not None else self.full_dim
-
-
-DEFAULT_LAYOUT = FeatureLayout()
-
-
-def extract_features(syllables, index, layout=DEFAULT_LAYOUT):
+def extract_features(syllables, index):
     """Assemble the feature vector for one syllable of a turn.
 
     Out-of-range context positions contribute a zero block and a 0
-    validity flag. Returns a float64 numpy vector of length layout.dim.
+    validity flag. Returns a float64 numpy vector of length FEATURE_DIM.
     """
     if not 0 <= index < len(syllables):
         raise IndexError(f"syllable index {index} out of range")
     values = []
     flags = []
-    for off in range(-layout.context_radius, layout.context_radius + 1):
+    for off in range(-CONTEXT_RADIUS, CONTEXT_RADIUS + 1):
         j = index + off
         if 0 <= j < len(syllables):
             values.extend(syllables[j].block())
@@ -125,19 +103,12 @@ def extract_features(syllables, index, layout=DEFAULT_LAYOUT):
             values.extend([0.0] * PER_SYLLABLE_VALUES)
             flags.append(0.0)
     cur = syllables[index]
-    if len(cur.f0_regression) != layout.f0_reg_len:
-        raise LayoutError(
-            f"F0 regression block has {len(cur.f0_regression)} coefficients, "
-            f"layout {layout.layout_id!r} expects {layout.f0_reg_len}")
-    if len(cur.energy_regression) != layout.energy_reg_len:
-        raise LayoutError(
-            f"energy regression block has {len(cur.energy_regression)} "
-            f"coefficients, layout {layout.layout_id!r} expects "
-            f"{layout.energy_reg_len}")
-    vec = np.array(
+    for name, block in (("F0", cur.f0_regression),
+                        ("energy", cur.energy_regression)):
+        if len(block) != REGRESSION_LEN:
+            raise LayoutError(f"{name} regression block has {len(block)} "
+                              f"coefficients, expected {REGRESSION_LEN}")
+    return np.array(
         values + flags + [cur.pause_before, cur.pause_after]
         + list(cur.f0_regression) + list(cur.energy_regression),
         dtype=np.float64)
-    if layout.mask is not None:
-        vec = vec[list(layout.mask)]
-    return vec

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .corpus import Corpus, Syllable, TurnRecord
-from .prosody import SyllableRecord, DEFAULT_LAYOUT
+from .prosody import REGRESSION_LEN, SyllableRecord
 
 PRONOUNS = ["er", "sie", "ich", "du"]
 DETS = ["den", "das"]
@@ -70,7 +70,7 @@ def _expand(pattern, rng):
     return words
 
 
-def _syllable(rng, mean, word_final, layout):
+def _syllable(rng, mean, word_final):
     def draw(n):
         return [rng.gauss(mean, 1.0) for _ in range(n)]
 
@@ -86,8 +86,8 @@ def _syllable(rng, mean, word_final, layout):
         word_final=word_final,
         pause_before=0.0,
         pause_after=max(0.0, rng.gauss(0.15 * mean, 0.05)) if word_final else 0.0,
-        f0_regression=draw(layout.f0_reg_len),
-        energy_regression=draw(layout.energy_reg_len),
+        f0_regression=draw(REGRESSION_LEN),
+        energy_regression=draw(REGRESSION_LEN),
     )
 
 
@@ -102,7 +102,7 @@ def _gap_score(rng, label, is_gold):
 
 
 def synth_corpus(seed=42, turns=104, separation=2.0, placement="final",
-                 v2_only=False, max_words=None, layout=DEFAULT_LAYOUT):
+                 v2_only=False, max_words=None):
     """Generate a corpus of template sentences with syllables, S3 labels,
     calibrated gap scores, and gold trace positions.
 
@@ -160,7 +160,7 @@ def synth_corpus(seed=42, turns=104, separation=2.0, placement="final",
                 else:
                     mean = -separation / 2.0
                 syllables.append(
-                    Syllable(word=w, features=_syllable(rng, mean, final, layout)))
+                    Syllable(word=w, features=_syllable(rng, mean, final)))
         corpus.turns.append(TurnRecord(
             turn_id=f"s{k:04d}", words=words, gap_scores=scores,
             gold_traces=gold, s3_labels=labels, syllables=syllables))

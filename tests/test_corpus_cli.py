@@ -1,11 +1,35 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prosogate.cli import run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
                               loads_corpus)
+from prosogate.mlp import MlpClassifier
+from prosogate.prosody import (FEATURE_DIM, REGRESSION_LEN, SyllableRecord,
+                               extract_features)
 from prosogate.synth import synth_corpus
+
+
+def _valid_turn(n):
+    features = {"word_final": True, "f0_regression": [0.0] * REGRESSION_LEN,
+                "energy_regression": [0.0] * REGRESSION_LEN}
+    return {"id": "t", "words": ["x"] * n, "gap_scores": [0.5] * n,
+            "gold_traces": [n], "s3_labels": ["S3-"] * n,
+            "syllables": [{"word": w, "features": dict(features)}
+                          for w in range(1, n + 1)]}
+
+
+def _with_syllable(word=1, **features):
+    """Fields of a valid one-word turn whose syllable has this word and
+    these features."""
+    syllable = _valid_turn(1)["syllables"][0]
+    syllable["word"] = word
+    syllable["features"].update(features)
+    return '"words": ["x"], "syllables": ' + json.dumps([syllable])
 
 
 class TestCorpusIO:
@@ -19,9 +43,10 @@ class TestCorpusIO:
             assert a.words == b.words
             assert a.gold_traces == b.gold_traces
 
-    def test_malformed_json_reports_line(self):
-        text = '{"id": "a", "words": ["x"]}\n{oops\n'
-        with pytest.raises(CorpusError, match="line 2"):
+    @pytest.mark.parametrize("line", ["{oops", "[" * 100000])
+    def test_malformed_json_reports_line(self, line):
+        text = '{"id": "a", "words": ["x"]}\n' + line + '\n'
+        with pytest.raises(CorpusError, match="line 2: malformed JSON"):
             loads_corpus(text)
 
     def test_bad_record_reports_line(self):
@@ -39,8 +64,13 @@ class TestCorpusIO:
 
     def test_duplicate_turn_id(self):
         line = '{"id": "a", "words": ["x"]}\n'
-        with pytest.raises(CorpusError, match="duplicate"):
+        with pytest.raises(CorpusError, match="line 2: duplicate turn id"):
             loads_corpus(line + line)
+
+    @pytest.mark.parametrize("turn_id", ["5", '["a"]', "null"])
+    def test_non_string_id_rejected(self, turn_id):
+        with pytest.raises(CorpusError, match="line 1: .*id is not a string"):
+            loads_corpus('{"id": ' + turn_id + ', "words": ["x"]}\n')
 
     @pytest.mark.parametrize("line", ["5", "[]", '"x"'])
     def test_non_object_line_rejected(self, line):
@@ -59,6 +89,18 @@ class TestCorpusIO:
         '"words": ["x", "y"], "gold_traces": ["2"]',
         '"words": ["x", "y"], "gold_traces": [1.0]',
         '"words": ["x", "y"], "gold_traces": [true]',
+        '"words": ["x"], "gap_scores": [1' + "0" * 400 + "]",
+        _with_syllable(pause_before=-1),
+        _with_syllable(f0_regression=5),
+        _with_syllable(energy_regression=[0.0] * (REGRESSION_LEN - 1)),
+        _with_syllable(f0_regression=["0"] * REGRESSION_LEN),
+        _with_syllable(nucleus_dur="x"),
+        _with_syllable(f0_min=float("nan")),
+        _with_syllable(accent=1),
+        _with_syllable(word=True),
+        _with_syllable(word=1.0),
+        '"words": ["x"], "syllables": [{"word": 1, "features": {}}]',
+        '"words": ["x"], "syllables": [{"word": 1, "features": []}]',
     ])
     def test_bad_field_values_rejected(self, fields):
         with pytest.raises(CorpusError, match="line 1"):
@@ -68,11 +110,73 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="empty"):
             TurnRecord(turn_id="a", words=[]).validate()
 
+    def test_valid_syllable_loads(self):
+        turn = loads_corpus('{"id": "a", ' + _with_syllable() + '}\n').turns[0]
+        assert turn.syllables[0].features == SyllableRecord(
+            word_final=True, f0_regression=[0.0] * REGRESSION_LEN,
+            energy_regression=[0.0] * REGRESSION_LEN)
+
     def test_meta_line_is_provenance(self):
         corpus = loads_corpus('{"_meta": {"seed": 3}}\n'
                               '{"id": "a", "words": ["x"]}\n')
         assert corpus.provenance == {"seed": 3}
         assert len(corpus) == 1
+
+
+# Any JSON value, including non-finite floats and integers beyond float
+# range.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats()
+    | st.integers(min_value=-10 ** 400, max_value=10 ** 400)
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+
+_FEATURE_NAMES = sorted(f.name for f in dataclasses.fields(SyllableRecord))
+
+
+@st.composite
+def _corrupted_turns(draw):
+    """A valid turn in which one field of the turn, of a syllable, of its
+    features or of a regression block holds any JSON value."""
+    n = draw(st.integers(1, 3))
+    turn = _valid_turn(n)
+    syllable = turn["syllables"][draw(st.integers(0, n - 1))]
+    owner, keys = draw(st.sampled_from([
+        (turn, sorted(turn)),
+        (syllable, ["word", "features"]),
+        (syllable["features"], _FEATURE_NAMES),
+        (syllable["features"]["f0_regression"], range(REGRESSION_LEN))]))
+    owner[draw(st.sampled_from(keys))] = draw(_json_values)
+    return turn
+
+
+def _check_loads(text):
+    """loads_corpus yields a Corpus or a CorpusError, nothing else, and a
+    loaded syllable always yields a finite feature vector."""
+    try:
+        corpus = loads_corpus(text)
+    except CorpusError:
+        return
+    assert isinstance(corpus, Corpus)
+    for turn in corpus:
+        records = [s.features for s in turn.syllables or []]
+        for i in range(len(records)):
+            vec = extract_features(records, i)
+            assert vec.shape == (FEATURE_DIM,) and np.isfinite(vec).all()
+
+
+class TestCorpusFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_any_text(self, text):
+        _check_loads(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_corrupted_turns())
+    def test_turn_objects_with_wrong_value_types(self, turn):
+        _check_loads(json.dumps(turn))
 
 
 class TestSynth:
@@ -113,6 +217,9 @@ class TestSynth:
             assert len(turn.word_final_syllables()) == len(turn.words)
 
 
+_MODEL = json.loads(MlpClassifier(FEATURE_DIM, 3, 3).to_json())
+
+
 class TestCliExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -140,10 +247,50 @@ class TestCliExitCodes:
         assert run(["parse", "--corpus", str(bad)]) == 2
         assert "turn 'q1': unknown word 'zzz'" in capsys.readouterr().err
 
-    def test_bad_grammar_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, where", [
+        ({"features": []}, "missing 'lexicon'"),
+        ({"features": [], "lexicon": [{"orth": "x", "avm": {}}],
+          "schemata": []}, "lexicon[0]: 'id'"),
+        ({"features": [], "lexicon": [{"id": "x", "avm": {}}],
+          "schemata": []}, "lexicon[0]: 'orth'"),
+        ({"features": [], "lexicon": [],
+          "schemata": [{"daughters": [{}, {}], "mother": {}}]},
+         "schemata[0]: missing key 'name'"),
+    ], ids=["no-lexicon", "entry-without-id", "entry-without-orth",
+            "schema-without-name"])
+    def test_bad_grammar_is_data_error(self, tmp_path, capsys, doc, where):
         bad = tmp_path / "g.json"
-        bad.write_text('{"features": []}')
+        bad.write_text(json.dumps(doc))
         assert run(["parse", "--grammar", str(bad)]) == 2
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", [
+        "{}",
+        "[]",
+        json.dumps({**_MODEL, "layout_id": "other-242"}),
+        json.dumps({**_MODEL, "weights": []}),
+        json.dumps({**_MODEL, "dims": [FEATURE_DIM]}),
+    ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims"])
+    def test_bad_model_is_data_error(self, tmp_path, capsys, model):
+        corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
+        assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
+        bad.write_text(model)
+        assert run(["score", "--corpus", str(corpus), "--model",
+                    str(bad)]) == 2
+        assert "classifier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("report", [
+        "{}", "[]", '{"turns": [{"id": "d01"}]}',
+        '{"turns": [{"id": "d01", "proposed_sites": 5}]}'],
+        ids=["no-turns", "not-object", "no-sites", "sites-not-list"])
+    def test_bad_report_is_data_error(self, tmp_path, capsys, report):
+        from prosogate import demo_corpus_text
+        gold, bad = tmp_path / "gold.jsonl", tmp_path / "r.json"
+        gold.write_text(demo_corpus_text())
+        bad.write_text(report)
+        assert run(["eval", "--gold", str(gold), "--proposed",
+                    str(bad)]) == 2
+        assert "not a parse report" in capsys.readouterr().err
 
     def test_success(self, tmp_path):
         out = tmp_path / "r.json"

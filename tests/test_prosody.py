@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from prosogate.prosody import (DEFAULT_LAYOUT, PER_SYLLABLE_VALUES,
-                               FeatureLayout, LayoutError, SyllableRecord,
-                               extract_features)
+from prosogate.prosody import (FEATURE_DIM, PER_SYLLABLE_VALUES, LayoutError,
+                               SyllableRecord, extract_features)
 
 
 def _rec(seed, **kw):
@@ -16,8 +15,7 @@ def _rec(seed, **kw):
 
 
 def test_default_layout_dimension_is_242():
-    assert DEFAULT_LAYOUT.full_dim == 242
-    assert DEFAULT_LAYOUT.dim == 242
+    assert FEATURE_DIM == 242
     assert (PER_SYLLABLE_VALUES * 13) + 13 + 2 + 16 + 16 == 242
 
 
@@ -83,15 +81,6 @@ def test_layout_mismatch_rejected():
 def test_negative_pause_rejected():
     with pytest.raises(ValueError):
         SyllableRecord(pause_before=-0.1)
-
-
-def test_masked_layout_selects_subset():
-    layout = FeatureLayout(layout_id="dur-only", mask=(0, 15, 30))
-    syllables = [_rec(i) for i in range(3)]
-    vec = extract_features(syllables, 1, layout)
-    assert vec.shape == (3,)
-    full = extract_features(syllables, 1)
-    assert np.array_equal(vec, full[[0, 15, 30]])
 
 
 def test_record_round_trip():
