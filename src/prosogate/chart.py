@@ -15,6 +15,11 @@ c) every empty edge instantiates the precomputed trace template of an
 Empty edges may only serve as right daughters (right-periphery
 restriction), which also guarantees termination: no derived edge is ever
 zero-width, so empty edges cannot feed each other.
+
+Each edge is queued once, when created, and indexed only once popped
+and combined with the edges indexed before it. So each adjacent pair
+(non-empty left edge, any right edge) is combined exactly once, and a
+packed edge collects only distinct derivations.
 """
 
 from __future__ import annotations
@@ -108,9 +113,13 @@ def propose_trace_sites(turn, config):
     if config.mode == "off":
         return gaps
     if config.mode == "rank":
-        ordered = sorted(gaps, key=lambda g: (-scores[g - 1], g))
-        return ordered[: config.rank_limit]
+        return gaps_by_score(scores)[: config.rank_limit]
     return [g for g in gaps if scores[g - 1] >= config.threshold]
+
+
+def gaps_by_score(scores):
+    """Gap indices 1..n by descending score, ties to the lower gap."""
+    return sorted(range(1, len(scores) + 1), key=lambda g: (-scores[g - 1], g))
 
 
 def is_root_category(cat):
@@ -126,28 +135,25 @@ def is_root_category(cat):
 class Chart:
     def __init__(self):
         self.edges = []
-        self.by_start = {}  # start -> [edge]
+        self.agenda = deque()  # new edges, each queued once
+        self.by_start = {}  # start -> [popped edge]
         self.by_end = {}
         self.seen = {}  # (start, end, kind, canonical cat) -> edge
 
     def add(self, start, end, category, kind, entry=None, licenser=None,
             derivation=None):
-        """Insert or pack an edge. Returns (edge, is_new)."""
+        """Insert or pack an edge; queue a new one. Returns (edge, is_new)."""
         key = (start, end, kind, fs.canonical(category))
         edge = self.seen.get(key)
-        if edge is not None:
-            if derivation is not None and derivation not in edge.derivations:
-                edge.derivations.append(derivation)
-            return edge, False
-        edge = Edge(len(self.edges), start, end, category, kind,
-                    entry=entry, licenser=licenser)
+        is_new = edge is None
+        if is_new:
+            edge = self.seen[key] = Edge(len(self.edges), start, end, category,
+                                         kind, entry=entry, licenser=licenser)
+            self.edges.append(edge)
+            self.agenda.append(edge)
         if derivation is not None:
             edge.derivations.append(derivation)
-        self.edges.append(edge)
-        self.by_start.setdefault(start, []).append(edge)
-        self.by_end.setdefault(end, []).append(edge)
-        self.seen[key] = edge
-        return edge, True
+        return edge, is_new
 
 
 @dataclass
@@ -178,7 +184,6 @@ def parse(turn, grammar, config):
     n = len(turn.words)
     sites = propose_trace_sites(turn, config)
     chart = Chart()
-    agenda = deque()
     stack = []  # (licenser edge id, V2 LexEntry, licenser end)
     stats = {"lexical_edges": 0, "empty_edges": 0, "derived_edges": 0,
              "proposed_sites": len(sites), "elapsed_ms": 0.0}
@@ -190,25 +195,19 @@ def parse(turn, grammar, config):
             raise UnknownWordError(word)
         for entry in entries:
             edge, _ = chart.add(i, i + 1, entry.category, "lexical", entry=entry)
-            agenda.append(edge)
             stats["lexical_edges"] += 1
             if entry.is_v2:
                 stack.append((edge.edge_id, entry, i + 1))
 
-    # (iii) empty edges at eligible gaps, one per (gap, template); the
-    # leftmost qualifying V2 edge is recorded as licenser.
-    placed = set()
+    # (iii) empty edges at eligible gaps, one per (gap, template); a
+    # repeated V2 word packs into the edge of its leftmost licenser.
     for g in sorted(sites):
         for licenser_id, entry, licenser_end in stack:
             if g < licenser_end:
                 continue  # constraint a
-            if (g, entry.entry_id) in placed:
-                continue
-            placed.add((g, entry.entry_id))
-            edge, is_new = chart.add(g, g, entry.trace_template, "empty",
-                                     entry=entry, licenser=licenser_id)
+            _, is_new = chart.add(g, g, entry.trace_template, "empty",
+                                  entry=entry, licenser=licenser_id)
             if is_new:
-                agenda.append(edge)
                 stats["empty_edges"] += 1
 
     # (iv) close under the schemata; empty edges only as right daughters.
@@ -217,25 +216,25 @@ def parse(turn, grammar, config):
             mother = schema.apply(left.category, right.category)
             if mother is None:
                 continue
-            new_edge, is_new = chart.add(
+            _, is_new = chart.add(
                 left.start, right.end, mother, "derived",
                 derivation=(schema, left.edge_id, right.edge_id))
             if is_new:
                 stats["derived_edges"] += 1
-                agenda.append(new_edge)
                 if len(chart.edges) > config.max_edges:
                     stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
                     raise EdgeCapExceeded(config.max_edges, stats)
 
-    while agenda:
-        edge = agenda.popleft()
+    while chart.agenda:
+        edge = chart.agenda.popleft()
         if edge.kind != "empty":
-            for right in list(chart.by_start.get(edge.end, [])):
-                if right is not edge:
-                    combine(edge, right)
-        for left in list(chart.by_end.get(edge.start, [])):
-            if left is not edge and left.kind != "empty" and left.start < left.end:
+            for right in chart.by_start.get(edge.end, []):
+                combine(edge, right)
+        for left in chart.by_end.get(edge.start, []):
+            if left.kind != "empty":
                 combine(left, edge)
+        chart.by_start.setdefault(edge.start, []).append(edge)
+        chart.by_end.setdefault(edge.end, []).append(edge)
 
     result = ParseResult(turn_id=turn.turn_id, n_words=n, readings=[],
                          proposed_sites=sites, stats=stats, _chart=chart,

@@ -99,7 +99,7 @@ def cmd_train(args):
 def cmd_score(args):
     corpus = load_corpus(args.corpus)
     clf = MlpClassifier.load(args.model)
-    for turn in sorted(corpus, key=lambda t: t.turn_id):
+    for turn in corpus:
         score_turn(clf, turn)
     _write(dumps_corpus(corpus), args.out)
     return 0

@@ -56,7 +56,7 @@ def _syllable_from_dict(i, s):
         ok = False
     if not ok:
         raise CorpusError(
-            f"syllable {i}: needs an integer word, and features that are "
+            f"syllables[{i}]: needs an integer word, and features that are "
             f"finite numbers (pauses >= 0), true/false flags and two lists "
             f"of {REGRESSION_LEN} finite numbers")
     return Syllable(s["word"], rec)
@@ -78,12 +78,14 @@ class TurnRecord:
     syllables: list | None = None  # [Syllable]
 
     def validate(self):
-        n = len(self.words)
         where = f"turn {self.turn_id!r}"
         if not isinstance(self.turn_id, str):
             raise CorpusError(f"{where}: id is not a string")
+        if not isinstance(self.words, list):
+            raise CorpusError(f"{where}: words is not a list")
         if not self.words:
             raise CorpusError(f"{where}: empty word list")
+        n = len(self.words)
         for name, ok, what in (
                 ("words", lambda w: isinstance(w, str), "strings"),
                 ("gap_scores", lambda x: _finite((x,)) and x >= 0,
@@ -139,22 +141,25 @@ class TurnRecord:
     @classmethod
     def from_dict(cls, d):
         try:
-            syllables = None
-            if d.get("syllables") is not None:
+            syllables = d.get("syllables")
+            if syllables is not None:
+                if not isinstance(syllables, list):
+                    raise CorpusError("syllables is not a list")
                 syllables = [_syllable_from_dict(i, s)
-                             for i, s in enumerate(d["syllables"])]
+                             for i, s in enumerate(syllables)]
             turn = cls(
                 turn_id=d["id"],
                 words=d["words"],
                 gap_scores=d.get("gap_scores"),
-                gold_traces=sorted(d["gold_traces"]) if d.get("gold_traces")
-                is not None else None,
+                gold_traces=d.get("gold_traces"),
                 s3_labels=d.get("s3_labels"),
                 syllables=syllables,
             )
             turn.validate()
         except (KeyError, TypeError) as exc:
             raise CorpusError(f"bad turn record: {exc}") from exc
+        if turn.gold_traces is not None:
+            turn.gold_traces = sorted(turn.gold_traces)
         return turn
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
+from .chart import gaps_by_score, parse_corpus
+
 
 class EvalError(Exception):
     pass
@@ -146,9 +148,7 @@ def rank_experiment(sentences):
     for scores, gold_gap in sentences:
         if gold_gap is None or not 1 <= gold_gap <= len(scores):
             raise EvalError(f"sentence without a valid gold gap: {gold_gap}")
-        ordered = sorted(range(1, len(scores) + 1),
-                         key=lambda g: (-scores[g - 1], g))
-        hist.record(ordered.index(gold_gap) + 1)
+        hist.record(gaps_by_score(scores).index(gold_gap) + 1)
     return hist
 
 
@@ -185,12 +185,11 @@ def bench(corpus, grammar, config_on, config_off, repeats=1):
     naming the turn, a parse error with a ParseError naming the turn.
     Each config runs ``repeats`` times; totals are averaged over repeats.
     """
-    from .chart import parse_corpus, propose_trace_sites
-
     totals = {"on": 0.0, "off": 0.0}
     edges = {"on": 0, "off": 0}
     sites = {"on": 0, "off": 0}
     readings = {"on": {}, "off": {}}
+    gated_sites = {}
     for rep in range(repeats):
         for key, config in (("on", config_on), ("off", config_off)):
             for result in parse_corpus(corpus, grammar, config):
@@ -199,10 +198,10 @@ def bench(corpus, grammar, config_on, config_off, repeats=1):
                     edges[key] += result.stats["empty_edges"]
                     sites[key] += result.stats["proposed_sites"]
                     readings[key][result.turn_id] = set(result.readings)
+                    if key == "on":
+                        gated_sites[result.turn_id] = set(result.proposed_sites)
     for turn in corpus:
-        gold = set(turn.gold_traces or [])
-        gated = set(propose_trace_sites(turn, config_on))
-        if gold <= gated:
+        if set(turn.gold_traces or []) <= gated_sites[turn.turn_id]:
             if readings["on"][turn.turn_id] != readings["off"][turn.turn_id]:
                 raise EvalError(
                     f"turn {turn.turn_id!r}: gated reading set differs although "

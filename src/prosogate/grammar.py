@@ -154,9 +154,15 @@ def load_grammar(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GrammarError(f"grammar is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise GrammarError("grammar document is not a JSON object")
     for key in ("features", "lexicon", "schemata"):
         if key not in doc:
             raise GrammarError(f"grammar document missing {key!r}")
+        if not isinstance(doc[key], list):
+            raise GrammarError(f"grammar {key!r} is not a list")
+    if not all(isinstance(f, str) for f in doc["features"]):
+        raise GrammarError("grammar 'features' are not all strings")
     features = frozenset(doc["features"])
     grammar = Grammar(features=features)
 
@@ -168,12 +174,16 @@ def load_grammar(text):
 
     for i, item in enumerate(doc["lexicon"]):
         where = f"lexicon[{i}]"
+        if not isinstance(item, dict):
+            raise GrammarError(f"{where}: not a JSON object")
         try:
             cat = parse_avm(item["avm"])
             check_features(cat, features, where)
             entry = LexEntry(item["id"], item["orth"], cat)
         except (fs.AvmFormatError, KeyError) as exc:
             raise GrammarError(f"{where}: {exc}") from exc
+        if not isinstance(entry.entry_id, str) or not isinstance(entry.orth, str):
+            raise GrammarError(f"{where}: id and orth must be strings")
         register(entry, where)
         v2 = apply_v2_lexical_rule(entry)
         if v2 is not None:
@@ -181,9 +191,11 @@ def load_grammar(text):
 
     for i, item in enumerate(doc["schemata"]):
         where = f"schemata[{i}]"
+        if not isinstance(item, dict):
+            raise GrammarError(f"{where}: not a JSON object")
         try:
             daughters = item["daughters"]
-            if len(daughters) != 2:
+            if not isinstance(daughters, list) or len(daughters) != 2:
                 raise GrammarError(f"{where}: schemata are binary")
             tags = {}
             pattern = parse_avm(

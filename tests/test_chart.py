@@ -5,6 +5,7 @@ from prosogate.chart import (EdgeCapExceeded, InputFormatError, ParseConfig,
                              parse, parse_corpus, propose_trace_sites)
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
+from prosogate.grammar import RuleSchema
 
 
 def _turn(words, scores, turn_id="t"):
@@ -148,6 +149,30 @@ def test_parse_corpus_names_failing_turn(grammar, demo_corpus):
     with pytest.raises(ParseError,
                        match="turn 'x7': unknown word 'explodierte'"):
         next(results)
+
+
+@pytest.mark.parametrize("config", [ParseConfig(mode="off"),
+                                    ParseConfig(threshold=0.01)],
+                         ids=["off", "gated"])
+def test_each_adjacent_pair_combined_once(grammar, demo_corpus, monkeypatch,
+                                          config):
+    calls = []
+    apply = RuleSchema.apply
+
+    def counting_apply(schema, left, right):
+        calls.append(schema)
+        return apply(schema, left, right)
+
+    monkeypatch.setattr(RuleSchema, "apply", counting_apply)
+    for turn in demo_corpus:
+        calls.clear()
+        edges = parse(turn, grammar, config)._chart.edges
+        pairs = sum(1 for left in edges if left.kind != "empty"
+                    for right in edges if right.start == left.end)
+        assert len(calls) == len(grammar.schemata) * pairs, turn.turn_id
+        for edge in edges:
+            keys = [(id(schema), l, r) for schema, l, r in edge.derivations]
+            assert len(set(keys)) == len(keys), turn.turn_id
 
 
 def test_edge_cap(grammar, demo_corpus):

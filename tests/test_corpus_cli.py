@@ -101,10 +101,16 @@ class TestCorpusIO:
         _with_syllable(word=1.0),
         '"words": ["x"], "syllables": [{"word": 1, "features": {}}]',
         '"words": ["x"], "syllables": [{"word": 1, "features": []}]',
+        '"words": 5',
+        '"words": null',
+        '"words": ["x"], "syllables": 5',
+        '"words": ["x", "y"], "gold_traces": [1, "x"]',
     ])
     def test_bad_field_values_rejected(self, fields):
-        with pytest.raises(CorpusError, match="line 1"):
+        bad_field = list(json.loads("{" + fields + "}"))[-1]
+        with pytest.raises(CorpusError, match="line 1") as info:
             loads_corpus('{"id": "a", ' + fields + '}\n')
+        assert bad_field in str(info.value)
 
     def test_empty_word_list(self):
         with pytest.raises(CorpusError, match="empty"):
@@ -168,12 +174,12 @@ def _check_loads(text):
 
 
 class TestCorpusFuzz:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.text())
     def test_any_text(self, text):
         _check_loads(text)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(_corrupted_turns())
     def test_turn_objects_with_wrong_value_types(self, turn):
         _check_loads(json.dumps(turn))
@@ -256,8 +262,24 @@ class TestCliExitCodes:
         ({"features": [], "lexicon": [],
           "schemata": [{"daughters": [{}, {}], "mother": {}}]},
          "schemata[0]: missing key 'name'"),
+        (5, "not a JSON object"),
+        ({"features": 5, "lexicon": [], "schemata": []},
+         "'features' is not a list"),
+        ({"features": [1], "lexicon": [], "schemata": []},
+         "'features' are not all strings"),
+        ({"features": [], "lexicon": ["x"], "schemata": []},
+         "lexicon[0]: not a JSON object"),
+        ({"features": [], "lexicon": [{"id": ["a"], "orth": "x", "avm": {}}],
+          "schemata": []}, "lexicon[0]: id and orth must be strings"),
+        ({"features": [], "lexicon": [], "schemata": ["x"]},
+         "schemata[0]: not a JSON object"),
+        ({"features": [], "lexicon": [],
+          "schemata": [{"name": "s", "daughters": 5, "mother": {}}]},
+         "schemata[0]: schemata are binary"),
     ], ids=["no-lexicon", "entry-without-id", "entry-without-orth",
-            "schema-without-name"])
+            "schema-without-name", "not-object", "features-not-list",
+            "features-not-strings", "entry-not-object", "unhashable-id",
+            "schema-not-object", "daughters-not-list"])
     def test_bad_grammar_is_data_error(self, tmp_path, capsys, doc, where):
         bad = tmp_path / "g.json"
         bad.write_text(json.dumps(doc))

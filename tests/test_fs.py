@@ -137,7 +137,7 @@ _avms = st.recursive(
     max_leaves=8)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_avms, _avms)
 def test_unify_commutative(xa, xb):
     a, b = parse_avm(xa), parse_avm(xb)
@@ -148,14 +148,14 @@ def test_unify_commutative(xa, xb):
         assert equivalent(ab, ba)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_avms)
 def test_unify_idempotent(xa):
     a = parse_avm(xa)
     assert equivalent(unify(a, a), a)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_avms, _avms)
 def test_result_subsumed_by_both_inputs(xa, xb):
     a, b = parse_avm(xa), parse_avm(xb)
@@ -165,7 +165,7 @@ def test_result_subsumed_by_both_inputs(xa, xb):
         assert subsumes(b, got)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_avms, _avms, _avms)
 def test_unify_associative(xa, xb, xc):
     # failure acts as an absorbing element, so both groupings must agree
