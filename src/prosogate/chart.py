@@ -20,6 +20,13 @@ Each edge is queued once, when created, and indexed only once popped
 and combined with the edges indexed before it. So each adjacent pair
 (non-empty left edge, any right edge) is combined exactly once, and a
 packed edge collects only distinct derivations.
+
+Each pair is offered to every schema, but a schema is only applied when
+it passes the grammar's quick check: the edge's summary vector,
+computed once when the edge is popped, must not clash with the
+summaries the schema's daughter requires (see ``grammar``). A clash
+means unification would fail, so the check saves the copies of a
+failing attempt and changes no result.
 """
 
 from __future__ import annotations
@@ -89,6 +96,7 @@ class Edge:
     # (schema name, left edge id, right edge id) alternatives; a packed
     # forest node may collect several derivations of the same category.
     derivations: list = field(default_factory=list)
+    summaries: tuple = None  # quick-check summary vector, set when popped
 
     @property
     def span(self):
@@ -213,6 +221,8 @@ def parse(turn, grammar, config):
     # (iv) close under the schemata; empty edges only as right daughters.
     def combine(left, right):
         for schema in grammar.schemata:
+            if not schema.admits(left.summaries, right.summaries):
+                continue
             mother = schema.apply(left.category, right.category)
             if mother is None:
                 continue
@@ -227,6 +237,7 @@ def parse(turn, grammar, config):
 
     while chart.agenda:
         edge = chart.agenda.popleft()
+        edge.summaries = grammar.summaries(edge.category)
         if edge.kind != "empty":
             for right in chart.by_start.get(edge.end, []):
                 combine(edge, right)

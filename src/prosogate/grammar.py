@@ -15,6 +15,15 @@ v2-selection, which discharges it. The V2 lexical rule turns each finite
 verb-final entry into a second-position entry that selects a verbal
 projection whose DSL element is the trace's LOCAL value; the fully
 specified empty head is precomputed here and stored on the entry.
+
+Loading also compiles the quick check (Kiefer et al. 1999) from the
+schema patterns: every feature path, walked through AVM attributes from
+a LEFT or RIGHT daughter root, at which some schema has an atom or a
+list, and for each schema daughter its summaries at those paths (see
+:func:`summarize`). A summary of an edge that is defined and differs
+from the one a daughter requires is an atom, list-length or kind clash,
+so unification with that daughter must fail; ``RuleSchema.admits`` says
+so before ``apply`` copies anything.
 """
 
 from __future__ import annotations
@@ -28,6 +37,24 @@ from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm, check_features
 
 class GrammarError(Exception):
     """Malformed grammar document (bad feature, bad schema, duplicate id)."""
+
+
+# The summary of a non-top AVM: unequal to every atom value (a string,
+# which may well be spelled "avm") and to every list length (an int).
+AVM_SUMMARY = object()
+
+
+def summarize(node):
+    """Quick-check summary of one node: its atom value, its list length,
+    AVM_SUMMARY for a non-top AVM, or None (no information) for top and
+    for an absent node."""
+    if node is None:
+        return None
+    if node.kind == fs.ATOM:
+        return node.atom
+    if node.kind == fs.LIST:
+        return len(node.items)
+    return AVM_SUMMARY if node.attrs else None
 
 
 @dataclass
@@ -47,6 +74,24 @@ class RuleSchema:
     name: str
     # One structure holding LEFT / RIGHT / MOTHER with shared tags.
     pattern: FS
+    # Quick-check tables, (path index, summary) pairs each daughter
+    # requires; compiled by load_grammar.
+    left_requires: tuple = ()
+    right_requires: tuple = ()
+
+    def admits(self, left_summaries, right_summaries):
+        """Quick check of two daughter summary vectors: False when a
+        defined summary clashes with the one the daughter requires, in
+        which case apply would return None."""
+        for i, value in self.left_requires:
+            have = left_summaries[i]
+            if have is not None and have != value:
+                return False
+        for i, value in self.right_requires:
+            have = right_summaries[i]
+            if have is not None and have != value:
+                return False
+        return True
 
     def mother(self, left, right):
         """Unify a copy of the pattern with two workspace daughters.
@@ -79,9 +124,15 @@ class Grammar:
     lexicon: dict = field(default_factory=dict)  # orth -> [LexEntry]
     entries_by_id: dict = field(default_factory=dict)
     schemata: list = field(default_factory=list)
+    quick_paths: tuple = ()  # feature paths the quick check compares
 
     def entries(self, orth):
         return self.lexicon.get(orth, [])
+
+    def summaries(self, cat):
+        """The quick-check summary vector of a category, one entry per
+        path of quick_paths."""
+        return tuple(summarize(cat.get(*path)) for path in self.quick_paths)
 
 
 # The generic head-trace description: empty phonology, LOCAL value
@@ -142,18 +193,50 @@ def apply_v2_lexical_rule(entry):
     )
 
 
+def _compile_quick_check(schemata):
+    """Collect the quick-check paths of the schemata, in first-seen
+    order, and store each daughter's requirements on its schema.
+    Returns the paths."""
+    paths = []
+
+    def walk(node, path):
+        if node.kind == fs.AVM:
+            for feat, child in node.attrs.items():
+                walk(child, path + (feat,))
+        elif path not in paths:
+            paths.append(path)
+
+    for schema in schemata:
+        for side in ("LEFT", "RIGHT"):
+            walk(schema.pattern.attrs[side], ())
+
+    def requires(daughter):
+        pairs = ((i, summarize(daughter.get(*path)))
+                 for i, path in enumerate(paths))
+        return tuple((i, value) for i, value in pairs if value is not None)
+
+    for schema in schemata:
+        schema.left_requires = requires(schema.pattern.attrs["LEFT"])
+        schema.right_requires = requires(schema.pattern.attrs["RIGHT"])
+    return tuple(paths)
+
+
 def load_grammar(text):
     """Parse a grammar document (JSON text) into a Grammar.
 
     The V2 lexical rule is run eagerly over every finite verb-final
     entry, so second-position entries and their trace templates exist at
-    load ("compile") time. Feature names are validated against the
-    declared set; violations raise GrammarError with a location.
+    load ("compile") time, and so does the quick check of the schemata.
+    Feature names are validated against the declared set; violations,
+    and values nested too deeply to build, raise GrammarError with a
+    location.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GrammarError(f"grammar is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GrammarError("grammar is nested too deeply to decode") from exc
     if not isinstance(doc, dict):
         raise GrammarError("grammar document is not a JSON object")
     for key in ("features", "lexicon", "schemata"):
@@ -182,6 +265,8 @@ def load_grammar(text):
             entry = LexEntry(item["id"], item["orth"], cat)
         except (fs.AvmFormatError, KeyError) as exc:
             raise GrammarError(f"{where}: {exc}") from exc
+        except RecursionError as exc:
+            raise GrammarError(f"{where}: nested too deeply") from exc
         if not isinstance(entry.entry_id, str) or not isinstance(entry.orth, str):
             raise GrammarError(f"{where}: id and orth must be strings")
         register(entry, where)
@@ -209,7 +294,10 @@ def load_grammar(text):
             raise GrammarError(f"{where}: {exc}") from exc
         except KeyError as exc:
             raise GrammarError(f"{where}: missing key {exc}") from exc
+        except RecursionError as exc:
+            raise GrammarError(f"{where}: nested too deeply") from exc
         grammar.schemata.append(schema)
+    grammar.quick_paths = _compile_quick_check(grammar.schemata)
 
     # Every trace template must instantiate the generic description.
     for entry in grammar.entries_by_id.values():

@@ -156,23 +156,82 @@ def test_parse_corpus_names_failing_turn(grammar, demo_corpus):
                          ids=["off", "gated"])
 def test_each_adjacent_pair_combined_once(grammar, demo_corpus, monkeypatch,
                                           config):
-    calls = []
-    apply = RuleSchema.apply
+    """Every adjacent pair is offered to the quick check of every schema
+    exactly once, and apply runs right after each offer the check passes
+    and never otherwise."""
+    log = []
+    admits, apply = RuleSchema.admits, RuleSchema.apply
+
+    def counting_admits(schema, left, right):
+        passed = admits(schema, left, right)
+        log.append(("offer", id(schema), passed))
+        return passed
 
     def counting_apply(schema, left, right):
-        calls.append(schema)
+        log.append(("apply", id(schema)))
         return apply(schema, left, right)
 
+    monkeypatch.setattr(RuleSchema, "admits", counting_admits)
     monkeypatch.setattr(RuleSchema, "apply", counting_apply)
     for turn in demo_corpus:
-        calls.clear()
+        log.clear()
         edges = parse(turn, grammar, config)._chart.edges
         pairs = sum(1 for left in edges if left.kind != "empty"
                     for right in edges if right.start == left.end)
-        assert len(calls) == len(grammar.schemata) * pairs, turn.turn_id
+        offers = [entry for entry in log if entry[0] == "offer"]
+        assert ([schema for _, schema, _ in offers]
+                == [id(schema) for schema in grammar.schemata] * pairs), \
+            turn.turn_id
+        expected = []
+        for offer in offers:
+            expected.append(offer)
+            if offer[2]:
+                expected.append(("apply", offer[1]))
+        assert log == expected, turn.turn_id
         for edge in edges:
             keys = [(id(schema), l, r) for schema, l, r in edge.derivations]
             assert len(set(keys)) == len(keys), turn.turn_id
+
+
+@pytest.mark.parametrize("config", [ParseConfig(mode="off"),
+                                    ParseConfig(threshold=0.01)],
+                         ids=["off", "gated"])
+def test_quick_check_rejects_only_failing_applications(grammar, demo_corpus,
+                                                       config):
+    rejected = 0
+    for turn in demo_corpus:
+        edges = parse(turn, grammar, config)._chart.edges
+        for left in edges:
+            if left.kind == "empty":
+                continue
+            for right in edges:
+                if right.start != left.end:
+                    continue
+                for schema in grammar.schemata:
+                    if not schema.admits(left.summaries, right.summaries):
+                        rejected += 1
+                        assert schema.apply(left.category,
+                                            right.category) is None
+    assert rejected
+
+
+def test_schema_applications_over_demo_corpus(grammar, demo_corpus,
+                                              monkeypatch):
+    """With the gate off, the quick check leaves 548 of the 5,616 offers
+    for apply; 169 of them succeed."""
+    outcomes = []
+    apply = RuleSchema.apply
+
+    def counting_apply(schema, left, right):
+        mother = apply(schema, left, right)
+        outcomes.append(mother is not None)
+        return mother
+
+    monkeypatch.setattr(RuleSchema, "apply", counting_apply)
+    for turn in demo_corpus:
+        parse(turn, grammar, ParseConfig(mode="off"))
+    assert len(outcomes) == 548
+    assert sum(outcomes) == 169
 
 
 def test_edge_cap(grammar, demo_corpus):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -149,6 +150,58 @@ def test_cyclic_lexicon_entry_rejected(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(bad))
     assert run(["parse", "--grammar", str(path)]) == 2
+
+
+@pytest.mark.parametrize("section, depth, message", [
+    ("lexicon", 500, r"lexicon\[0\]: nested too deeply"),
+    ("lexicon", 5000, "grammar is nested too deeply to decode"),
+    ("schemata", 500, r"schemata\[0\]: nested too deeply"),
+], ids=["lexicon-500", "lexicon-5000", "schema-500"])
+def test_deeply_nested_avm_rejected(tmp_path, capsys, section, depth,
+                                    message):
+    item = ({"id": "x", "orth": "x", "avm": {"PHON": "DEEP"}}
+            if section == "lexicon"
+            else {"name": "s", "daughters": [{}, {"PHON": "DEEP"}],
+                  "mother": {}})
+    text = json.dumps(_doc(**{section: [item]})).replace(
+        '"DEEP"', "[" * depth + '"x"' + "]" * depth)
+    with pytest.raises(GrammarError, match=message):
+        load_grammar(text)
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert run(["parse", "--grammar", str(path)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_demo_grammar_quick_check_paths(grammar):
+    assert grammar.quick_paths == (
+        ("LOC", "HEAD", "POS"), ("LOC", "SUBCAT"), ("DSL",),
+        ("LOC", "HEAD", "V2"), ("LOC", "HEAD", "FIN"))
+
+
+# One entry and one schema per kind at path X: an atom spelled like the
+# kind name "avm", a non-top AVM, a list, and top (no information).
+KINDS = {"atom": "avm", "avm": {"Y": "y"}, "list": ["y"], "top": {}}
+KIND_GRAMMAR = {
+    "features": ["X", "Y"],
+    "lexicon": [{"id": kind, "orth": kind, "avm": {"X": value}}
+                for kind, value in KINDS.items()],
+    "schemata": [{"name": kind, "daughters": [{"X": value}, {}], "mother": {}}
+                 for kind, value in KINDS.items()],
+}
+
+
+@pytest.mark.parametrize("schema_kind", KINDS)
+@pytest.mark.parametrize("entry_kind", KINDS)
+def test_quick_check_rejects_kind_clashes(schema_kind, entry_kind):
+    g = load_grammar(json.dumps(KIND_GRAMMAR))
+    assert g.quick_paths == (("X",), ("X", "Y"))
+    schema = {s.name: s for s in g.schemata}[schema_kind]
+    cat, top = g.entries_by_id[entry_kind].category, fs.top()
+    admitted = schema.admits(g.summaries(cat), g.summaries(top))
+    assert admitted == (schema_kind == entry_kind
+                        or "top" in (schema_kind, entry_kind))
+    assert (schema.apply(cat, top) is not None) == admitted
 
 
 def test_demo_grammar_loads_clean(grammar):
