@@ -25,7 +25,7 @@ Each pair is offered to every schema, but a schema is only applied when
 it passes the grammar's quick check: the edge's summary vector,
 computed once when the edge is popped, must not clash with the
 summaries the schema's daughter requires (see ``grammar``). A clash
-means unification would fail, so the check saves the copies of a
+means unification would fail, so the check saves the unification of a
 failing attempt and changes no result.
 """
 
@@ -322,7 +322,7 @@ def _unpack(edge, chart, limit):
 def extract_pred_arg(result, reading_index):
     """Read the flat predicate-argument record off one reading.
 
-    The derivation is replayed in a single unification workspace so that
+    The derivation is replayed in one unification generation so that
     every lexical SEM block ends up fully instantiated; records are
     (relation, ((role, value), ...)) tuples with deterministic order.
     Raises IndexError("no reading") on an empty forest or bad index.
@@ -331,6 +331,7 @@ def extract_pred_arg(result, reading_index):
     if not trees or not 0 <= reading_index < len(trees):
         raise IndexError("no reading")
     sems = []
+    fs.new_generation()
 
     def build(tree):
         edge = tree.edge
@@ -341,7 +342,9 @@ def extract_pred_arg(result, reading_index):
             if sem is not None:
                 sems.append(sem)
             return cat
-        return tree.schema.mother(build(tree.left), build(tree.right))
+        # a schema may occur twice in one derivation: unify a copy
+        return tree.schema.mother(build(tree.left), build(tree.right),
+                                  fs.copy_fs(tree.schema.pattern))
 
     build(trees[reading_index])
     records = set()

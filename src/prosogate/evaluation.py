@@ -11,6 +11,7 @@ precision.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
@@ -178,28 +179,41 @@ class BenchReport:
 
 
 def bench(corpus, grammar, config_on, config_off, repeats=1):
-    """Parse the corpus sequentially under both configs and time it.
+    """Parse the corpus under both configs and time it.
 
-    For every turn whose gold trace gaps all pass the gate, the two
-    reading sets must be identical; a mismatch aborts with an EvalError
-    naming the turn, a parse error with a ParseError naming the turn.
-    Each config runs ``repeats`` times; totals are averaged over repeats.
+    Each turn is parsed gated, then ungated, before the next turn, so a
+    drift in host speed weighs on both totals alike, and the collector
+    is paused (as ``timeit`` does), so a collection of the caller's heap
+    does not land in one parse of a pair. For every turn whose gold
+    trace gaps all pass the gate, the two reading sets must be
+    identical; a mismatch aborts with an EvalError naming the turn, a
+    parse error with a ParseError naming the turn. The corpus is parsed
+    ``repeats`` times; totals are averaged over repeats.
     """
     totals = {"on": 0.0, "off": 0.0}
     edges = {"on": 0, "off": 0}
     sites = {"on": 0, "off": 0}
     readings = {"on": {}, "off": {}}
     gated_sites = {}
-    for rep in range(repeats):
-        for key, config in (("on", config_on), ("off", config_off)):
-            for result in parse_corpus(corpus, grammar, config):
-                totals[key] += result.stats["elapsed_ms"] / 1000.0
-                if rep == 0:
-                    edges[key] += result.stats["empty_edges"]
-                    sites[key] += result.stats["proposed_sites"]
-                    readings[key][result.turn_id] = set(result.readings)
-                    if key == "on":
-                        gated_sites[result.turn_id] = set(result.proposed_sites)
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for rep in range(repeats):
+            for pair in zip(parse_corpus(corpus, grammar, config_on),
+                            parse_corpus(corpus, grammar, config_off)):
+                for key, result in zip(("on", "off"), pair):
+                    totals[key] += result.stats["elapsed_ms"] / 1000.0
+                    if rep == 0:
+                        edges[key] += result.stats["empty_edges"]
+                        sites[key] += result.stats["proposed_sites"]
+                        readings[key][result.turn_id] = set(result.readings)
+                        if key == "on":
+                            gated_sites[result.turn_id] = set(
+                                result.proposed_sites)
+    finally:
+        if collecting:
+            gc.enable()
     for turn in corpus:
         if set(turn.gold_traces or []) <= gated_sites[turn.turn_id]:
             if readings["on"][turn.turn_id] != readings["off"][turn.turn_id]:

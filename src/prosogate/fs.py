@@ -13,9 +13,15 @@ paths lead to the same node iff they reference the same ``FS`` object.
 The JSON surface syntax encodes sharing with ``"#n"`` string tags; see
 :func:`parse_avm`.
 
-Unification is non-destructive at the API level: both inputs are copied
-into a private workspace, merged with forwarding pointers, and the
-result is rebuilt as a fresh, forward-free graph.
+Unification is quasi-destructive (Tomabechi 1991): it never writes the
+``attrs`` or ``items`` of a node, only two scratch slots, a forwarding
+pointer and the complement arcs (attributes a node gains from the nodes
+merged into it). Both slots are valid only while the node's stamp equals
+the current generation, so starting a new generation (see
+:func:`new_generation`) discards every scratch write at once. The
+result is copied out of the current generation's view by
+:func:`resolve` as a fresh, forward-free graph; a failing unification
+copies nothing.
 """
 
 from __future__ import annotations
@@ -33,17 +39,33 @@ class AvmFormatError(ValueError):
     """Raised for malformed JSON-encoded AVMs (bad tags, bad value types)."""
 
 
-class FS:
-    """A single feature-structure node. Treated as immutable once built."""
+# The current generation; scratch slots stamped with another one are void.
+_generation = 0
 
-    __slots__ = ("kind", "atom", "attrs", "items", "forward")
+
+def new_generation():
+    """Void every scratch slot written so far. A unification must be
+    resolved before the next generation starts, so two may not
+    interleave (the parser is single-threaded)."""
+    global _generation
+    _generation += 1
+
+
+class FS:
+    """A single feature-structure node. Its kind, atom, attrs and items
+    are treated as immutable once built; ``stamp``, ``forward`` and
+    ``comp`` are unification scratch, valid in generation ``stamp`` only."""
+
+    __slots__ = ("kind", "atom", "attrs", "items", "stamp", "forward", "comp")
 
     def __init__(self, kind, atom=None, attrs=None, items=None):
         self.kind = kind
         self.atom = atom
         self.attrs = attrs if attrs is not None else ({} if kind == AVM else None)
         self.items = items if items is not None else ([] if kind == LIST else None)
+        self.stamp = -1
         self.forward = None
+        self.comp = None  # complement arcs: feature -> node
 
     def __repr__(self):
         return f"FS({to_json(self)!r})"
@@ -83,10 +105,10 @@ def is_elist(node):
 
 
 def copy_fs(node, memo=None):
-    """Deep copy preserving reentrancy (shared nodes stay shared)."""
+    """Deep copy of the built structure, preserving reentrancy (shared
+    nodes stay shared); scratch slots are ignored."""
     if memo is None:
         memo = {}
-    node = _deref(node)
     key = id(node)
     if key in memo:
         return memo[key]
@@ -100,25 +122,37 @@ def copy_fs(node, memo=None):
 
 
 def _deref(node):
-    while node.forward is not None:
+    while node.stamp == _generation and node.forward is not None:
         node = node.forward
     return node
 
 
-def unify_mut(x, y):
-    """Destructively merge y into x (or vice versa) via forwarding.
+def _stamp(node):
+    """Make the scratch slots of a node current, voiding older writes."""
+    if node.stamp != _generation:
+        node.stamp = _generation
+        node.forward = None
+        node.comp = None
 
-    Only ever called on private copies; raises UnificationFailure on
-    clash. Returns the representative node.
+
+def unify_mut(x, y):
+    """Merge y into x (or vice versa) in the current generation.
+
+    Writes scratch slots only, so no input changes. Raises
+    UnificationFailure on clash. Returns the representative node.
     """
     x = _deref(x)
     y = _deref(y)
     if x is y:
         return x
+    # Only an AVM with attributes gains complement arcs, so its built
+    # attributes tell whether a node is top.
     if is_top(x):
+        _stamp(x)
         x.forward = y
         return y
     if is_top(y):
+        _stamp(y)
         y.forward = x
         return x
     if x.kind != y.kind:
@@ -126,27 +160,39 @@ def unify_mut(x, y):
     if x.kind == ATOM:
         if x.atom != y.atom:
             raise UnificationFailure
+        _stamp(y)
         y.forward = x
         return x
     if x.kind == LIST:
         if len(x.items) != len(y.items):
             raise UnificationFailure
+        _stamp(y)
         y.forward = x
-        for a, b in zip(list(x.items), list(y.items)):
+        for a, b in zip(x.items, y.items):
             unify_mut(a, b)
         return x
-    # both AVMs
+    # both AVMs: y's arcs, built then complement, go into x
+    _stamp(x)
+    _stamp(y)
+    arcs = y.attrs.items()
+    if y.comp:
+        arcs = [*arcs, *y.comp.items()]
     y.forward = x
-    for feat, val in y.attrs.items():
-        if feat in x.attrs:
-            unify_mut(x.attrs[feat], val)
+    for feat, val in arcs:
+        mine = x.attrs.get(feat)
+        if mine is None and x.comp:
+            mine = x.comp.get(feat)
+        if mine is not None:
+            unify_mut(mine, val)
+        elif x.comp is None:
+            x.comp = {feat: val}
         else:
-            x.attrs[feat] = val
+            x.comp[feat] = val
     return x
 
 
 def resolve(node, memo=None):
-    """Rebuild a forwarded workspace graph into a clean FS.
+    """Copy the current generation's view of a graph out as a clean FS.
 
     Detects cycles introduced by unification (the grammar layer treats a
     cyclic result as failure).
@@ -163,6 +209,9 @@ def resolve(node, memo=None):
     new = FS(node.kind, atom=node.atom)
     if node.kind == AVM:
         new.attrs = {k: resolve(v, memo) for k, v in node.attrs.items()}
+        if node.stamp == _generation and node.comp:
+            for k, v in node.comp.items():
+                new.attrs[k] = resolve(v, memo)
     elif node.kind == LIST:
         new.items = [resolve(v, memo) for v in node.items]
     memo[key] = new
@@ -172,15 +221,13 @@ def resolve(node, memo=None):
 def unify(a, b):
     """Unify two feature structures; returns a fresh FS or None on failure.
 
-    Neither input is mutated. Reentrancy within and across the inputs is
-    preserved (a shared memo is used, so nodes literally shared between
-    ``a`` and ``b`` remain shared in the result).
+    Neither input is changed. Reentrancy within and across the inputs is
+    preserved (nodes literally shared between ``a`` and ``b`` remain
+    shared in the result).
     """
-    memo = {}
-    a2 = copy_fs(a, memo)
-    b2 = copy_fs(b, memo)
+    new_generation()
     try:
-        return resolve(unify_mut(a2, b2))
+        return resolve(unify_mut(a, b))
     except UnificationFailure:
         return None
 
@@ -321,6 +368,7 @@ def parse_avm(obj, tags=None):
     """
     if tags is None:
         tags = {}
+    new_generation()
 
     def build(o):
         if isinstance(o, str):

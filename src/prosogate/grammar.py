@@ -23,7 +23,15 @@ list, and for each schema daughter its summaries at those paths (see
 :func:`summarize`). A summary of an edge that is defined and differs
 from the one a daughter requires is an atom, list-length or kind clash,
 so unification with that daughter must fail; ``RuleSchema.admits`` says
-so before ``apply`` copies anything.
+so before ``apply`` unifies anything.
+
+``RuleSchema.apply`` unifies the stored pattern with the daughters in
+place, in a generation of its own (see ``fs``), and copies out only the
+mother of a successful application. Its result equals unifying private
+copies of the pattern and of each daughter: the daughters must share no
+node, so the lexicon keeps every structure disjoint from every other
+(a V2 entry's trace template is stored as a copy), and ``apply`` copies
+a right daughter that is the left one.
 """
 
 from __future__ import annotations
@@ -93,27 +101,30 @@ class RuleSchema:
                 return False
         return True
 
-    def mother(self, left, right):
-        """Unify a copy of the pattern with two workspace daughters.
+    def mother(self, left, right, pattern):
+        """Unify ``pattern`` (this schema's or a copy of it) with two
+        daughters in the current generation.
 
-        ``left`` and ``right`` are merged in place, so they must be
-        private copies. Returns the unresolved MOTHER; raises
-        fs.UnificationFailure on a clash.
+        Returns the unresolved MOTHER; raises fs.UnificationFailure on a
+        clash.
         """
-        inst = copy_fs(self.pattern)
-        fs.unify_mut(inst.attrs["LEFT"], left)
-        fs.unify_mut(fs._deref(inst).attrs["RIGHT"], right)
-        return fs._deref(inst).attrs["MOTHER"]
+        arcs = pattern.attrs
+        fs.unify_mut(arcs["LEFT"], left)
+        fs.unify_mut(arcs["RIGHT"], right)
+        return arcs["MOTHER"]
 
     def apply(self, left_cat, right_cat):
         """Instantiate the schema on two daughter categories.
 
-        Returns the mother category (a fresh structure) or None. The
-        daughters are not mutated.
+        Returns the mother category (a fresh structure) or None. Neither
+        the daughters nor the pattern change, and a failing application
+        copies nothing.
         """
+        if right_cat is left_cat:
+            right_cat = copy_fs(right_cat)
+        fs.new_generation()
         try:
-            return fs.resolve(self.mother(copy_fs(left_cat),
-                                          copy_fs(right_cat)))
+            return fs.resolve(self.mother(left_cat, right_cat, self.pattern))
         except fs.UnificationFailure:
             return None
 
@@ -272,6 +283,9 @@ def load_grammar(text):
         register(entry, where)
         v2 = apply_v2_lexical_rule(entry)
         if v2 is not None:
+            # the template shares its LOC with the category; apply needs
+            # the two disjoint, since they meet as daughters
+            v2.trace_template = copy_fs(v2.trace_template)
             register(v2, where + " (lexical rule)")
 
     for i, item in enumerate(doc["schemata"]):
