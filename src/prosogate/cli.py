@@ -206,8 +206,7 @@ def cmd_bench(args):
     config_on = ParseConfig(mode="threshold", threshold=args.threshold,
                             max_edges=args.max_edges)
     config_off = ParseConfig(mode="off", max_edges=args.max_edges)
-    report = bench(corpus, grammar, config_on, config_off,
-                   repeats=args.repeats)
+    report = bench(corpus, grammar, config_on, config_off)
     if args.format == "json":
         _write(_report_json({
             "turn_count": report.turn_count,
@@ -299,7 +298,6 @@ def build_parser():
     common(p, grammar=True, corpus=True)
     p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--max-edges", type=int, default=20000)
-    p.add_argument("--repeats", type=int, default=1)
     p.set_defaults(func=cmd_bench)
     return top
 

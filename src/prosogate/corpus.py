@@ -8,8 +8,9 @@ of gap i. Exact line schema:
      "gold_traces": [int]?, "s3_labels": [str]?,
      "syllables": [{"word": int, "features": {...}}]?}
 
-An optional leading line ``{"_meta": {...}}`` carries provenance
-(generator seed or source description).
+An optional leading line ``{"_meta": {...}}``, with no other key,
+carries provenance (generator seed or source description); a ``_meta``
+key anywhere else is a data error.
 """
 
 from __future__ import annotations
@@ -186,6 +187,7 @@ class Corpus:
 def loads_corpus(text):
     corpus = Corpus()
     seen = set()
+    leading = True  # no non-blank line read yet
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -196,16 +198,21 @@ def loads_corpus(text):
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
         if "_meta" in obj:
+            if not (leading and len(obj) == 1
+                    and isinstance(obj["_meta"], dict)):
+                raise CorpusError(f'line {lineno}: "_meta" is allowed only '
+                                  f'in a leading {{"_meta": {{...}}}} line')
             corpus.provenance = obj["_meta"]
-            continue
-        try:
-            turn = TurnRecord.from_dict(obj)
-            if turn.turn_id in seen:
-                raise CorpusError(f"duplicate turn id {turn.turn_id!r}")
-        except CorpusError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from exc
-        seen.add(turn.turn_id)
-        corpus.turns.append(turn)
+        else:
+            try:
+                turn = TurnRecord.from_dict(obj)
+                if turn.turn_id in seen:
+                    raise CorpusError(f"duplicate turn id {turn.turn_id!r}")
+            except CorpusError as exc:
+                raise CorpusError(f"line {lineno}: {exc}") from exc
+            seen.add(turn.turn_id)
+            corpus.turns.append(turn)
+        leading = False
     return corpus
 
 

@@ -178,8 +178,8 @@ class BenchReport:
         return 1.0 - self.overall_with / self.overall_without
 
 
-def bench(corpus, grammar, config_on, config_off, repeats=1):
-    """Parse the corpus under both configs and time it.
+def bench(corpus, grammar, config_on, config_off):
+    """Parse the corpus once under both configs and time it.
 
     Each turn is parsed gated, then ungated, before the next turn, so a
     drift in host speed weighs on both totals alike, and the collector
@@ -187,8 +187,7 @@ def bench(corpus, grammar, config_on, config_off, repeats=1):
     does not land in one parse of a pair. For every turn whose gold
     trace gaps all pass the gate, the two reading sets must be
     identical; a mismatch aborts with an EvalError naming the turn, a
-    parse error with a ParseError naming the turn. The corpus is parsed
-    ``repeats`` times; totals are averaged over repeats.
+    parse error with a ParseError naming the turn.
     """
     totals = {"on": 0.0, "off": 0.0}
     edges = {"on": 0, "off": 0}
@@ -199,18 +198,14 @@ def bench(corpus, grammar, config_on, config_off, repeats=1):
     gc.collect()
     gc.disable()
     try:
-        for rep in range(repeats):
-            for pair in zip(parse_corpus(corpus, grammar, config_on),
-                            parse_corpus(corpus, grammar, config_off)):
-                for key, result in zip(("on", "off"), pair):
-                    totals[key] += result.stats["elapsed_ms"] / 1000.0
-                    if rep == 0:
-                        edges[key] += result.stats["empty_edges"]
-                        sites[key] += result.stats["proposed_sites"]
-                        readings[key][result.turn_id] = set(result.readings)
-                        if key == "on":
-                            gated_sites[result.turn_id] = set(
-                                result.proposed_sites)
+        for pair in zip(parse_corpus(corpus, grammar, config_on),
+                        parse_corpus(corpus, grammar, config_off)):
+            for key, result in zip(("on", "off"), pair):
+                totals[key] += result.stats["elapsed_ms"] / 1000.0
+                edges[key] += result.stats["empty_edges"]
+                sites[key] += result.stats["proposed_sites"]
+                readings[key][result.turn_id] = set(result.readings)
+            gated_sites[pair[0].turn_id] = set(pair[0].proposed_sites)
     finally:
         if collecting:
             gc.enable()
@@ -221,8 +216,8 @@ def bench(corpus, grammar, config_on, config_off, repeats=1):
                     f"turn {turn.turn_id!r}: gated reading set differs although "
                     f"all gold sites pass the gate")
     return BenchReport(
-        overall_with=totals["on"] / repeats,
-        overall_without=totals["off"] / repeats,
+        overall_with=totals["on"],
+        overall_without=totals["off"],
         turn_count=len(corpus),
         empty_edges_with=edges["on"],
         empty_edges_without=edges["off"],

@@ -11,7 +11,9 @@ A feature structure is one of three kinds of node:
 Reentrancy (structure sharing) is plain Python object identity: two
 paths lead to the same node iff they reference the same ``FS`` object.
 The JSON surface syntax encodes sharing with ``"#n"`` string tags; see
-:func:`parse_avm`.
+:func:`parse_avm`. :func:`canonical` writes a structure as a string
+that two structures share iff they are equivalent (equal up to the
+naming of shared nodes); the chart packs edges by it.
 
 Unification is quasi-destructive (Tomabechi 1991): it never writes the
 ``attrs`` or ``items`` of a node, only two scratch slots, a forwarding
@@ -68,7 +70,7 @@ class FS:
         self.comp = None  # complement arcs: feature -> node
 
     def __repr__(self):
-        return f"FS({to_json(self)!r})"
+        return f"FS({canonical(self)})"
 
     def get(self, *path):
         """Follow a feature path, returning None where it is undefined."""
@@ -260,28 +262,6 @@ def subsumes(a, b):
     return walk(a, b)
 
 
-def _refcounts(node):
-    """Number of references to each node reachable from ``node``, keyed
-    by ``id``; a count above 1 marks a shared node."""
-    refcount = {}
-
-    def count(n):
-        k = id(n)
-        if k in refcount:
-            refcount[k] += 1
-            return
-        refcount[k] = 1
-        if n.kind == AVM:
-            for v in n.attrs.values():
-                count(v)
-        elif n.kind == LIST:
-            for v in n.items:
-                count(v)
-
-    count(node)
-    return refcount
-
-
 def equivalent(a, b):
     """Structural identity up to tag renaming."""
     return canonical(a) == canonical(b)
@@ -290,23 +270,23 @@ def equivalent(a, b):
 def canonical(node):
     """Canonical string form; equal strings iff equivalent structures.
 
-    Shared nodes are numbered in first-visit order, so the form is
-    independent of the tag names used when the structure was written.
+    One depth-first walk, features in sorted order, numbers each node in
+    first-visit order and writes ``#k`` when it reaches node ``k`` again,
+    so the form is independent of the tag names used when the structure
+    was written. Atoms and feature names are written by ``repr``, which
+    delimits them, so no value can imitate the surrounding syntax.
     """
-    refcount = _refcounts(node)
-    tags = {}
+    numbers = {}
     out = []
 
     def emit(n):
         k = id(n)
-        if refcount[k] > 1:
-            if k in tags:
-                out.append(f"#{tags[k]}")
-                return
-            tags[k] = len(tags) + 1
-            out.append(f"#{tags[k]}=")
+        if k in numbers:
+            out.append(f"#{numbers[k]}")
+            return
+        numbers[k] = len(numbers)
         if n.kind == ATOM:
-            out.append(f"'{n.atom}")
+            out.append(repr(n.atom))
         elif n.kind == LIST:
             out.append("<")
             for v in n.items:
@@ -316,7 +296,7 @@ def canonical(node):
         else:
             out.append("[")
             for f in sorted(n.attrs):
-                out.append(f + ":")
+                out.append(f"{f!r}:")
                 emit(n.attrs[f])
                 out.append(" ")
             out.append("]")
@@ -400,27 +380,3 @@ def parse_avm(obj, tags=None):
         return resolve(build(obj))
     except UnificationFailure as exc:
         raise AvmFormatError("inconsistent tag definitions in AVM") from exc
-
-
-def to_json(node):
-    """Inverse of parse_avm: emit the JSON encoding, inventing tag names."""
-    refcount = _refcounts(node)
-    tags = {}
-
-    def emit(n):
-        k = id(n)
-        if refcount[k] > 1:
-            if k in tags:
-                return tags[k]
-            tags[k] = f"#{len(tags) + 1}"
-            return {tags[k]: emit_body(n)}
-        return emit_body(n)
-
-    def emit_body(n):
-        if n.kind == ATOM:
-            return n.atom
-        if n.kind == LIST:
-            return [emit(v) for v in n.items]
-        return {f: emit(v) for f, v in n.attrs.items()}
-
-    return emit(node)

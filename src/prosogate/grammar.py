@@ -146,13 +146,6 @@ class Grammar:
         return tuple(summarize(cat.get(*path)) for path in self.quick_paths)
 
 
-# The generic head-trace description: empty phonology, LOCAL value
-# shared with the single DSL element.
-def generic_trace_description():
-    loc = fs.top()
-    return avm(PHON=fs_list(), LOC=loc, DSL=fs_list(loc))
-
-
 def _is_finite_final_verb(cat):
     head = cat.get("LOC", "HEAD")
     if head is None:
@@ -312,15 +305,6 @@ def load_grammar(text):
             raise GrammarError(f"{where}: nested too deeply") from exc
         grammar.schemata.append(schema)
     grammar.quick_paths = _compile_quick_check(grammar.schemata)
-
-    # Every trace template must instantiate the generic description.
-    for entry in grammar.entries_by_id.values():
-        if entry.trace_template is not None:
-            if fs.unify(entry.trace_template, generic_trace_description()) is None:
-                raise GrammarError(
-                    f"trace template of {entry.entry_id!r} does not match "
-                    f"the generic head-trace description"
-                )
     return grammar
 
 

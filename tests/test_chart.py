@@ -1,11 +1,15 @@
+import json
+
 import pytest
 
+from bruteforce import enumerate_readings
+from prosogate import demo_grammar_text
 from prosogate.chart import (EdgeCapExceeded, InputFormatError, ParseConfig,
                              ParseError, UnknownWordError, extract_pred_arg,
                              parse, parse_corpus, propose_trace_sites)
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
-from prosogate.grammar import RuleSchema
+from prosogate.grammar import RuleSchema, load_grammar
 
 
 def _turn(words, scores, turn_id="t"):
@@ -282,3 +286,19 @@ def test_readings_are_sorted_and_deterministic(grammar, demo_corpus):
 def test_single_word_turn(grammar, demo_corpus):
     result = parse(_by_id(demo_corpus)["d21"], grammar, ParseConfig())
     assert result.readings == ["er/er"]
+
+
+def test_packing_tells_an_odd_atom_from_structure(demo_corpus):
+    # er_odd's HEAD is one atom spelling out er's HEAD features; its
+    # lexical edge must not absorb er's, which comes second.
+    doc = json.loads(demo_grammar_text())
+    er = next(i for i, e in enumerate(doc["lexicon"]) if e["id"] == "er")
+    doc["lexicon"].insert(er, {"id": "er_odd", "orth": "er", "avm": {
+        "PHON": ["er"], "DSL": [],
+        "LOC": {"HEAD": {"CASE": "nom CLS:'- POS:'noun"}, "SUBCAT": [],
+                "SEM": {"INDEX": "er"}}}})
+    grammar = load_grammar(json.dumps(doc))
+    turn, config = _by_id(demo_corpus)["d01"], ParseConfig()
+    readings = parse(turn, grammar, config).readings
+    assert len(readings) == 1
+    assert set(readings) == enumerate_readings(turn, grammar, config)

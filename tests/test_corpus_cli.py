@@ -128,6 +128,19 @@ class TestCorpusIO:
         assert corpus.provenance == {"seed": 3}
         assert len(corpus) == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ('{"id": "a", "words": ["x"]}\n'
+         '{"id": "b", "words": ["sie"], "_meta": {}}\n', 2),
+        ('{"_meta": {"seed": 3}}\n{"_meta": 5}\n', 2),
+        ('{"_meta": {}}\n\n{"_meta": {}}\n', 3),
+        ('{"id": "a", "words": ["x"]}\n{"_meta": {"seed": 3}}\n', 2),
+        ('\n{"_meta": 5}\n', 2),
+        ('{"_meta": {}, "id": "a", "words": ["x"]}\n', 1),
+    ])
+    def test_meta_only_as_leading_line(self, text, line):
+        with pytest.raises(CorpusError, match=f"line {line}: .*_meta"):
+            loads_corpus(text)
+
 
 # Any JSON value, including non-finite floats and integers beyond float
 # range.
@@ -246,6 +259,12 @@ class TestCliExitCodes:
         bad.write_text("5\n")
         assert run(["parse", "--corpus", str(bad)]) == 2
         assert "line 1: expected a JSON object" in capsys.readouterr().err
+
+    def test_misplaced_meta_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text('{"id": "b", "words": ["sie"], "_meta": {}}\n')
+        assert run(["parse", "--corpus", str(bad)]) == 2
+        assert "line 1: " in capsys.readouterr().err
 
     def test_unknown_word_error_names_turn(self, tmp_path, capsys):
         bad = tmp_path / "c.jsonl"

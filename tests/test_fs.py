@@ -1,11 +1,9 @@
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prosogate.fs import (AvmFormatError, atom, avm, canonical, check_features,
-                          equivalent, fs_list, parse_avm, subsumes, to_json,
-                          top, unify)
+                          equivalent, fs_list, parse_avm, subsumes, top, unify)
+from test_unify_in_place import tagged_avms
 
 
 def test_top_is_identity():
@@ -103,6 +101,38 @@ def test_canonical_is_tag_name_independent():
     assert equivalent(a, b)
 
 
+@pytest.mark.parametrize("xa, xb", [
+    ({"F": "a G:'b"}, {"F": "a", "G": "b"}),
+    ({"F": ["a 'b"]}, {"F": ["a", "b"]}),
+])
+def test_atoms_cannot_imitate_structure(xa, xb):
+    assert not equivalent(parse_avm(xa), parse_avm(xb))
+
+
+# Atoms and feature names written with the characters canonical forms
+# are made of; none starts with "#", which would make it a tag.
+_odd_avms = tagged_avms(
+    ["a", "b", "a G:'b", "a 'b", "'", '"', "<", "]", "x#1"],
+    ["F", "G", "F G", "G:'a", "]", "<", "'", "H#1"])
+
+
+def _parse_or_none(obj):
+    try:
+        return parse_avm(obj)
+    except AvmFormatError:
+        return None
+
+
+@settings(max_examples=200)
+@given(st.lists(_odd_avms, min_size=2, max_size=6))
+def test_canonical_iff_mutual_subsumption(objs):
+    nodes = [n for n in map(_parse_or_none, objs) if n is not None]
+    for a in nodes:
+        for b in nodes:
+            assert (canonical(a) == canonical(b)) == (
+                subsumes(a, b) and subsumes(b, a))
+
+
 def test_check_features_names_offender():
     x = parse_avm({"HEAD": {"FOO": "bar"}})
     with pytest.raises(AvmFormatError, match="FOO"):
@@ -116,14 +146,6 @@ def test_parse_avm_rejects_bad_values():
         parse_avm({"#1": "a", "X": "b"})
     with pytest.raises(AvmFormatError):
         parse_avm({"A": {"#1": "x"}, "B": {"#1": "y"}})
-
-
-def test_json_round_trip():
-    obj = {"A": {"#1": {"F": "x", "G": ["y", "#2"]}}, "B": "#1", "C": "#2"}
-    x = parse_avm(obj)
-    y = parse_avm(to_json(x))
-    assert equivalent(x, y)
-    json.dumps(to_json(x))  # emitted encoding must be valid JSON material
 
 
 # A small strategy over JSON-encodable AVMs without tags (tags would

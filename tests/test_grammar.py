@@ -6,8 +6,15 @@ import pytest
 from prosogate import demo_grammar_text, fs
 from prosogate.cli import run
 from prosogate.grammar import (GrammarError, LexEntry, apply_v2_lexical_rule,
-                               generic_trace_description, load_grammar)
-from prosogate.fs import is_elist, parse_avm, subsumes, unify
+                               load_grammar)
+from prosogate.fs import avm, fs_list, is_elist, parse_avm, subsumes, unify
+
+
+def generic_trace_description():
+    """The generic head-trace description: empty phonology, LOCAL value
+    shared with the single DSL element."""
+    loc = fs.top()
+    return avm(PHON=fs_list(), LOC=loc, DSL=fs_list(loc))
 
 
 def _entry(entry_id, orth, avm_obj):

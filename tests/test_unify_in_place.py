@@ -270,18 +270,21 @@ def test_stored_template_is_the_lexical_rule_output(grammar):
             assert entry.trace_template.get("DSL").items[0] is loc
 
 
-# Random AVMs with tags: "#n" strings reference a tag, {"#n": value}
-# defines one, so nodes are shared inside a structure.
-_atoms = st.sampled_from(["a", "b", "+", "#1", "#2", "#3"])
-_avms = st.recursive(
-    _atoms,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=3),
-        st.dictionaries(st.sampled_from(["F", "G", "H"]), kids, min_size=1,
-                        max_size=3),
-        st.builds(lambda tag, v: {tag: v},
-                  st.sampled_from(["#1", "#2", "#3"]), kids)),
-    max_leaves=10)
+def tagged_avms(atoms, features):
+    """Random AVMs with tags: "#n" strings reference a tag, {"#n": value}
+    defines one, so nodes are shared inside a structure."""
+    tags = ["#1", "#2", "#3"]
+    return st.recursive(
+        st.sampled_from(atoms + tags),
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=3),
+            st.dictionaries(st.sampled_from(features), kids, min_size=1,
+                            max_size=3),
+            st.builds(lambda tag, v: {tag: v}, st.sampled_from(tags), kids)),
+        max_leaves=10)
+
+
+_avms = tagged_avms(["a", "b", "+"], ["F", "G", "H"])
 
 
 def _parse(obj):
