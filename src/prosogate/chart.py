@@ -18,8 +18,9 @@ zero-width, so empty edges cannot feed each other.
 
 Each edge is queued once, when created, and indexed only once popped
 and combined with the edges indexed before it. So each adjacent pair
-(non-empty left edge, any right edge) is combined exactly once, and a
-packed edge collects only distinct derivations.
+(non-empty left edge, any right edge) is combined exactly once. A leaf
+(lexical or empty) edge, one lexicon entry at one span, is keyed by its
+entry; only derived edges are packed by category, with distinct derivations.
 
 Each pair is offered to every schema, but a schema is only applied when
 it passes the grammar's quick check: the edge's summary vector,
@@ -64,11 +65,11 @@ MAX_READINGS = 2000  # readings unpacked per turn
 class ParseConfig:
     """Gating configuration for empty-edge introduction.
 
-    mode "off" is equivalent to threshold mode with tau = 0 (every gap
-    passes, since scores are non-negative).
+    mode "off" is stored as threshold mode with tau = 0 (every gap
+    passes, since scores are non-negative), so the two are one config.
     """
 
-    mode: str = "threshold"  # threshold | rank | off
+    mode: str = "threshold"  # threshold | rank | off (-> threshold 0)
     threshold: float = 0.01
     rank_limit: int = 2
     max_edges: int = 20000
@@ -82,6 +83,8 @@ class ParseConfig:
             raise ValueError("rank limit must be positive")
         if self.max_edges < 1:
             raise ValueError("edge cap must be positive")
+        if self.mode == "off":
+            self.mode, self.threshold = "threshold", 0.0
 
 
 @dataclass
@@ -108,7 +111,7 @@ def propose_trace_sites(turn, config):
 
     Threshold mode returns gaps with score >= tau in ascending order;
     rank mode the top-N scores (ties broken by lower gap index first) in
-    descending-score order; mode off returns every gap.
+    descending-score order.
     """
     n = len(turn.words)
     scores = turn.gap_scores
@@ -117,12 +120,9 @@ def propose_trace_sites(turn, config):
             f"need one gap score per word "
             f"(got {0 if scores is None else len(scores)} for {n} words)"
         )
-    gaps = list(range(1, n + 1))
-    if config.mode == "off":
-        return gaps
     if config.mode == "rank":
         return gaps_by_score(scores)[: config.rank_limit]
-    return [g for g in gaps if scores[g - 1] >= config.threshold]
+    return [g for g in range(1, n + 1) if scores[g - 1] >= config.threshold]
 
 
 def gaps_by_score(scores):
@@ -146,12 +146,13 @@ class Chart:
         self.agenda = deque()  # new edges, each queued once
         self.by_start = {}  # start -> [popped edge]
         self.by_end = {}
-        self.seen = {}  # (start, end, kind, canonical cat) -> edge
+        self.seen = {}  # (start, end, kind, entry id or canonical cat) -> edge
 
     def add(self, start, end, category, kind, entry=None, licenser=None,
             derivation=None):
-        """Insert or pack an edge; queue a new one. Returns (edge, is_new)."""
-        key = (start, end, kind, fs.canonical(category))
+        """Add a leaf or add or pack a derived edge. Returns (edge, is_new)."""
+        key = (start, end, kind,
+               fs.canonical(category) if kind == "derived" else entry.entry_id)
         edge = self.seen.get(key)
         is_new = edge is None
         if is_new:
@@ -207,7 +208,7 @@ def parse(turn, grammar, config):
             if entry.is_v2:
                 stack.append((edge.edge_id, entry, i + 1))
 
-    # (iii) empty edges at eligible gaps, one per (gap, template); a
+    # (iii) empty edges at eligible gaps, one per (gap, V2 entry); a
     # repeated V2 word packs into the edge of its leftmost licenser.
     for g in sorted(sites):
         for licenser_id, entry, licenser_end in stack:
@@ -335,9 +336,8 @@ def extract_pred_arg(result, reading_index):
 
     def build(tree):
         edge = tree.edge
-        if edge.kind in ("lexical", "empty"):
-            cat = fs.copy_fs(edge.entry.category if edge.kind == "lexical"
-                             else edge.entry.trace_template)
+        if edge.kind != "derived":
+            cat = fs.copy_fs(edge.category)
             sem = cat.get("LOC", "SEM")
             if sem is not None:
                 sems.append(sem)

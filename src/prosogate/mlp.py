@@ -38,6 +38,14 @@ class TrainConfig:
     hidden1: int = 40
     hidden2: int = 20
 
+    def __post_init__(self):
+        if min(self.hidden1, self.hidden2) < 1:
+            raise ValueError("hidden layer sizes must be at least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be a finite number above 0")
+
 
 class MlpClassifier:
     def __init__(self, input_dim, hidden1, hidden2, seed=0, weights=None):
@@ -57,6 +65,8 @@ class MlpClassifier:
         if shapes != declared:
             raise ValueError(f"classifier weight shapes {shapes} != "
                              f"declared {declared}")
+        if not all(np.isfinite(p).all() for p in weights):
+            raise ValueError("classifier weights must be finite numbers")
         self.params = weights
 
     def _forward(self, x):

@@ -11,6 +11,7 @@ threshold. Deterministic given the seed.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .corpus import Corpus, Syllable, TurnRecord
@@ -113,6 +114,8 @@ def synth_corpus(seed=42, turns=104, separation=2.0, placement="final",
     """
     if turns <= 0:
         raise ValueError("need at least one turn")
+    if not math.isfinite(separation):
+        raise ValueError("separation must be a finite number")
     if placement not in ("final", "none"):
         raise ValueError(f"unknown placement rule {placement!r}")
     rng = random.Random(seed)

@@ -36,6 +36,7 @@ class TestProposeTraceSites:
     def test_off_mode(self):
         t = _turn(["a", "b", "c"], [0.0, 0.0, 0.0])
         assert propose_trace_sites(t, ParseConfig(mode="off")) == [1, 2, 3]
+        assert ParseConfig(mode="off") == ParseConfig(threshold=0.0)
 
     def test_rank_mode_orders_by_score(self):
         t = _turn(["a", "b", "c", "d"], [0.1, 0.9, 0.3, 0.05])
@@ -100,17 +101,6 @@ def test_licenser_ordering_and_fidelity(grammar, demo_corpus):
             assert licenser.kind == "lexical" and licenser.entry.is_v2
             # constraint c: the edge instantiates its licenser's template
             assert edge.category is licenser.entry.trace_template
-
-
-def test_gate_off_equals_threshold_zero(grammar, demo_corpus):
-    for turn in demo_corpus:
-        off = parse(turn, grammar, ParseConfig(mode="off"))
-        zero = parse(turn, grammar, ParseConfig(threshold=0.0))
-        assert off.readings == zero.readings
-        for key in ("lexical_edges", "empty_edges", "derived_edges",
-                    "proposed_sites"):
-            assert off.stats[key] == zero.stats[key]
-        assert len(off.forest) == len(zero.forest)
 
 
 def test_monotone_gating(grammar, demo_corpus):
@@ -255,21 +245,6 @@ class TestPredArg:
             ("yesterday", (("EVENT", "fix"),)),
         )
 
-    def test_embedded_clause_matches_main(self, grammar, demo_corpus):
-        turns = _by_id(demo_corpus)
-        main = extract_pred_arg(parse(turns["d01"], grammar, ParseConfig()), 0)
-        embedded = extract_pred_arg(parse(turns["d02"], grammar, ParseConfig()), 0)
-        fix = [r for r in main if r[0] == "fix"]
-        assert fix and all(r in embedded for r in fix)
-
-    def test_v2_and_verb_final_scope_parallel(self, grammar, demo_corpus):
-        turns = _by_id(demo_corpus)
-        a = parse(turns["d04"], grammar, ParseConfig())
-        b = parse(turns["d05"], grammar, ParseConfig())
-        recs_a = {extract_pred_arg(a, i) for i in range(len(a.readings))}
-        recs_b = {extract_pred_arg(b, i) for i in range(len(b.readings))}
-        assert recs_a == recs_b
-
     def test_index_out_of_range(self, grammar, demo_corpus):
         result = parse(_by_id(demo_corpus)["d01"], grammar, ParseConfig())
         with pytest.raises(IndexError):
@@ -288,17 +263,35 @@ def test_single_word_turn(grammar, demo_corpus):
     assert result.readings == ["er/er"]
 
 
-def test_packing_tells_an_odd_atom_from_structure(demo_corpus):
-    # er_odd's HEAD is one atom spelling out er's HEAD features; its
-    # lexical edge must not absorb er's, which comes second.
+def _lexicon_entry(entry_id):
     doc = json.loads(demo_grammar_text())
-    er = next(i for i, e in enumerate(doc["lexicon"]) if e["id"] == "er")
-    doc["lexicon"].insert(er, {"id": "er_odd", "orth": "er", "avm": {
+    return next(e for e in doc["lexicon"] if e["id"] == entry_id)
+
+
+@pytest.mark.parametrize("original, entry", [
+    # er_odd's HEAD is one atom spelling out er's HEAD features
+    ("er", {"id": "er_odd", "orth": "er", "avm": {
         "PHON": ["er"], "DSL": [],
         "LOC": {"HEAD": {"CASE": "nom CLS:'- POS:'noun"}, "SUBCAT": [],
-                "SEM": {"INDEX": "er"}}}})
+                "SEM": {"INDEX": "er"}}}}),
+    # homographs whose categories (and V2 trace templates) equal the
+    # original's: each entry keeps its own lexical and empty edges
+    ("er", {**_lexicon_entry("er"), "id": "er_b"}),
+    ("schlief_f", {**_lexicon_entry("schlief_f"), "id": "schlief_f_b"}),
+], ids=["er_odd", "er_b", "schlief_f_b"])
+def test_packing_tells_an_odd_atom_from_structure(demo_corpus, original,
+                                                  entry):
+    """An entry inserted before the one it imitates: every short demo
+    turn still gives exactly the oracle's readings."""
+    doc = json.loads(demo_grammar_text())
+    at = next(i for i, e in enumerate(doc["lexicon"]) if e["id"] == original)
+    doc["lexicon"].insert(at, entry)
     grammar = load_grammar(json.dumps(doc))
-    turn, config = _by_id(demo_corpus)["d01"], ParseConfig()
-    readings = parse(turn, grammar, config).readings
-    assert len(readings) == 1
-    assert set(readings) == enumerate_readings(turn, grammar, config)
+    for turn in demo_corpus:
+        if len(turn.words) > 6:
+            continue
+        for config in (ParseConfig(mode="off"), ParseConfig(threshold=0.01),
+                       ParseConfig(mode="rank")):
+            assert set(parse(turn, grammar, config).readings) == \
+                enumerate_readings(turn, grammar, config), \
+                (turn.turn_id, config)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -229,6 +230,9 @@ class TestSynth:
             synth_corpus(placement="everywhere")
         with pytest.raises(ValueError):
             synth_corpus(max_words=1)
+        for separation in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="separation"):
+                synth_corpus(separation=separation)
 
     def test_syllables_align_with_words(self):
         corpus = synth_corpus(seed=4, turns=15)
@@ -311,7 +315,10 @@ class TestCliExitCodes:
         json.dumps({**_MODEL, "layout_id": "other-242"}),
         json.dumps({**_MODEL, "weights": []}),
         json.dumps({**_MODEL, "dims": [FEATURE_DIM]}),
-    ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims"])
+        json.dumps({**_MODEL, "weights": [_MODEL["weights"][0], [math.nan] * 3,
+                                          *_MODEL["weights"][2:]]}),
+    ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims",
+            "nan-weight"])
     def test_bad_model_is_data_error(self, tmp_path, capsys, model):
         corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
         assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
@@ -319,6 +326,20 @@ class TestCliExitCodes:
         assert run(["score", "--corpus", str(corpus), "--model",
                     str(bad)]) == 2
         assert "classifier" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--hidden1", "0"], ["--hidden2", "0"], ["--epochs", "-1"],
+        ["--learning-rate", "0"], ["--learning-rate", "nan"],
+        ["--learning-rate", "inf"],
+    ], ids=["hidden1-0", "hidden2-0", "negative-epochs", "rate-0", "rate-nan",
+            "rate-inf"])
+    def test_bad_train_setting_is_data_error(self, tmp_path, capsys, flags):
+        corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
+        assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
+        assert run(["train", "--corpus", str(corpus), "--out", str(model),
+                    *flags]) == 2
+        assert not model.exists()
+        assert "prosogate train: error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("report", [
         "{}", "[]", '{"turns": [{"id": "d01"}]}',
