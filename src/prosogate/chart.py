@@ -23,11 +23,11 @@ and combined with the edges indexed before it. So each adjacent pair
 entry; only derived edges are packed by category, with distinct derivations.
 
 Each pair is offered to every schema, but a schema is only applied when
-it passes the grammar's quick check: the edge's summary vector,
-computed once when the edge is popped, must not clash with the
-summaries the schema's daughter requires (see ``grammar``). A clash
-means unification would fail, so the check saves the unification of a
-failing attempt and changes no result.
+the edges' summary vectors pass its quick check (see ``grammar``): a
+clash means unification would fail, so the check changes no result. A
+leaf takes its vector from its lexicon entry; a derived edge's is
+computed when it is added, and keys its packing bucket, so that
+``fs.canonical`` keys only categories whose span and vector collide.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class Edge:
     # (schema name, left edge id, right edge id) alternatives; a packed
     # forest node may collect several derivations of the same category.
     derivations: list = field(default_factory=list)
-    summaries: tuple = None  # quick-check summary vector, set when popped
+    summaries: tuple = None  # quick-check summary vector of category
 
     @property
     def span(self):
@@ -141,23 +141,36 @@ def is_root_category(cat):
 
 
 class Chart:
-    def __init__(self):
+    def __init__(self, grammar):
+        self.grammar = grammar
         self.edges = []
         self.agenda = deque()  # new edges, each queued once
         self.by_start = {}  # start -> [popped edge]
         self.by_end = {}
-        self.seen = {}  # (start, end, kind, entry id or canonical cat) -> edge
+        # (start, end, kind, entry id) -> leaf; (start, end, summary
+        # vector) -> {canonical category, None while alone -> derived}
+        self.seen = {}
 
     def add(self, start, end, category, kind, entry=None, licenser=None,
             derivation=None):
-        """Add a leaf or add or pack a derived edge. Returns (edge, is_new)."""
-        key = (start, end, kind,
-               fs.canonical(category) if kind == "derived" else entry.entry_id)
-        edge = self.seen.get(key)
+        """Add a leaf or add or pack a derived edge. Returns (edge, is_new).
+        ``fs.canonical`` keys a category once its (span, vector) collides."""
+        if kind == "derived":
+            vector = self.grammar.summaries(category)
+            table = self.seen.setdefault((start, end, vector), {})
+            if None in table:
+                lone = table.pop(None)
+                table[fs.canonical(lone.category)] = lone
+            key = fs.canonical(category) if table else None
+        else:
+            vector = entry.trace_summaries if kind == "empty" else entry.summaries
+            table, key = self.seen, (start, end, kind, entry.entry_id)
+        edge = table.get(key)
         is_new = edge is None
         if is_new:
-            edge = self.seen[key] = Edge(len(self.edges), start, end, category,
-                                         kind, entry=entry, licenser=licenser)
+            edge = table[key] = Edge(len(self.edges), start, end, category,
+                                     kind, entry=entry, licenser=licenser,
+                                     summaries=vector)
             self.edges.append(edge)
             self.agenda.append(edge)
         if derivation is not None:
@@ -192,7 +205,7 @@ def parse(turn, grammar, config):
     t0 = time.perf_counter()
     n = len(turn.words)
     sites = propose_trace_sites(turn, config)
-    chart = Chart()
+    chart = Chart(grammar)
     stack = []  # (licenser edge id, V2 LexEntry, licenser end)
     stats = {"lexical_edges": 0, "empty_edges": 0, "derived_edges": 0,
              "proposed_sites": len(sites), "elapsed_ms": 0.0}
@@ -219,6 +232,13 @@ def parse(turn, grammar, config):
             if is_new:
                 stats["empty_edges"] += 1
 
+    def check_cap():
+        if len(chart.edges) > config.max_edges:
+            stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
+            raise EdgeCapExceeded(config.max_edges, stats)
+
+    check_cap()
+
     # (iv) close under the schemata; empty edges only as right daughters.
     def combine(left, right):
         for schema in grammar.schemata:
@@ -232,13 +252,10 @@ def parse(turn, grammar, config):
                 derivation=(schema, left.edge_id, right.edge_id))
             if is_new:
                 stats["derived_edges"] += 1
-                if len(chart.edges) > config.max_edges:
-                    stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
-                    raise EdgeCapExceeded(config.max_edges, stats)
+                check_cap()
 
     while chart.agenda:
         edge = chart.agenda.popleft()
-        edge.summaries = grammar.summaries(edge.category)
         if edge.kind != "empty":
             for right in chart.by_start.get(edge.end, []):
                 combine(edge, right)

@@ -16,14 +16,13 @@ verb-final entry into a second-position entry that selects a verbal
 projection whose DSL element is the trace's LOCAL value; the fully
 specified empty head is precomputed here and stored on the entry.
 
-Loading also compiles the quick check (Kiefer et al. 1999) from the
-schema patterns: every feature path, walked through AVM attributes from
-a LEFT or RIGHT daughter root, at which some schema has an atom or a
-list, and for each schema daughter its summaries at those paths (see
-:func:`summarize`). A summary of an edge that is defined and differs
-from the one a daughter requires is an atom, list-length or kind clash,
-so unification with that daughter must fail; ``RuleSchema.admits`` says
-so before ``apply`` unifies anything.
+Loading also compiles the quick check (Kiefer et al. 1999): every path
+from a daughter root through AVM attributes to a schema's atom or list,
+then for each topmost node a schema's daughters share, at left path lp
+and right path rp (an int steps into a list), lp+q and rp+q for q empty
+or a first path. An edge's summary (see :func:`summarize`) that clashes
+with the daughter's there, or with the other edge's at the paired path,
+means unification must fail, so ``RuleSchema.admits`` rejects the pair.
 
 ``RuleSchema.apply`` unifies the stored pattern with the daughters in
 place, in a generation of its own (see ``fs``), and copies out only the
@@ -71,6 +70,8 @@ class LexEntry:
     orth: str
     category: FS
     trace_template: FS | None = None
+    summaries: tuple = None  # quick-check vectors, set at load
+    trace_summaries: tuple = None
 
     @property
     def is_v2(self):
@@ -86,11 +87,12 @@ class RuleSchema:
     # requires; compiled by load_grammar.
     left_requires: tuple = ()
     right_requires: tuple = ()
+    shared: tuple = ()  # (left, right) index pairs: one shared node
 
     def admits(self, left_summaries, right_summaries):
         """Quick check of two daughter summary vectors: False when a
-        defined summary clashes with the one the daughter requires, in
-        which case apply would return None."""
+        defined summary clashes with the one its daughter requires or
+        with the other's at a shared node (apply would return None)."""
         for i, value in self.left_requires:
             have = left_summaries[i]
             if have is not None and have != value:
@@ -98,6 +100,10 @@ class RuleSchema:
         for i, value in self.right_requires:
             have = right_summaries[i]
             if have is not None and have != value:
+                return False
+        for i, j in self.shared:
+            have, other = left_summaries[i], right_summaries[j]
+            if have is not None and other is not None and have != other:
                 return False
         return True
 
@@ -135,15 +141,34 @@ class Grammar:
     lexicon: dict = field(default_factory=dict)  # orth -> [LexEntry]
     entries_by_id: dict = field(default_factory=dict)
     schemata: list = field(default_factory=list)
-    quick_paths: tuple = ()  # feature paths the quick check compares
+    quick_paths: tuple = ()  # paths the quick check compares
+    # the same paths as a trie: [position or None, {step: subtrie}]
+    quick_trie: list = field(default_factory=lambda: [None, {}])
 
     def entries(self, orth):
         return self.lexicon.get(orth, [])
 
     def summaries(self, cat):
-        """The quick-check summary vector of a category, one entry per
-        path of quick_paths."""
-        return tuple(summarize(cat.get(*path)) for path in self.quick_paths)
+        """A category's summary at each of quick_paths, in one walk."""
+        out = [None] * len(self.quick_paths)
+        _summarize_into(cat, self.quick_trie, out)
+        return tuple(out)
+
+
+def _summarize_into(node, trie, out):
+    """Write the summary at each path of trie below node into out."""
+    i, steps = trie
+    if i is not None:
+        out[i] = summarize(node)
+    for step, sub in steps.items():
+        if node.kind == fs.AVM:
+            child = node.attrs.get(step)
+        elif node.kind == fs.LIST and type(step) is int and step < len(node.items):
+            child = node.items[step]
+        else:
+            continue
+        if child is not None:
+            _summarize_into(child, sub, out)
 
 
 def _is_finite_final_verb(cat):
@@ -197,32 +222,51 @@ def apply_v2_lexical_rule(entry):
     )
 
 
-def _compile_quick_check(schemata):
-    """Collect the quick-check paths of the schemata, in first-seen
-    order, and store each daughter's requirements on its schema.
-    Returns the paths."""
-    paths = []
+def _tree_paths(node, path=()):
+    """Every (path, node) below node, parents first."""
+    yield path, node
+    kids = node.attrs.items() if node.kind == fs.AVM else enumerate(node.items or ())
+    for step, child in kids:
+        yield from _tree_paths(child, path + (step,))
 
-    def walk(node, path):
-        if node.kind == fs.AVM:
-            for feat, child in node.attrs.items():
-                walk(child, path + (feat,))
-        elif path not in paths:
-            paths.append(path)
 
-    for schema in schemata:
+def _compile_quick_check(grammar):
+    """Collect the schemata's quick-check paths into the grammar, and
+    store daughter requirements and shared-node pairs on each schema."""
+    index = {}  # path -> position in the vector
+
+    def position(path):
+        if path not in index:
+            trie = grammar.quick_trie
+            for step in path:
+                trie = trie[1].setdefault(step, [None, {}])
+            trie[0] = index[path] = len(index)
+        return index[path]
+
+    for schema in grammar.schemata:
         for side in ("LEFT", "RIGHT"):
-            walk(schema.pattern.attrs[side], ())
+            for path, node in _tree_paths(schema.pattern.attrs[side]):
+                if node.kind != fs.AVM and all(type(s) is str for s in path):
+                    position(path)
+    below = [(), *index]
+    for schema in grammar.schemata:
+        left, met = {}, []  # met: (left, right) paths of topmost shared nodes
+        for path, node in _tree_paths(schema.pattern.attrs["LEFT"]):
+            left.setdefault(id(node), path)
+        for rp, node in _tree_paths(schema.pattern.attrs["RIGHT"]):
+            if id(node) in left and not any(rp[:len(p)] == p for _, p in met):
+                met.append((left[id(node)], rp))
+        schema.shared = tuple((position(lp + q), position(rp + q))
+                              for lp, rp in met for q in below)
+    grammar.quick_paths = tuple(index)
 
     def requires(daughter):
-        pairs = ((i, summarize(daughter.get(*path)))
-                 for i, path in enumerate(paths))
-        return tuple((i, value) for i, value in pairs if value is not None)
+        vector = grammar.summaries(daughter)
+        return tuple((i, v) for i, v in enumerate(vector) if v is not None)
 
-    for schema in schemata:
+    for schema in grammar.schemata:
         schema.left_requires = requires(schema.pattern.attrs["LEFT"])
         schema.right_requires = requires(schema.pattern.attrs["RIGHT"])
-    return tuple(paths)
 
 
 def load_grammar(text):
@@ -304,7 +348,11 @@ def load_grammar(text):
         except RecursionError as exc:
             raise GrammarError(f"{where}: nested too deeply") from exc
         grammar.schemata.append(schema)
-    grammar.quick_paths = _compile_quick_check(grammar.schemata)
+    _compile_quick_check(grammar)
+    for entry in grammar.entries_by_id.values():
+        entry.summaries = grammar.summaries(entry.category)
+        if entry.is_v2:
+            entry.trace_summaries = grammar.summaries(entry.trace_template)
     return grammar
 
 

@@ -84,8 +84,17 @@ class MlpClassifier:
         if x.shape[-1] != self.dims[0]:
             raise ValueError(
                 f"vector length {x.shape[-1]} != input dimension {self.dims[0]}")
-        out = self._forward(x)[-1]
-        out = out / out.sum(axis=-1, keepdims=True)
+        acts = self._forward(x)
+        out = acts[-1]
+        total = out.sum(axis=-1, keepdims=True)
+        if not total.all():
+            # both outputs underflowed to 0: normalize in log space, where
+            # d = log sigmoid(z1) - log sigmoid(z0) and p0 = 1 / (1 + e^d)
+            z = acts[-2] @ self.params[-2] + self.params[-1]
+            d = np.logaddexp(0.0, -z[..., 0]) - np.logaddexp(0.0, -z[..., 1])
+            return (float(np.exp(-np.logaddexp(0.0, d))),
+                    float(np.exp(-np.logaddexp(0.0, -d))))
+        out = out / total
         return float(out[..., 0]), float(out[..., 1])
 
     def loss(self, x, target):

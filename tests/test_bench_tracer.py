@@ -27,8 +27,10 @@ def test_tracer_targets_resolve_and_restore(grammar, demo_corpus):
     assert block["grammar.apply_calls"] > 0
     assert block["fs.unify_nodes"] > 0
     assert block["fs.resolve_nodes"] > 0
-    # one packing key per derived add: leaf edges are keyed by entry
-    assert block["fs.canonical_calls"] == sum(
+    # at most one packing key per derived add: leaf edges are keyed by
+    # entry, and a derived edge only once another of its span shares its
+    # summary vector (d01 has no such collision)
+    assert block.get("fs.canonical_calls", 0) <= sum(
         n for key, n in block.items()
         if key.startswith("grammar.apply_successes."))
     for (owner, attr, _, _), original in zip(tracing.TARGETS, originals):

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from bruteforce import enumerate_readings
-from prosogate import demo_grammar_text
-from prosogate.chart import (EdgeCapExceeded, InputFormatError, ParseConfig,
-                             ParseError, UnknownWordError, extract_pred_arg,
-                             parse, parse_corpus, propose_trace_sites)
+from prosogate import demo_grammar_text, fs
+from prosogate.chart import (Chart, EdgeCapExceeded, InputFormatError,
+                             ParseConfig, ParseError, UnknownWordError,
+                             extract_pred_arg, parse, parse_corpus,
+                             propose_trace_sites)
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
 from prosogate.grammar import RuleSchema, load_grammar
@@ -211,7 +212,7 @@ def test_quick_check_rejects_only_failing_applications(grammar, demo_corpus,
 
 def test_schema_applications_over_demo_corpus(grammar, demo_corpus,
                                               monkeypatch):
-    """With the gate off, the quick check leaves 548 of the 5,616 offers
+    """With the gate off, the quick check leaves 215 of the 5,616 offers
     for apply; 169 of them succeed."""
     outcomes = []
     apply = RuleSchema.apply
@@ -224,7 +225,7 @@ def test_schema_applications_over_demo_corpus(grammar, demo_corpus,
     monkeypatch.setattr(RuleSchema, "apply", counting_apply)
     for turn in demo_corpus:
         parse(turn, grammar, ParseConfig(mode="off"))
-    assert len(outcomes) == 548
+    assert len(outcomes) == 215
     assert sum(outcomes) == 169
 
 
@@ -235,6 +236,52 @@ def test_edge_cap(grammar, demo_corpus):
     stats = exc_info.value.stats
     assert stats["lexical_edges"] > 0
     assert stats["elapsed_ms"] >= 0
+
+
+def test_edge_cap_counts_leaves(grammar):
+    turn = _turn(["im", "im"], [0.5, 0.5])
+    with pytest.raises(EdgeCapExceeded) as exc_info:
+        parse(turn, grammar, ParseConfig(mode="off", max_edges=1))
+    stats = exc_info.value.stats
+    assert stats["lexical_edges"] == 2
+    assert stats["derived_edges"] == 0
+    assert stats["elapsed_ms"] >= 0
+
+
+def test_packing_keys_only_collisions(grammar, monkeypatch):
+    """fs.canonical keys a derived category only when an edge of the same
+    span and summary vector is already in the chart."""
+    er, sie, im = (grammar.entries(w)[0].category for w in ("er", "sie", "im"))
+    assert grammar.summaries(er) == grammar.summaries(sie)
+    assert grammar.summaries(er) != grammar.summaries(im)
+    assert fs.canonical(er) != fs.canonical(sie)  # SEM INDEX differs
+    calls = []
+    canonical = fs.canonical
+
+    def counting(node):
+        calls.append(node)
+        return canonical(node)
+
+    monkeypatch.setattr(fs, "canonical", counting)
+    chart = Chart(grammar)
+
+    def add(start, end, cat):
+        return chart.add(start, end, cat, "derived",
+                         derivation=("s", len(chart.edges), 0))
+
+    first, is_new = add(0, 2, er)
+    assert is_new and first.summaries == grammar.summaries(er)
+    assert add(0, 3, er)[1] and add(1, 2, er)[1] and add(0, 2, im)[1]
+    assert calls == []
+    # equal vectors, different SEM: both keyed, and kept apart
+    other, is_new = add(0, 2, sie)
+    assert is_new and other is not first
+    assert calls == [er, sie]
+    # an equivalent copy packs; the keyed edges are not keyed again
+    again, is_new = add(0, 2, fs.copy_fs(er))
+    assert not is_new and again is first
+    assert len(calls) == 3
+    assert len(first.derivations) == 2
 
 
 class TestPredArg:

@@ -270,6 +270,13 @@ class TestCliExitCodes:
         assert run(["parse", "--corpus", str(bad)]) == 2
         assert "line 1: " in capsys.readouterr().err
 
+    def test_edge_cap_error_names_turn(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "q2", "words": ["im", "im"], '
+                          '"gap_scores": [0.5, 0.5]}\n')
+        assert run(["parse", "--corpus", str(corpus), "--max-edges", "1"]) == 2
+        assert "turn 'q2': edge cap 1 exceeded" in capsys.readouterr().err
+
     def test_unknown_word_error_names_turn(self, tmp_path, capsys):
         bad = tmp_path / "c.jsonl"
         bad.write_text('{"id": "q1", "words": ["zzz"], "gap_scores": [0.5]}\n')
@@ -326,6 +333,18 @@ class TestCliExitCodes:
         assert run(["score", "--corpus", str(corpus), "--model",
                     str(bad)]) == 2
         assert "classifier" in capsys.readouterr().err
+
+    def test_underflowing_model_scores_finite(self, tmp_path):
+        corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
+        scored = tmp_path / "s.jsonl"
+        assert run(["synth", "--turns", "4", "--out", str(corpus)]) == 0
+        model.write_text(json.dumps(
+            {**_MODEL, "weights": [*_MODEL["weights"][:-1], [-1000.0] * 2]}))
+        assert run(["score", "--corpus", str(corpus), "--model", str(model),
+                    "--out", str(scored)]) == 0
+        for turn in loads_corpus(scored.read_text()):
+            assert all(math.isfinite(s) for s in turn.gap_scores)
+        assert run(["parse", "--corpus", str(scored)]) == 0
 
     @pytest.mark.parametrize("flags", [
         ["--hidden1", "0"], ["--hidden2", "0"], ["--epochs", "-1"],

@@ -181,9 +181,17 @@ def test_deeply_nested_avm_rejected(tmp_path, capsys, section, depth,
 
 
 def test_demo_grammar_quick_check_paths(grammar):
+    base = (("LOC", "HEAD", "POS"), ("LOC", "SUBCAT"), ("DSL",),
+            ("LOC", "HEAD", "V2"), ("LOC", "HEAD", "FIN"))
+    below = ((), *base)
+    # nodes shared by a schema's daughters: the left root with a SUBCAT
+    # element of the right one (or the other way round), and MOD with RELN
+    s0, s1 = ("LOC", "SUBCAT", 0), ("LOC", "SUBCAT", 1)
+    mod, reln = ("LOC", "HEAD", "MOD"), ("LOC", "SEM", "RELN")
     assert grammar.quick_paths == (
-        ("LOC", "HEAD", "POS"), ("LOC", "SUBCAT"), ("DSL",),
-        ("LOC", "HEAD", "V2"), ("LOC", "HEAD", "FIN"))
+        *base, (), *(s0 + q for q in below), *(s1 + q for q in below),
+        *(path + q for q in below for path in (mod, reln)))
+    assert len(grammar.quick_paths) == 30
 
 
 # One entry and one schema per kind at path X: an atom spelled like the
@@ -209,6 +217,43 @@ def test_quick_check_rejects_kind_clashes(schema_kind, entry_kind):
     assert admitted == (schema_kind == entry_kind
                         or "top" in (schema_kind, entry_kind))
     assert (schema.apply(cat, top) is not None) == admitted
+
+
+# Values for a node that LEFT shares with the one element of RIGHT's
+# list X: two atoms, lists of two lengths, an AVM and top. Below that
+# node (at its feature X) Y atoms may clash too.
+SHARED = ["a", "b", ["a"], ["a", "a"], {"Y": "a"}, {}]
+BELOW = [*SHARED, {"Y": "b"}]
+SHARED_VALUES = SHARED + [{"X": value} for value in BELOW]
+SHARED_GRAMMAR = {
+    "features": ["X", "Y"],
+    "lexicon": [{"id": f"{side}{i}", "orth": f"{side}{i}",
+                 "avm": {"X": value if side == "l" else [value]}}
+                for side in "lr" for i, value in enumerate(SHARED_VALUES)],
+    # the kind schemata give the quick paths X and X.Y below the node
+    "schemata": KIND_GRAMMAR["schemata"] + [
+        {"name": "shared", "daughters": [{"X": "#1"}, {"X": ["#1"]}],
+         "mother": {}}],
+}
+
+
+def test_quick_check_compares_nodes_shared_across_daughters():
+    g = load_grammar(json.dumps(SHARED_GRAMMAR))
+    schema = g.schemata[-1]
+    x, x0 = ("X",), ("X", 0)
+    assert [(g.quick_paths[i], g.quick_paths[j]) for i, j in schema.shared] \
+        == [(x, x0), (x + x, x0 + x), (x + ("X", "Y"), x0 + ("X", "Y"))]
+    rejected = 0
+    for i in range(len(SHARED_VALUES)):
+        left = g.entries_by_id[f"l{i}"]
+        for j in range(len(SHARED_VALUES)):
+            right = g.entries_by_id[f"r{j}"]
+            admitted = schema.admits(left.summaries, right.summaries)
+            rejected += not admitted
+            assert admitted == (schema.apply(left.category, right.category)
+                                is not None), (SHARED_VALUES[i],
+                                               SHARED_VALUES[j])
+    assert 0 < rejected < len(SHARED_VALUES) ** 2
 
 
 def test_demo_grammar_loads_clean(grammar):

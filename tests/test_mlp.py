@@ -57,6 +57,18 @@ def test_posteriors_sum_to_one():
         assert abs(p_plus + p_minus - 1.0) <= 1e-9
 
 
+def test_underflowing_outputs_still_give_a_posterior():
+    # output biases of -1000 drive both sigmoids to 0.0 exactly
+    clf = MlpClassifier(10, 4, 3, seed=1)
+    clf.params[-1] = np.array([-1000.0, -1001.0])
+    x = np.random.default_rng(2).normal(size=10)
+    assert not clf._forward(x)[-1].any()
+    p_plus, p_minus = clf.classify(x)
+    assert np.isfinite([p_plus, p_minus]).all()
+    assert p_plus > 0.5 > p_minus
+    assert abs(p_plus + p_minus - 1.0) <= 1e-9
+
+
 def test_classify_is_pure():
     clf = MlpClassifier(6, 3, 3, seed=4)
     x = np.linspace(-1, 1, 6)
