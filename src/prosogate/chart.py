@@ -28,6 +28,15 @@ clash means unification would fail, so the check changes no result. A
 leaf takes its vector from its lexicon entry; a derived edge's is
 computed when it is added, and keys its packing bucket, so that
 ``fs.canonical`` keys only categories whose span and vector collide.
+
+A mother shares the nodes of its daughters that its schema left
+unchanged (see ``grammar``), so a category may share nodes with the
+lexicon structures below it, and two occurrences of one lexicon entry
+are one structure. Adjacent daughters must share no node, so each edge
+carries a bitmask of the leaf structures, one bit per (kind, lexicon
+entry) in the turn, whose nodes its category may share; a derived edge
+takes its first derivation's daughters' bits. When an admitted pair's
+masks meet, the right category is copied once for that pair.
 """
 
 from __future__ import annotations
@@ -89,6 +98,14 @@ class ParseConfig:
 
 @dataclass
 class Edge:
+    """One chart edge over (start, end).
+
+    A derived edge's category is its first derivation's mother, which
+    shares the nodes its daughters' categories left unchanged; ``shares``
+    has a bit for every leaf structure (kind, lexicon entry) below that
+    derivation, so two edges whose masks are disjoint share no node.
+    """
+
     edge_id: int
     start: int
     end: int
@@ -100,6 +117,7 @@ class Edge:
     # forest node may collect several derivations of the same category.
     derivations: list = field(default_factory=list)
     summaries: tuple = None  # quick-check summary vector of category
+    shares: int = 0  # leaf-structure bitmask, see above
 
     @property
     def span(self):
@@ -150,11 +168,14 @@ class Chart:
         # (start, end, kind, entry id) -> leaf; (start, end, summary
         # vector) -> {canonical category, None while alone -> derived}
         self.seen = {}
+        self.bits = {}  # (kind, entry id) -> its bit in Edge.shares
 
     def add(self, start, end, category, kind, entry=None, licenser=None,
-            derivation=None):
+            derivation=None, shares=0):
         """Add a leaf or add or pack a derived edge. Returns (edge, is_new).
-        ``fs.canonical`` keys a category once its (span, vector) collides."""
+        ``fs.canonical`` keys a category once its (span, vector) collides.
+        A leaf's ``shares`` is its own bit; a new derived edge keeps the
+        ``shares`` passed with its first derivation."""
         if kind == "derived":
             vector = self.grammar.summaries(category)
             table = self.seen.setdefault((start, end, vector), {})
@@ -165,12 +186,13 @@ class Chart:
         else:
             vector = entry.trace_summaries if kind == "empty" else entry.summaries
             table, key = self.seen, (start, end, kind, entry.entry_id)
+            shares = self.bits.setdefault(key[2:], 1 << len(self.bits))
         edge = table.get(key)
         is_new = edge is None
         if is_new:
             edge = table[key] = Edge(len(self.edges), start, end, category,
                                      kind, entry=entry, licenser=licenser,
-                                     summaries=vector)
+                                     summaries=vector, shares=shares)
             self.edges.append(edge)
             self.agenda.append(edge)
         if derivation is not None:
@@ -241,15 +263,20 @@ def parse(turn, grammar, config):
 
     # (iv) close under the schemata; empty edges only as right daughters.
     def combine(left, right):
+        right_cat = right.category
+        overlap = left.shares & right.shares
         for schema in grammar.schemata:
             if not schema.admits(left.summaries, right.summaries):
                 continue
-            mother = schema.apply(left.category, right.category)
+            if overlap:  # the daughters may share a leaf's nodes
+                right_cat, overlap = fs.copy_fs(right_cat), 0
+            mother = schema.apply(left.category, right_cat)
             if mother is None:
                 continue
             _, is_new = chart.add(
                 left.start, right.end, mother, "derived",
-                derivation=(schema, left.edge_id, right.edge_id))
+                derivation=(schema, left.edge_id, right.edge_id),
+                shares=left.shares | right.shares)
             if is_new:
                 stats["derived_edges"] += 1
                 check_cap()

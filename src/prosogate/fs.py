@@ -21,9 +21,14 @@ pointer and the complement arcs (attributes a node gains from the nodes
 merged into it). Both slots are valid only while the node's stamp equals
 the current generation, so starting a new generation (see
 :func:`new_generation`) discards every scratch write at once. The
-result is copied out of the current generation's view by
-:func:`resolve` as a fresh, forward-free graph; a failing unification
-copies nothing.
+result is read out of the current generation's view by :func:`resolve`
+as a forward-free graph; a failing unification copies nothing. By
+default every node is copied; given a set of nodes it must not share,
+``resolve`` copies only what the unification changed (a node that
+gained complement arcs or has a child forwarded to another node, and
+every node above one) and reuses every other input node as it is,
+since no built node is ever written (structure sharing, Tomabechi
+1992).
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ def new_generation():
 class FS:
     """A single feature-structure node. Its kind, atom, attrs and items
     are treated as immutable once built; ``stamp``, ``forward`` and
-    ``comp`` are unification scratch, valid in generation ``stamp`` only."""
+    ``comp`` are unification scratch, valid in generation ``stamp`` only.
+    Nodes compare and hash by identity (``resolve`` keys nodes so)."""
 
     __slots__ = ("kind", "atom", "attrs", "items", "stamp", "forward", "comp")
 
@@ -141,31 +147,36 @@ def unify_mut(x, y):
     """Merge y into x (or vice versa) in the current generation.
 
     Writes scratch slots only, so no input changes. Raises
-    UnificationFailure on clash. Returns the representative node.
+    UnificationFailure on clash. Returns the representative node, which
+    is x unless x is top.
     """
-    x = _deref(x)
-    y = _deref(y)
+    gen = _generation
+    while x.stamp == gen and x.forward is not None:
+        x = x.forward
+    while y.stamp == gen and y.forward is not None:
+        y = y.forward
     if x is y:
         return x
     # Only an AVM with attributes gains complement arcs, so its built
     # attributes tell whether a node is top.
-    if is_top(x):
+    kind = x.kind
+    if kind == AVM and not x.attrs:
         _stamp(x)
         x.forward = y
         return y
-    if is_top(y):
+    if y.kind == AVM and not y.attrs:
         _stamp(y)
         y.forward = x
         return x
-    if x.kind != y.kind:
+    if kind != y.kind:
         raise UnificationFailure
-    if x.kind == ATOM:
+    if kind == ATOM:
         if x.atom != y.atom:
             raise UnificationFailure
         _stamp(y)
         y.forward = x
         return x
-    if x.kind == LIST:
+    if kind == LIST:
         if len(x.items) != len(y.items):
             raise UnificationFailure
         _stamp(y)
@@ -193,35 +204,61 @@ def unify_mut(x, y):
     return x
 
 
-def resolve(node, memo=None):
-    """Copy the current generation's view of a graph out as a clean FS.
+def resolve(node, memo=None, keep=None):
+    """Read the current generation's view of a graph out as a forward-free FS.
+
+    Without ``keep`` every node is copied. With ``keep`` (a set of
+    nodes), a node outside it that has no complement arcs in this
+    generation and whose children all resolve to themselves is returned
+    as it is: the result shares what the unification left unchanged,
+    which is safe because built nodes are never written.
 
     Detects cycles introduced by unification (the grammar layer treats a
     cyclic result as failure).
     """
     if memo is None:
         memo = {}
-    node = _deref(node)
-    key = id(node)
-    if key in memo:
-        if memo[key] is None:
+    gen = _generation
+    while node.stamp == gen and node.forward is not None:
+        node = node.forward
+    if node in memo:  # keyed by the node itself, hashed by identity
+        if memo[node] is None:
             raise UnificationFailure  # cycle through attribute edges
-        return memo[key]
-    memo[key] = None
-    new = FS(node.kind, atom=node.atom)
-    if node.kind == AVM:
-        new.attrs = {k: resolve(v, memo) for k, v in node.attrs.items()}
-        if node.stamp == _generation and node.comp:
-            for k, v in node.comp.items():
-                new.attrs[k] = resolve(v, memo)
-    elif node.kind == LIST:
-        new.items = [resolve(v, memo) for v in node.items]
-    memo[key] = new
+        return memo[node]
+    memo[node] = None
+    kind = node.kind
+    comp = node.comp if node.stamp == gen else None
+    if keep is None or node in keep or comp:
+        new = FS(kind, atom=node.atom)
+        if kind == AVM:
+            new.attrs = {k: resolve(v, memo, keep) for k, v in node.attrs.items()}
+            if comp:
+                new.attrs.update((k, resolve(v, memo, keep)) for k, v in comp.items())
+        elif kind == LIST:
+            new.items = [resolve(v, memo, keep) for v in node.items]
+    else:  # share the node, or copy it once a child resolves to another
+        new = node
+        if kind == AVM:
+            for k, v in node.attrs.items():
+                got = resolve(v, memo, keep)
+                if got is not v:
+                    if new is node:
+                        new = FS(AVM, attrs=dict(node.attrs))
+                    new.attrs[k] = got
+        elif kind == LIST:
+            for i, v in enumerate(node.items):
+                got = resolve(v, memo, keep)
+                if got is not v:
+                    if new is node:
+                        new = FS(LIST, items=list(node.items))
+                    new.items[i] = got
+    memo[node] = new
     return new
 
 
 def unify(a, b):
-    """Unify two feature structures; returns a fresh FS or None on failure.
+    """Unify two feature structures; returns a fresh FS (every node a
+    copy, none shared with an input) or None on failure.
 
     Neither input is changed. Reentrancy within and across the inputs is
     preserved (nodes literally shared between ``a`` and ``b`` remain

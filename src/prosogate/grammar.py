@@ -24,13 +24,22 @@ or a first path. An edge's summary (see :func:`summarize`) that clashes
 with the daughter's there, or with the other edge's at the paired path,
 means unification must fail, so ``RuleSchema.admits`` rejects the pair.
 
-``RuleSchema.apply`` unifies the stored pattern with the daughters in
-place, in a generation of its own (see ``fs``), and copies out only the
-mother of a successful application. Its result equals unifying private
-copies of the pattern and of each daughter: the daughters must share no
-node, so the lexicon keeps every structure disjoint from every other
-(a V2 entry's trace template is stored as a copy), and ``apply`` copies
-a right daughter that is the left one.
+``RuleSchema.apply`` unifies each daughter with the stored pattern in
+place, daughter first, in a generation of its own (see ``fs``), and
+reads out only the mother of a successful application. The mother
+reuses every daughter node the unification left unchanged and copies
+the rest, and every node of the pattern. Its result equals unifying
+private copies of the pattern and of each daughter: the daughters must
+share no node, so the lexicon keeps every structure disjoint from every
+other (a V2 entry's trace template is stored as a copy), ``apply``
+copies a right daughter that is the left one, and the chart copies a
+right daughter that may share a lexicon structure with the left one.
+
+Sharing stays exact because of two facts. A mother shares nodes only
+with its own sub-derivation (the daughters' categories, themselves
+mothers or lexicon structures) and with lexicon structures, never with
+a schema pattern. Lexicon structures are never written outside scratch
+slots, so a node shared by many categories means the same in each.
 """
 
 from __future__ import annotations
@@ -88,6 +97,11 @@ class RuleSchema:
     left_requires: tuple = ()
     right_requires: tuple = ()
     shared: tuple = ()  # (left, right) index pairs: one shared node
+    # the pattern's nodes, which no mother shares
+    pattern_nodes: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.pattern_nodes = frozenset(n for _, n in _tree_paths(self.pattern))
 
     def admits(self, left_summaries, right_summaries):
         """Quick check of two daughter summary vectors: False when a
@@ -108,29 +122,34 @@ class RuleSchema:
         return True
 
     def mother(self, left, right, pattern):
-        """Unify ``pattern`` (this schema's or a copy of it) with two
-        daughters in the current generation.
+        """Unify two daughters with ``pattern`` (this schema's or a copy
+        of it) in the current generation.
 
+        Each daughter is unified first, so its nodes stay the
+        representatives and, where the pattern adds nothing, unchanged.
         Returns the unresolved MOTHER; raises fs.UnificationFailure on a
         clash.
         """
         arcs = pattern.attrs
-        fs.unify_mut(arcs["LEFT"], left)
-        fs.unify_mut(arcs["RIGHT"], right)
+        fs.unify_mut(left, arcs["LEFT"])
+        fs.unify_mut(right, arcs["RIGHT"])
         return arcs["MOTHER"]
 
     def apply(self, left_cat, right_cat):
-        """Instantiate the schema on two daughter categories.
+        """Instantiate the schema on two daughter categories, which must
+        share no node.
 
-        Returns the mother category (a fresh structure) or None. Neither
-        the daughters nor the pattern change, and a failing application
-        copies nothing.
+        Returns the mother category or None. The mother shares the
+        daughter nodes the unification left unchanged, and no node of
+        the pattern. Neither the daughters nor the pattern change, and a
+        failing application copies nothing.
         """
         if right_cat is left_cat:
             right_cat = copy_fs(right_cat)
         fs.new_generation()
         try:
-            return fs.resolve(self.mother(left_cat, right_cat, self.pattern))
+            return fs.resolve(self.mother(left_cat, right_cat, self.pattern),
+                              keep=self.pattern_nodes)
         except fs.UnificationFailure:
             return None
 

@@ -84,7 +84,8 @@ class MlpClassifier:
         if x.shape[-1] != self.dims[0]:
             raise ValueError(
                 f"vector length {x.shape[-1]} != input dimension {self.dims[0]}")
-        acts = self._forward(x)
+        with np.errstate(over="ignore"):  # exp(-z) = inf is sigmoid 0
+            acts = self._forward(x)
         out = acts[-1]
         total = out.sum(axis=-1, keepdims=True)
         if not total.all():

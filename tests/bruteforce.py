@@ -53,6 +53,9 @@ def _derive(seq, grammar):
                             mother = schema.apply(lcat, rcat)
                             if mother is None:
                                 continue
+                            # a mother shares its daughters' nodes; keep
+                            # it private, as apply's daughters must be
+                            mother = fs.copy_fs(mother)
                             lab = f"({schema.name} {llab} {rlab})"
                             dkey = (fs.canonical(mother), lab)
                             if dkey not in seen:

@@ -334,14 +334,16 @@ class TestCliExitCodes:
                     str(bad)]) == 2
         assert "classifier" in capsys.readouterr().err
 
-    def test_underflowing_model_scores_finite(self, tmp_path):
+    def test_underflowing_model_scores_finite(self, tmp_path, capsys):
         corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
         scored = tmp_path / "s.jsonl"
         assert run(["synth", "--turns", "4", "--out", str(corpus)]) == 0
         model.write_text(json.dumps(
             {**_MODEL, "weights": [*_MODEL["weights"][:-1], [-1000.0] * 2]}))
+        capsys.readouterr()
         assert run(["score", "--corpus", str(corpus), "--model", str(model),
                     "--out", str(scored)]) == 0
+        assert capsys.readouterr().err == ""
         for turn in loads_corpus(scored.read_text()):
             assert all(math.isfinite(s) for s in turn.gap_scores)
         assert run(["parse", "--corpus", str(scored)]) == 0

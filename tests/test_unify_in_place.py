@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from prosogate import fs
 from prosogate.chart import ParseConfig, parse
 from prosogate.grammar import LexEntry, apply_v2_lexical_rule, load_grammar
+from prosogate.synth import synth_corpus
 
 
 class _Node:
@@ -153,8 +154,9 @@ def _nodes(root):
 
 @pytest.fixture(scope="module")
 def structures(grammar, demo_corpus):
-    """Every demo lexicon category and trace template, and one
-    category per distinct derived category of the demo parses."""
+    """Every demo lexicon category and trace template, and a copy of
+    one category per distinct derived category of the demo parses
+    (chart categories share lexicon nodes; apply's daughters must not)."""
     cats = []
     for entry in grammar.entries_by_id.values():
         cats.append(entry.category)
@@ -164,7 +166,8 @@ def structures(grammar, demo_corpus):
     for turn in demo_corpus:
         for edge in parse(turn, grammar, ParseConfig(mode="off"))._chart.edges:
             if edge.kind == "derived":
-                derived.setdefault(fs.canonical(edge.category), edge.category)
+                derived.setdefault(fs.canonical(edge.category),
+                                   fs.copy_fs(edge.category))
     return cats + list(derived.values())
 
 
@@ -244,6 +247,51 @@ def test_unify_leaves_inputs_unchanged():
     assert _snapshot(a, good, bad, shared) == before
 
 
+@pytest.fixture(scope="module")
+def charts(grammar, demo_corpus):
+    """The chart of every demo and ``synth --seed 42`` turn, in each gate
+    mode."""
+    turns = [*demo_corpus, *synth_corpus(seed=42)]
+    return [parse(turn, grammar, ParseConfig(mode=mode))._chart
+            for mode in ("off", "threshold", "rank") for turn in turns]
+
+
+def _derived(charts):
+    """(edge, schema, left edge, right edge) of each derived edge's
+    first derivation, whose daughters gave it its category."""
+    for chart in charts:
+        for edge in chart.edges:
+            if edge.kind == "derived":
+                schema, left, right = edge.derivations[0]
+                yield edge, schema, chart.edges[left], chart.edges[right]
+
+
+def test_chart_categories_match_copy_then_unify(charts):
+    # daughters that share a lexicon structure's nodes must still be
+    # unified as private copies, or the mother is over-constrained
+    mismatches, n = [], 0
+    for edge, schema, left, right in _derived(charts):
+        n += 1
+        want = reference_apply(schema, left.category, right.category)
+        if fs.canonical(edge.category) != _form(want):
+            mismatches.append((edge.span, schema.name))
+    assert n > 0 and mismatches == []
+
+
+def test_mothers_share_no_pattern_node(grammar, charts):
+    pattern = set()
+    for schema in grammar.schemata:
+        pattern |= set(_nodes(schema.pattern))
+    for edge, _, _, _ in _derived(charts):
+        assert not pattern & set(_nodes(edge.category)), edge.span
+
+
+def test_mothers_share_unchanged_daughter_nodes(charts):
+    assert any(set(_nodes(edge.category))
+               & (set(_nodes(left.category)) | set(_nodes(right.category)))
+               for edge, _, left, right in _derived(charts))
+
+
 def test_lexicon_structures_share_no_node(grammar):
     structures = {}
     for entry in grammar.entries_by_id.values():
@@ -310,3 +358,11 @@ def test_unify_matches_copy_then_unify(xa, xb, pick, share):
     assert _form(fs.unify(a, b)) == _form(reference_unify(a, b))
     assert _snapshot(a, b) == before
 
+
+@settings(max_examples=200)
+@given(_avms, _avms)
+def test_unify_result_shares_no_input_node(xa, xb):
+    a, b = _parse(xa), _parse(xb)
+    got = fs.unify(a, b)
+    assume(got is not None)
+    assert not set(_nodes(got)) & (set(_nodes(a)) | set(_nodes(b)))
