@@ -1,9 +1,10 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: synth, train, score, parse, eval, rank, bench. Exit codes:
-0 success, 1 usage error, 2 data or grammar error. All randomness is
-driven by --seed (default 42); identical invocations produce identical
-output bytes except for wall-clock fields.
+0 success, 1 usage error, 2 data or grammar error. Each subcommand
+takes only the flags it reads: randomness (synth, train) is driven by
+--seed (default 42), and identical invocations produce identical output
+bytes except for wall-clock fields.
 """
 
 from __future__ import annotations
@@ -27,15 +28,10 @@ DATA_ERRORS = (CorpusError, GrammarError, ParseError, EvalError,
                AvmFormatError, LayoutError, OSError, ValueError)
 
 
-class UsageError(SystemExit):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise UsageError(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _write(text, out_path):
@@ -239,9 +235,11 @@ def build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, grammar=False, corpus=False):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def common(p, seed=False, report=False, grammar=False, corpus=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=42)
+        if report:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
         if grammar:
             p.add_argument("--grammar", default=None,
@@ -251,7 +249,7 @@ def build_parser():
                            help="corpus JSONL (default: packaged demo)")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--turns", type=int, default=104)
     p.add_argument("--separation", type=float, default=2.0)
     p.add_argument("--placement", choices=("final", "none"), default="final")
@@ -260,7 +258,7 @@ def build_parser():
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the boundary classifier")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--corpus", required=True,
                    help="corpus JSONL with syllables and s3_labels")
     p.add_argument("--epochs", type=int, default=20)
@@ -276,7 +274,7 @@ def build_parser():
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("parse", help="parse a corpus, emit a reading report")
-    common(p, grammar=True, corpus=True)
+    common(p, report=True, grammar=True, corpus=True)
     p.add_argument("--mode", choices=("threshold", "rank", "off"),
                    default="threshold")
     p.add_argument("--threshold", type=float, default=0.01)
@@ -285,17 +283,17 @@ def build_parser():
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score a parse report against gold traces")
-    common(p)
+    common(p, report=True)
     p.add_argument("--gold", required=True, help="gold corpus JSONL")
     p.add_argument("--proposed", required=True, help="parse report JSON")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("rank", help="rank histogram of gold gaps by score")
-    common(p, corpus=True)
+    common(p, report=True, corpus=True)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("bench", help="time gated vs ungated parsing")
-    common(p, grammar=True, corpus=True)
+    common(p, report=True, grammar=True, corpus=True)
     p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--max-edges", type=int, default=20000)
     p.set_defaults(func=cmd_bench)
@@ -307,7 +305,7 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # UsageError from Parser.error, or argparse's own --help/--version
+        # a usage error from Parser.error, or argparse's --help/--version
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)

@@ -129,12 +129,6 @@ def copy_fs(node, memo=None):
     return new
 
 
-def _deref(node):
-    while node.stamp == _generation and node.forward is not None:
-        node = node.forward
-    return node
-
-
 def _stamp(node):
     """Make the scratch slots of a node current, voiding older writes."""
     if node.stamp != _generation:
@@ -404,7 +398,7 @@ def parse_avm(obj, tags=None):
                 name = tag_keys[0]
                 node = tags.setdefault(name, top())
                 body = build(o[name])
-                merged = unify_mut(_deref(node), body)
+                merged = unify_mut(node, body)
                 tags[name] = merged
                 return merged
             node = FS(AVM)

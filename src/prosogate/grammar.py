@@ -20,9 +20,10 @@ Loading also compiles the quick check (Kiefer et al. 1999): every path
 from a daughter root through AVM attributes to a schema's atom or list,
 then for each topmost node a schema's daughters share, at left path lp
 and right path rp (an int steps into a list), lp+q and rp+q for q empty
-or a first path. An edge's summary (see :func:`summarize`) that clashes
-with the daughter's there, or with the other edge's at the paired path,
-means unification must fail, so ``RuleSchema.admits`` rejects the pair.
+or, where the node is a daughter's root (lp or rp empty), a first path.
+An edge's summary (see :func:`summarize`) that clashes with the
+daughter's there, or with the other edge's at the paired path, means
+unification must fail, so ``RuleSchema.admits`` rejects the pair.
 
 ``RuleSchema.apply`` unifies each daughter with the stored pattern in
 place, daughter first, in a generation of its own (see ``fs``), and
@@ -62,10 +63,7 @@ AVM_SUMMARY = object()
 
 def summarize(node):
     """Quick-check summary of one node: its atom value, its list length,
-    AVM_SUMMARY for a non-top AVM, or None (no information) for top and
-    for an absent node."""
-    if node is None:
-        return None
+    AVM_SUMMARY for a non-top AVM, or None (no information) for top."""
     if node.kind == fs.ATOM:
         return node.atom
     if node.kind == fs.LIST:
@@ -241,12 +239,15 @@ def apply_v2_lexical_rule(entry):
     )
 
 
-def _tree_paths(node, path=()):
-    """Every (path, node) below node, parents first."""
+def _tree_paths(node, path=(), seen=None):
+    """Each node below node once, as (first path, node), parents first."""
+    seen = set() if seen is None else seen
+    seen.add(id(node))
     yield path, node
     kids = node.attrs.items() if node.kind == fs.AVM else enumerate(node.items or ())
     for step, child in kids:
-        yield from _tree_paths(child, path + (step,))
+        if id(child) not in seen:
+            yield from _tree_paths(child, path + (step,), seen)
 
 
 def _compile_quick_check(grammar):
@@ -271,12 +272,15 @@ def _compile_quick_check(grammar):
     for schema in grammar.schemata:
         left, met = {}, []  # met: (left, right) paths of topmost shared nodes
         for path, node in _tree_paths(schema.pattern.attrs["LEFT"]):
-            left.setdefault(id(node), path)
+            left[id(node)] = path
         for rp, node in _tree_paths(schema.pattern.attrs["RIGHT"]):
             if id(node) in left and not any(rp[:len(p)] == p for _, p in met):
                 met.append((left[id(node)], rp))
+        # only a daughter's root holds a category, where the first paths
+        # can be defined
         schema.shared = tuple((position(lp + q), position(rp + q))
-                              for lp, rp in met for q in below)
+                              for lp, rp in met
+                              for q in (below if () in (lp, rp) else [()]))
     grammar.quick_paths = tuple(index)
 
     def requires(daughter):

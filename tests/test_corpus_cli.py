@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosogate.cli import run
+from prosogate.cli import build_parser, run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
                               loads_corpus)
 from prosogate.mlp import MlpClassifier
@@ -254,6 +255,14 @@ class TestCliExitCodes:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run(["train"]) == 1
 
+    @pytest.mark.parametrize("argv", [["parse", "--seed", "3"],
+                                      ["synth", "--format", "json"]])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, capsys,
+                                                               argv):
+        assert run(argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in \
+            capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, capsys):
         assert run(["parse", "--corpus", "/no/such/file.jsonl"]) == 2
         assert "error" in capsys.readouterr().err
@@ -452,3 +461,28 @@ class TestCliPipeline:
         out = capsys.readouterr().out
         assert "speedup" in out
         assert "empty edges" in out
+
+
+# The long options of each subcommand: exactly those its handler reads.
+CLI_FLAGS = {
+    "synth": {"--seed", "--out", "--turns", "--separation", "--placement",
+              "--v2-only", "--max-words"},
+    "train": {"--seed", "--out", "--corpus", "--epochs", "--learning-rate",
+              "--hidden1", "--hidden2"},
+    "score": {"--out", "--corpus", "--model"},
+    "parse": {"--format", "--out", "--grammar", "--corpus", "--mode",
+              "--threshold", "--rank-limit", "--max-edges"},
+    "eval": {"--format", "--out", "--gold", "--proposed"},
+    "rank": {"--format", "--out", "--corpus"},
+    "bench": {"--format", "--out", "--grammar", "--corpus", "--threshold",
+              "--max-edges"},
+}
+
+
+def test_cli_surface():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {s for a in p._actions for s in a.option_strings
+                    if s.startswith("--") and s != "--help"}
+             for name, p in sub.choices.items()}
+    assert flags == CLI_FLAGS

@@ -185,13 +185,17 @@ def test_demo_grammar_quick_check_paths(grammar):
             ("LOC", "HEAD", "V2"), ("LOC", "HEAD", "FIN"))
     below = ((), *base)
     # nodes shared by a schema's daughters: the left root with a SUBCAT
-    # element of the right one (or the other way round), and MOD with RELN
+    # element of the right one (or the other way round), compared below
+    # it at every first path, and MOD with RELN, compared at the node
     s0, s1 = ("LOC", "SUBCAT", 0), ("LOC", "SUBCAT", 1)
     mod, reln = ("LOC", "HEAD", "MOD"), ("LOC", "SEM", "RELN")
     assert grammar.quick_paths == (
         *base, (), *(s0 + q for q in below), *(s1 + q for q in below),
-        *(path + q for q in below for path in (mod, reln)))
-    assert len(grammar.quick_paths) == 30
+        mod, reln)
+    assert len(grammar.quick_paths) == 20
+    pairs = {s.name: len(s.shared) for s in grammar.schemata}
+    assert pairs["head-adjunct"] == pairs["filler-head"] == 1
+    assert sum(len(s.shared) for s in grammar.schemata) == 38
 
 
 # One entry and one schema per kind at path X: an atom spelled like the
@@ -228,11 +232,12 @@ SHARED_VALUES = SHARED + [{"X": value} for value in BELOW]
 SHARED_GRAMMAR = {
     "features": ["X", "Y"],
     "lexicon": [{"id": f"{side}{i}", "orth": f"{side}{i}",
-                 "avm": {"X": value if side == "l" else [value]}}
+                 "avm": value if side == "l" else {"X": [value]}}
                 for side in "lr" for i, value in enumerate(SHARED_VALUES)],
-    # the kind schemata give the quick paths X and X.Y below the node
+    # the kind schemata give the quick paths X and X.Y below the node,
+    # which is LEFT's root
     "schemata": KIND_GRAMMAR["schemata"] + [
-        {"name": "shared", "daughters": [{"X": "#1"}, {"X": ["#1"]}],
+        {"name": "shared", "daughters": ["#1", {"X": ["#1"]}],
          "mother": {}}],
 }
 
@@ -242,7 +247,7 @@ def test_quick_check_compares_nodes_shared_across_daughters():
     schema = g.schemata[-1]
     x, x0 = ("X",), ("X", 0)
     assert [(g.quick_paths[i], g.quick_paths[j]) for i, j in schema.shared] \
-        == [(x, x0), (x + x, x0 + x), (x + ("X", "Y"), x0 + ("X", "Y"))]
+        == [((), x0), (x, x0 + x), (("X", "Y"), x0 + ("X", "Y"))]
     rejected = 0
     for i in range(len(SHARED_VALUES)):
         left = g.entries_by_id[f"l{i}"]
@@ -254,6 +259,31 @@ def test_quick_check_compares_nodes_shared_across_daughters():
                                 is not None), (SHARED_VALUES[i],
                                                SHARED_VALUES[j])
     assert 0 < rejected < len(SHARED_VALUES) ** 2
+
+
+def test_quick_check_compares_a_shared_inner_node_only_at_itself():
+    # X of LEFT is no daughter's root, so no first path is defined below it
+    doc = dict(KIND_GRAMMAR, schemata=KIND_GRAMMAR["schemata"] + [
+        {"name": "inner", "daughters": [{"X": "#1"}, {"X": ["#1"]}],
+         "mother": {}}])
+    g = load_grammar(json.dumps(doc))
+    assert [(g.quick_paths[i], g.quick_paths[j])
+            for i, j in g.schemata[-1].shared] == [(("X",), ("X", 0))]
+
+
+def test_shared_pattern_nodes_are_visited_once():
+    # each of LEFT's 16 levels reaches the next through both X and Y:
+    # 2**16 paths to the atom at the bottom, but 17 nodes, each visited
+    # once, at its first path
+    chain = "z"
+    for level in range(16):
+        chain = {"X": {f"#{level}": chain}, "Y": f"#{level}"}
+    doc = {"features": ["X", "Y"], "lexicon": [],
+           "schemata": [{"name": "chain", "daughters": [chain, {"X": "z"}],
+                         "mother": {}}]}
+    g = load_grammar(json.dumps(doc))
+    assert g.quick_paths == (("X",) * 16, ("X",))
+    assert len(g.schemata[0].pattern_nodes) == 21
 
 
 def test_demo_grammar_loads_clean(grammar):
