@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from . import __version__, demo_grammar_text, demo_corpus_text
+from . import __version__, load_demo_corpus, load_demo_grammar
 from .chart import ParseConfig, ParseError, parse_corpus
-from .corpus import CorpusError, load_corpus, loads_corpus, dumps_corpus
+from .corpus import CorpusError, load_corpus, dumps_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
     score_trace_hypotheses
 from .fs import AvmFormatError
-from .grammar import GrammarError, load_grammar, load_grammar_file
-from .mlp import MlpClassifier, TrainConfig, score_turn, train
-from .prosody import LayoutError, extract_features
+from .grammar import GrammarError, load_grammar_file
+from .mlp import MlpClassifier, TrainConfig, gap_vectors, score_turn, train
+from .prosody import LayoutError
 from .synth import synth_corpus
 
 DATA_ERRORS = (CorpusError, GrammarError, ParseError, EvalError,
@@ -45,13 +46,13 @@ def _write(text, out_path):
 def _load_grammar(path):
     if path:
         return load_grammar_file(path)
-    return load_grammar(demo_grammar_text())
+    return load_demo_grammar()
 
 
 def _load_corpus(path):
     if path:
         return load_corpus(path)
-    return loads_corpus(demo_corpus_text())
+    return load_demo_corpus()
 
 
 def _report_json(payload):
@@ -76,10 +77,7 @@ def _training_pairs(corpus):
             raise CorpusError(
                 f"turn {turn.turn_id!r}: training needs syllables and "
                 f"s3_labels")
-        records = [s.features for s in turn.syllables]
-        for w, syl_index in enumerate(turn.word_final_syllables(), start=1):
-            pairs.append((extract_features(records, syl_index),
-                          turn.s3_labels[w - 1]))
+        pairs.extend(zip(gap_vectors(turn), turn.s3_labels))
     return pairs
 
 
@@ -139,6 +137,10 @@ def cmd_eval(args):
     except (KeyError, TypeError) as exc:
         raise EvalError(
             f"{args.proposed}: not a parse report: {exc!r}") from exc
+    for turn_id, sites in proposed_by_id.items():
+        if not all(type(site) is int for site in sites):
+            raise EvalError(f"{args.proposed}: not a parse report: turn "
+                            f"{turn_id!r} has a site that is not a gap index")
     gold, proposed, universe = [], [], []
     for turn in gold_corpus:
         if turn.turn_id not in proposed_by_id:
@@ -149,14 +151,8 @@ def cmd_eval(args):
     counts = score_trace_hypotheses(gold, proposed, universe)
     report = metrics(counts)
     if args.format == "json":
-        _write(_report_json({
-            "counts": {"correct": counts.correct,
-                       "false_alarm": counts.false_alarm,
-                       "miss": counts.miss, "reject": counts.reject},
-            "metrics": {"recall": report.recall,
-                        "precision": report.precision,
-                        "error": report.error},
-        }), args.out)
+        _write(_report_json({"counts": asdict(counts),
+                             "metrics": asdict(report)}), args.out)
     else:
         pct = report.as_pct()
         _write(
@@ -204,17 +200,7 @@ def cmd_bench(args):
     config_off = ParseConfig(mode="off", max_edges=args.max_edges)
     report = bench(corpus, grammar, config_on, config_off)
     if args.format == "json":
-        _write(_report_json({
-            "turn_count": report.turn_count,
-            "overall_with": report.overall_with,
-            "overall_without": report.overall_without,
-            "average_with": report.average_with,
-            "average_without": report.average_without,
-            "empty_edges_with": report.empty_edges_with,
-            "empty_edges_without": report.empty_edges_without,
-            "proposed_sites_with": report.proposed_sites_with,
-            "proposed_sites_without": report.proposed_sites_without,
-            "speedup": report.speedup}), args.out)
+        _write(_report_json(asdict(report)), args.out)
     else:
         _write(
             f"turns                 {report.turn_count}\n"

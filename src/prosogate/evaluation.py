@@ -12,7 +12,8 @@ precision.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, astuple, dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
 from .chart import gaps_by_score, parse_corpus
@@ -36,16 +37,9 @@ class ConfusionCounts:
     miss: int = 0
     reject: int = 0  # neither gold nor proposed
 
-    def __add__(self, other):
-        return ConfusionCounts(
-            self.correct + other.correct,
-            self.false_alarm + other.false_alarm,
-            self.miss + other.miss,
-            self.reject + other.reject)
-
     @property
     def total(self):
-        return self.correct + self.false_alarm + self.miss + self.reject
+        return sum(astuple(self))
 
 
 @dataclass
@@ -55,8 +49,7 @@ class MetricReport:
     error: float
 
     def as_pct(self, decimals=1):
-        return {k: fmt_pct(getattr(self, k), decimals)
-                for k in ("recall", "precision", "error")}
+        return {k: fmt_pct(v, decimals) for k, v in asdict(self).items()}
 
 
 def score_trace_hypotheses(gold_per_turn, proposed_per_turn, universe_per_turn):
@@ -74,11 +67,10 @@ def score_trace_hypotheses(gold_per_turn, proposed_per_turn, universe_per_turn):
         outside = (gold | proposed) - universe
         if outside:
             raise EvalError(f"positions {sorted(outside)} outside the universe")
-        counts = counts + ConfusionCounts(
-            correct=len(gold & proposed),
-            false_alarm=len(proposed - gold),
-            miss=len(gold - proposed),
-            reject=len(universe - (gold | proposed)))
+        counts.correct += len(gold & proposed)
+        counts.false_alarm += len(proposed - gold)
+        counts.miss += len(gold - proposed)
+        counts.reject += len(universe - (gold | proposed))
     return counts
 
 
@@ -162,20 +154,15 @@ class BenchReport:
     empty_edges_without: int = 0
     proposed_sites_with: int = 0
     proposed_sites_without: int = 0
+    average_with: float = field(init=False)
+    average_without: float = field(init=False)
+    speedup: float = field(init=False)
 
-    @property
-    def average_with(self):
-        return self.overall_with / self.turn_count if self.turn_count else 0.0
-
-    @property
-    def average_without(self):
-        return self.overall_without / self.turn_count if self.turn_count else 0.0
-
-    @property
-    def speedup(self):
-        if self.overall_without == 0:
-            return 0.0
-        return 1.0 - self.overall_with / self.overall_without
+    def __post_init__(self):
+        n, without = self.turn_count, self.overall_without
+        self.average_with = self.overall_with / n if n else 0.0
+        self.average_without = without / n if n else 0.0
+        self.speedup = 1.0 - self.overall_with / without if without else 0.0
 
 
 def bench(corpus, grammar, config_on, config_off):
@@ -184,42 +171,38 @@ def bench(corpus, grammar, config_on, config_off):
     Each turn is parsed gated, then ungated, before the next turn, so a
     drift in host speed weighs on both totals alike, and the collector
     is paused (as ``timeit`` does), so a collection of the caller's heap
-    does not land in one parse of a pair. For every turn whose gold
+    does not land in one parse of a pair. Each side's totals are its
+    parse statistics summed over the turns. For every turn whose gold
     trace gaps all pass the gate, the two reading sets must be
     identical; a mismatch aborts with an EvalError naming the turn, a
     parse error with a ParseError naming the turn.
     """
-    totals = {"on": 0.0, "off": 0.0}
-    edges = {"on": 0, "off": 0}
-    sites = {"on": 0, "off": 0}
-    readings = {"on": {}, "off": {}}
-    gated_sites = {}
+    on, off = Counter(), Counter()  # summed parse statistics per side
+    differs, gated_sites = {}, {}
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for pair in zip(parse_corpus(corpus, grammar, config_on),
-                        parse_corpus(corpus, grammar, config_off)):
-            for key, result in zip(("on", "off"), pair):
-                totals[key] += result.stats["elapsed_ms"] / 1000.0
-                edges[key] += result.stats["empty_edges"]
-                sites[key] += result.stats["proposed_sites"]
-                readings[key][result.turn_id] = set(result.readings)
-            gated_sites[pair[0].turn_id] = set(pair[0].proposed_sites)
+        for gated, ungated in zip(parse_corpus(corpus, grammar, config_on),
+                                  parse_corpus(corpus, grammar, config_off)):
+            on.update(gated.stats)
+            off.update(ungated.stats)
+            differs[gated.turn_id] = set(gated.readings) != set(ungated.readings)
+            gated_sites[gated.turn_id] = set(gated.proposed_sites)
     finally:
         if collecting:
             gc.enable()
     for turn in corpus:
-        if set(turn.gold_traces or []) <= gated_sites[turn.turn_id]:
-            if readings["on"][turn.turn_id] != readings["off"][turn.turn_id]:
-                raise EvalError(
-                    f"turn {turn.turn_id!r}: gated reading set differs although "
-                    f"all gold sites pass the gate")
+        if (differs[turn.turn_id]
+                and set(turn.gold_traces or []) <= gated_sites[turn.turn_id]):
+            raise EvalError(
+                f"turn {turn.turn_id!r}: gated reading set differs although "
+                f"all gold sites pass the gate")
     return BenchReport(
-        overall_with=totals["on"],
-        overall_without=totals["off"],
+        overall_with=on["elapsed_ms"] / 1000.0,
+        overall_without=off["elapsed_ms"] / 1000.0,
         turn_count=len(corpus),
-        empty_edges_with=edges["on"],
-        empty_edges_without=edges["off"],
-        proposed_sites_with=sites["on"],
-        proposed_sites_without=sites["off"])
+        empty_edges_with=on["empty_edges"],
+        empty_edges_without=off["empty_edges"],
+        proposed_sites_with=on["proposed_sites"],
+        proposed_sites_without=off["proposed_sites"])

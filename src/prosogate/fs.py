@@ -13,7 +13,8 @@ paths lead to the same node iff they reference the same ``FS`` object.
 The JSON surface syntax encodes sharing with ``"#n"`` string tags; see
 :func:`parse_avm`. :func:`canonical` writes a structure as a string
 that two structures share iff they are equivalent (equal up to the
-naming of shared nodes); the chart packs edges by it.
+naming of shared nodes); the chart packs edges by it. Any feature name
+is accepted here: the grammar checks names against its declared set.
 
 Unification is quasi-destructive (Tomabechi 1991): it never writes the
 ``attrs`` or ``items`` of a node, only two scratch slots, a forwarding
@@ -334,32 +335,6 @@ def canonical(node):
 
     emit(node)
     return "".join(out)
-
-
-def check_features(node, declared, where=""):
-    """Validate that every attribute name is in the declared set.
-
-    Raises AvmFormatError naming the offending feature; this is a
-    grammar-format error, distinct from unification failure.
-    """
-    seen = set()
-
-    def walk(n):
-        if id(n) in seen:
-            return
-        seen.add(id(n))
-        if n.kind == AVM:
-            for f, v in n.attrs.items():
-                if f not in declared:
-                    raise AvmFormatError(
-                        f"undeclared feature {f!r}{' in ' + where if where else ''}"
-                    )
-                walk(v)
-        elif n.kind == LIST:
-            for v in n.items:
-                walk(v)
-
-    walk(node)
 
 
 def parse_avm(obj, tags=None):

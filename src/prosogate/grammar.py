@@ -49,7 +49,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import fs
-from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm, check_features
+from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm
 
 
 class GrammarError(Exception):
@@ -250,6 +250,15 @@ def _tree_paths(node, path=(), seen=None):
             yield from _tree_paths(child, path + (step,), seen)
 
 
+def _check_features(node, declared, where):
+    """GrammarError at where for the first attribute below node that is
+    not a declared feature."""
+    for _, n in _tree_paths(node):
+        for f in n.attrs or ():
+            if f not in declared:
+                raise GrammarError(f"{where}: undeclared feature {f!r}")
+
+
 def _compile_quick_check(grammar):
     """Collect the schemata's quick-check paths into the grammar, and
     store daughter requirements and shared-node pairs on each schema."""
@@ -332,7 +341,7 @@ def load_grammar(text):
             raise GrammarError(f"{where}: not a JSON object")
         try:
             cat = parse_avm(item["avm"])
-            check_features(cat, features, where)
+            _check_features(cat, features, where)
             entry = LexEntry(item["id"], item["orth"], cat)
         except (fs.AvmFormatError, KeyError) as exc:
             raise GrammarError(f"{where}: {exc}") from exc
@@ -362,7 +371,7 @@ def load_grammar(text):
                 tags,
             )
             for part in ("LEFT", "RIGHT", "MOTHER"):
-                check_features(pattern.attrs[part], features, f"{where}.{part}")
+                _check_features(pattern.attrs[part], features, f"{where}.{part}")
             schema = RuleSchema(name=item["name"], pattern=pattern)
         except fs.AvmFormatError as exc:
             raise GrammarError(f"{where}: {exc}") from exc

@@ -8,7 +8,10 @@ label, 0 for the other), with per-epoch class balancing: the minority
 class is resampled with replacement up to the majority count, so each
 epoch presents an equal number of vectors from each class.
 
-``classify`` normalizes the two outputs to a proper posterior (sum 1).
+``classify`` normalizes the two outputs to a proper posterior (sum 1)
+in log space, so it is defined even where both sigmoids underflow to 0.
+A gap's input vector is that of its word's final syllable
+(``gap_vectors``), in training and in scoring alike.
 A classifier's JSON names the one prosodic feature layout its weights
 were trained on (``LAYOUT_ID``); loading rejects any other.
 """
@@ -79,24 +82,17 @@ class MlpClassifier:
         return acts
 
     def classify(self, x):
-        """(p_S3+, p_S3-): the two sigmoid outputs normalized to sum 1."""
+        """(p_S3+, p_S3-): the two sigmoid outputs s normalized to sum 1,
+        as exp(log s - log(s_0 + s_1)) with log s = -log(1 + e^-z)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dims[0]:
             raise ValueError(
                 f"vector length {x.shape[-1]} != input dimension {self.dims[0]}")
         with np.errstate(over="ignore"):  # exp(-z) = inf is sigmoid 0
-            acts = self._forward(x)
-        out = acts[-1]
-        total = out.sum(axis=-1, keepdims=True)
-        if not total.all():
-            # both outputs underflowed to 0: normalize in log space, where
-            # d = log sigmoid(z1) - log sigmoid(z0) and p0 = 1 / (1 + e^d)
-            z = acts[-2] @ self.params[-2] + self.params[-1]
-            d = np.logaddexp(0.0, -z[..., 0]) - np.logaddexp(0.0, -z[..., 1])
-            return (float(np.exp(-np.logaddexp(0.0, d))),
-                    float(np.exp(-np.logaddexp(0.0, -d))))
-        out = out / total
-        return float(out[..., 0]), float(out[..., 1])
+            hidden = self._forward(x)[-2]
+        log_s = -np.logaddexp(0.0, -(hidden @ self.params[-2] + self.params[-1]))
+        p = np.exp(log_s - np.logaddexp.reduce(log_s, axis=-1, keepdims=True))
+        return float(p[..., 0]), float(p[..., 1])
 
     def loss(self, x, target):
         out = self._forward(x)[-1]
@@ -201,15 +197,19 @@ def train(data, config=None, seed=0):
     return clf
 
 
+def gap_vectors(turn):
+    """The feature vector of each gap, in order: that of the final
+    syllable of the word before it. A word with no final-flagged
+    syllable raises CorpusError from the turn itself."""
+    records = [s.features for s in turn.syllables or []]
+    return [extract_features(records, i) for i in turn.word_final_syllables()]
+
+
 def score_turn(clf, turn):
     """Write boundary scores into a turn from its syllable records.
 
-    The score of the gap after word i is the normalized p(S3+) of that
-    word's final syllable. Returns the score list (also stored on the
-    turn). Alignment problems (a word with no final-flagged syllable)
-    surface as CorpusError from the turn itself.
+    The score of a gap is the normalized p(S3+) of its vector (see
+    ``gap_vectors``). Returns the score list (also stored on the turn).
     """
-    records = [s.features for s in turn.syllables or []]
-    turn.gap_scores = [clf.classify(extract_features(records, i))[0]
-                       for i in turn.word_final_syllables()]
+    turn.gap_scores = [clf.classify(v)[0] for v in gap_vectors(turn)]
     return turn.gap_scores

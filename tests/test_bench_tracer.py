@@ -1,16 +1,19 @@
 """The benchmark tracer (perfbench/tracing.py) patches program functions
-by name; renaming or inlining one of them must fail here, not only in a
-traced benchmark run."""
+by name, and the benchmark's workloads (perfbench/workloads.py) import
+and call them; renaming or inlining one of them must fail here, not only
+in a benchmark run."""
 
 import sys
 from pathlib import Path
 
-from prosogate import chart, fs, grammar as grammar_module
+from prosogate import chart, corpus, demo_corpus_text, fs, synth, \
+    grammar as grammar_module
 from prosogate.chart import ParseConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 import tracing  # noqa: E402  (no __pycache__ left in perfbench/)
+import workloads  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
 
@@ -36,3 +39,14 @@ def test_tracer_targets_resolve_and_restore(grammar, demo_corpus):
     for (owner, attr, _, _), original in zip(tracing.TARGETS, originals):
         assert getattr(owner, attr) is original, attr
     assert grammar_module.copy_fs is fs.copy_fs
+
+
+def test_benchmark_workloads_run():
+    ungated = workloads.setup_parse(0, demo_corpus_text(), gated=False)
+    op = workloads.parse_pass(ungated, workloads.UNGATED[0])
+    assert None not in op.outputs
+    # the gated set-up trains and scores: it needs syllables and labels
+    text = corpus.dumps_corpus(synth.synth_corpus(seed=0, turns=8))
+    gated = workloads.setup_parse(0, text, gated=True)
+    op = workloads.parse_pass(gated, workloads.GATED[0])
+    assert len(op.outputs) == 8 and None not in op.outputs

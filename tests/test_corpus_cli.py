@@ -373,8 +373,11 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("report", [
         "{}", "[]", '{"turns": [{"id": "d01"}]}',
-        '{"turns": [{"id": "d01", "proposed_sites": 5}]}'],
-        ids=["no-turns", "not-object", "no-sites", "sites-not-list"])
+        '{"turns": [{"id": "d01", "proposed_sites": 5}]}',
+        '{"turns": [{"id": "d01", "proposed_sites": [0, "a"]}]}',
+        '{"turns": [{"id": "d01", "proposed_sites": [true]}]}'],
+        ids=["no-turns", "not-object", "no-sites", "sites-not-list",
+             "site-not-int", "site-bool"])
     def test_bad_report_is_data_error(self, tmp_path, capsys, report):
         from prosogate import demo_corpus_text
         gold, bad = tmp_path / "gold.jsonl", tmp_path / "r.json"

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosogate.fs import (AvmFormatError, atom, avm, canonical, check_features,
-                          equivalent, fs_list, parse_avm, subsumes, top, unify)
+from prosogate.fs import (AvmFormatError, atom, avm, canonical, equivalent,
+                          fs_list, parse_avm, subsumes, top, unify)
 from test_unify_in_place import tagged_avms
 
 
@@ -131,12 +131,6 @@ def test_canonical_iff_mutual_subsumption(objs):
         for b in nodes:
             assert (canonical(a) == canonical(b)) == (
                 subsumes(a, b) and subsumes(b, a))
-
-
-def test_check_features_names_offender():
-    x = parse_avm({"HEAD": {"FOO": "bar"}})
-    with pytest.raises(AvmFormatError, match="FOO"):
-        check_features(x, {"HEAD"})
 
 
 def test_parse_avm_rejects_bad_values():

@@ -119,11 +119,20 @@ def test_finite_verb_yields_two_entries():
         "reparierte_f", "reparierte_f_v2"}
 
 
-def test_undeclared_feature_names_offender():
-    bad = _doc(lexicon=[{"id": "x", "orth": "x",
-                         "avm": {"LOC": {"FOO": "bar"}}}])
-    with pytest.raises(GrammarError, match="FOO"):
-        load_grammar(json.dumps(bad))
+@pytest.mark.parametrize("overrides, message", [
+    ({"lexicon": [{"id": "x", "orth": "x", "avm": {"LOC": {"FOO": "bar"}}}]},
+     "lexicon[0]: undeclared feature 'FOO'"),
+    # an arc into a node already reached through a declared feature
+    ({"lexicon": [{"id": "x", "orth": "x", "avm": {"LOC": "#1", "FOO": "#1"}}]},
+     "lexicon[0]: undeclared feature 'FOO'"),
+    ({"schemata": [{"name": "s", "daughters": [{"LOC": "#1"}, {"FOO": "bar"}],
+                    "mother": {"LOC": "#1"}}]},
+     "schemata[0].RIGHT: undeclared feature 'FOO'"),
+], ids=["lexicon", "lexicon-shared-node", "schema-daughter"])
+def test_undeclared_feature_names_offender(overrides, message):
+    with pytest.raises(GrammarError) as exc:
+        load_grammar(json.dumps(_doc(**overrides)))
+    assert str(exc.value) == message
 
 
 def test_duplicate_entry_id_rejected():

@@ -52,9 +52,14 @@ def test_posteriors_sum_to_one():
     clf = MlpClassifier(10, 4, 3, seed=1)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        p_plus, p_minus = clf.classify(rng.normal(size=10))
+        x = rng.normal(size=10)
+        p_plus, p_minus = clf.classify(x)
         assert 0.0 <= p_plus <= 1.0 and 0.0 <= p_minus <= 1.0
         assert abs(p_plus + p_minus - 1.0) <= 1e-9
+        # where the outputs do not underflow, the log-space posterior is
+        # the plain sum-normalization of the two sigmoid outputs
+        out = clf._forward(x)[-1]
+        assert abs(p_plus - out[0] / out.sum()) <= 1e-12
 
 
 def test_underflowing_outputs_still_give_a_posterior():
