@@ -1,11 +1,14 @@
 """Bottom-up chart parser with prosody-gated empty verbal heads.
 
+A parse has four phases: lexical edges, empty edges, closure under the
+schemata, then unpacking; its edge statistics are counted from the chart.
+
 Positions are inter-word gaps: word i (1-based) spans (i-1, i); gap i is
 the position after word i, so a zero-width empty edge hypothesized at
 gap g has span (g, g). Three constraints govern empty edges:
 
-a) an empty edge only appears at or to the right of the end of the
-   lexical edge that licenses it;
+a) an empty edge only appears at or to the right of the end of a
+   lexical edge of the V2 entry that licenses it;
 b) the trace must sit inside the projection its licensing verb selects —
    enforced structurally, since the v2-selection schema can only
    discharge a DSL value that unifies with the verb's own trace LOCAL;
@@ -42,7 +45,7 @@ masks meet, the right category is copied once for that pair.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from . import fs
@@ -112,7 +115,6 @@ class Edge:
     category: object  # FS
     kind: str  # lexical | empty | derived
     entry: object = None  # LexEntry for lexical/empty edges
-    licenser: int | None = None  # edge id of the licensing V2 lexical edge
     # (schema name, left edge id, right edge id) alternatives; a packed
     # forest node may collect several derivations of the same category.
     derivations: list = field(default_factory=list)
@@ -170,8 +172,8 @@ class Chart:
         self.seen = {}
         self.bits = {}  # (kind, entry id) -> its bit in Edge.shares
 
-    def add(self, start, end, category, kind, entry=None, licenser=None,
-            derivation=None, shares=0):
+    def add(self, start, end, category, kind, entry=None, derivation=None,
+            shares=0):
         """Add a leaf or add or pack a derived edge. Returns (edge, is_new).
         ``fs.canonical`` keys a category once its (span, vector) collides.
         A leaf's ``shares`` is its own bit; a new derived edge keeps the
@@ -191,8 +193,8 @@ class Chart:
         is_new = edge is None
         if is_new:
             edge = table[key] = Edge(len(self.edges), start, end, category,
-                                     kind, entry=entry, licenser=licenser,
-                                     summaries=vector, shares=shares)
+                                     kind, entry=entry, summaries=vector,
+                                     shares=shares)
             self.edges.append(edge)
             self.agenda.append(edge)
         if derivation is not None:
@@ -208,7 +210,7 @@ class ParseResult:
     proposed_sites: list
     stats: dict
     _chart: object = None
-    _root_trees: list = None  # DerivTree per reading, aligned with readings
+    _root_trees: list = None  # tree per reading, see _unpack
 
     @property
     def forest(self):
@@ -218,50 +220,46 @@ class ParseResult:
 
 
 def parse(turn, grammar, config):
-    """Exhaustively parse one turn; see module docstring for the gating.
+    """Exhaustively parse one turn; see module docstring for the phases.
 
     Raises UnknownWordError for out-of-lexicon words and EdgeCapExceeded
-    (with partial statistics attached) when config.max_edges is hit. An
-    unparseable turn yields an empty reading list, not an error.
+    (with the partial chart's statistics) when config.max_edges is hit.
+    An unparseable turn yields an empty reading list, not an error.
     """
     t0 = time.perf_counter()
-    n = len(turn.words)
     sites = propose_trace_sites(turn, config)
     chart = Chart(grammar)
-    stack = []  # (licenser edge id, V2 LexEntry, licenser end)
-    stats = {"lexical_edges": 0, "empty_edges": 0, "derived_edges": 0,
-             "proposed_sites": len(sites), "elapsed_ms": 0.0}
 
-    # (i) lexical edges, (ii) trace stack
+    def statistics():
+        kinds = Counter(e.kind for e in chart.edges)
+        stats = {f"{kind}_edges": kinds[kind]
+                 for kind in ("lexical", "empty", "derived")}
+        return {**stats, "proposed_sites": len(sites),
+                "elapsed_ms": (time.perf_counter() - t0) * 1000.0}
+
+    def check_cap():
+        if len(chart.edges) > config.max_edges:
+            raise EdgeCapExceeded(config.max_edges, statistics())
+
+    # (i) lexical edges
     for i, word in enumerate(turn.words):
         entries = grammar.entries(word)
         if not entries:
             raise UnknownWordError(word)
         for entry in entries:
-            edge, _ = chart.add(i, i + 1, entry.category, "lexical", entry=entry)
-            stats["lexical_edges"] += 1
-            if entry.is_v2:
-                stack.append((edge.edge_id, entry, i + 1))
+            chart.add(i, i + 1, entry.category, "lexical", entry=entry)
 
-    # (iii) empty edges at eligible gaps, one per (gap, V2 entry); a
-    # repeated V2 word packs into the edge of its leftmost licenser.
+    # (ii) empty edges at eligible gaps, one per (gap, V2 entry), placed
+    # from the V2 lexical edges in chart order (a repeated V2 word packs)
+    v2_edges = [e for e in chart.edges if e.entry.is_v2]
     for g in sorted(sites):
-        for licenser_id, entry, licenser_end in stack:
-            if g < licenser_end:
-                continue  # constraint a
-            _, is_new = chart.add(g, g, entry.trace_template, "empty",
-                                  entry=entry, licenser=licenser_id)
-            if is_new:
-                stats["empty_edges"] += 1
-
-    def check_cap():
-        if len(chart.edges) > config.max_edges:
-            stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
-            raise EdgeCapExceeded(config.max_edges, stats)
-
+        for lexical in v2_edges:
+            if g >= lexical.end:  # constraint a
+                chart.add(g, g, lexical.entry.trace_template, "empty",
+                          entry=lexical.entry)
     check_cap()
 
-    # (iv) close under the schemata; empty edges only as right daughters.
+    # (iii) close under the schemata; empty edges only as right daughters.
     def combine(left, right):
         right_cat = right.category
         overlap = left.shares & right.shares
@@ -273,13 +271,10 @@ def parse(turn, grammar, config):
             mother = schema.apply(left.category, right_cat)
             if mother is None:
                 continue
-            _, is_new = chart.add(
-                left.start, right.end, mother, "derived",
-                derivation=(schema, left.edge_id, right.edge_id),
-                shares=left.shares | right.shares)
-            if is_new:
-                stats["derived_edges"] += 1
-                check_cap()
+            chart.add(left.start, right.end, mother, "derived",
+                      derivation=(schema, left.edge_id, right.edge_id),
+                      shares=left.shares | right.shares)
+            check_cap()
 
     while chart.agenda:
         edge = chart.agenda.popleft()
@@ -292,15 +287,17 @@ def parse(turn, grammar, config):
         chart.by_start.setdefault(edge.start, []).append(edge)
         chart.by_end.setdefault(edge.end, []).append(edge)
 
-    result = ParseResult(turn_id=turn.turn_id, n_words=n, readings=[],
-                         proposed_sites=sites, stats=stats, _chart=chart,
-                         _root_trees=[])
-    trees = result._root_trees
+    # (iv) unpack the readings of the root edges
+    result = ParseResult(turn_id=turn.turn_id, n_words=len(turn.words),
+                         readings=[], proposed_sites=sites, stats=None,
+                         _chart=chart)
+    pairs = []
     for root in result.forest:
-        trees.extend(_unpack(root, chart, MAX_READINGS - len(trees)))
-    trees.sort(key=lambda t: t.label())
-    result.readings = [t.label() for t in trees]
-    stats["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
+        pairs.extend(_unpack(root, chart, MAX_READINGS - len(pairs)))
+    pairs.sort(key=lambda pair: pair[0])
+    result.readings = [label for label, _ in pairs]
+    result._root_trees = [tree for _, tree in pairs]
+    result.stats = statistics()
     return result
 
 
@@ -316,28 +313,6 @@ def parse_corpus(turns, grammar, config):
             raise ParseError(f"turn {turn.turn_id!r}: {exc}") from exc
 
 
-class DerivTree:
-    """One concrete derivation unpacked from the forest."""
-
-    __slots__ = ("edge", "schema", "left", "right", "_label")
-
-    def __init__(self, edge, schema=None, left=None, right=None):
-        self.edge = edge
-        self.schema = schema
-        self.left = left
-        self.right = right
-        self._label = None
-
-    def label(self):
-        if self._label is None:
-            self._label = derivation_label(
-                self.edge.kind, self.edge.entry, self.edge.start,
-                self.schema.name if self.schema else None,
-                self.left.label() if self.left else None,
-                self.right.label() if self.right else None)
-        return self._label
-
-
 def derivation_label(kind, entry, start, schema=None, left=None, right=None):
     """Shared bracketed-string format for chart and oracle derivations."""
     if kind == "lexical":
@@ -348,17 +323,22 @@ def derivation_label(kind, entry, start, schema=None, left=None, right=None):
 
 
 def _unpack(edge, chart, limit):
+    """The first ``limit`` (label, tree) pairs of the edge's enumeration;
+    a tree is (edge, schema, left, right), or (edge, None, None, None)."""
     if limit <= 0:
         return []
     if edge.kind != "derived":
-        return [DerivTree(edge)]
+        label = derivation_label(edge.kind, edge.entry, edge.start)
+        return [(label, (edge, None, None, None))]
     out = []
     for schema, lid, rid in edge.derivations:
         lefts = _unpack(chart.edges[lid], chart, limit - len(out))
-        for lt in lefts:
-            rights = _unpack(chart.edges[rid], chart, limit - len(out))
-            for rt in rights:
-                out.append(DerivTree(edge, schema, lt, rt))
+        rights = _unpack(chart.edges[rid], chart, limit - len(out))
+        for left_label, left in lefts:
+            for right_label, right in rights:
+                label = derivation_label("derived", None, None, schema.name,
+                                         left_label, right_label)
+                out.append((label, (edge, schema, left, right)))
                 if len(out) >= limit:
                     return out
     return out
@@ -379,7 +359,7 @@ def extract_pred_arg(result, reading_index):
     fs.new_generation()
 
     def build(tree):
-        edge = tree.edge
+        edge, schema, left, right = tree
         if edge.kind != "derived":
             cat = fs.copy_fs(edge.category)
             sem = cat.get("LOC", "SEM")
@@ -387,8 +367,8 @@ def extract_pred_arg(result, reading_index):
                 sems.append(sem)
             return cat
         # a schema may occur twice in one derivation: unify a copy
-        return tree.schema.mother(build(tree.left), build(tree.right),
-                                  fs.copy_fs(tree.schema.pattern))
+        return schema.mother(build(left), build(right),
+                             fs.copy_fs(schema.pattern))
 
     build(trees[reading_index])
     records = set()

@@ -145,9 +145,15 @@ def cmd_eval(args):
     for turn in gold_corpus:
         if turn.turn_id not in proposed_by_id:
             raise EvalError(f"turn {turn.turn_id!r} missing from the report")
+        n = len(turn.words)
+        sites = proposed_by_id[turn.turn_id]
+        outside = sorted(site for site in sites if not 1 <= site <= n)
+        if outside:
+            raise EvalError(f"{args.proposed}: turn {turn.turn_id!r} proposes "
+                            f"sites {outside} outside its gaps 1..{n}")
         gold.append(set(turn.gold_traces or []))
-        proposed.append(proposed_by_id[turn.turn_id])
-        universe.append(set(range(1, len(turn.words) + 1)))
+        proposed.append(sites)
+        universe.append(set(range(1, n + 1)))
     counts = score_trace_hypotheses(gold, proposed, universe)
     report = metrics(counts)
     if args.format == "json":

@@ -110,7 +110,8 @@ def synth_corpus(seed=42, turns=104, separation=2.0, placement="final",
     placement "final" puts the gold trace at the clause-final gap of V2
     turns (mixed with trace-less subordinate/fragment turns); "none"
     generates only trace-less turns. v2_only restricts to V2 templates
-    with exactly one gold gap each, as needed for the rank experiment.
+    with exactly one gold gap each, as needed for the rank experiment,
+    and so cannot be combined with placement "none".
     """
     if turns <= 0:
         raise ValueError("need at least one turn")
@@ -118,6 +119,9 @@ def synth_corpus(seed=42, turns=104, separation=2.0, placement="final",
         raise ValueError("separation must be a finite number")
     if placement not in ("final", "none"):
         raise ValueError(f"unknown placement rule {placement!r}")
+    if placement == "none" and v2_only:
+        raise ValueError("v2_only needs a gold gap per turn, which placement "
+                         "'none' never gives")
     rng = random.Random(seed)
     if placement == "none":
         pool = NO_TRACE_PATTERNS

@@ -1,14 +1,15 @@
 """Brute-force bracketing enumerator used as a parser oracle.
 
 Independent of the chart: it enumerates every item sequence (the words
-plus each subset of licensed empty items, with same-gap empties in every
-relative order) and every binary bracketing of it, applying the grammar
-schemata directly. Empty items may only ever appear as right daughters
-and a left part must contain at least one word, mirroring the
-right-periphery restriction. The number of empty items per sequence is
-bounded by the number of second-position verb entries in the input:
-every empty head introduces a DSL value that only the v2-selection step
-of a distinct overt verb can discharge.
+plus each subset of licensed empty items, one per gap and V2 verb token,
+with same-gap empties in every relative order) and every binary
+bracketing of it, applying the grammar schemata directly. Empty items
+may only ever appear as right daughters and a left part must contain at
+least one word, mirroring the right-periphery restriction. The number of
+empty items per sequence is bounded by the number of second-position
+verb tokens in the input: every empty head introduces a DSL value that
+only the v2-selection step of a distinct overt verb can discharge, so
+two tokens of one verb may each leave a trace at the same gap.
 
 Readings use the same bracketed label format as the chart parser, so the
 two reading sets are directly comparable.
@@ -56,7 +57,8 @@ def _derive(seq, grammar):
                             # a mother shares its daughters' nodes; keep
                             # it private, as apply's daughters must be
                             mother = fs.copy_fs(mother)
-                            lab = f"({schema.name} {llab} {rlab})"
+                            lab = derivation_label("derived", None, None,
+                                                   schema.name, llab, rlab)
                             dkey = (fs.canonical(mother), lab)
                             if dkey not in seen:
                                 seen.add(dkey)
@@ -92,19 +94,15 @@ def _sequences(words, empties):
 
 def enumerate_readings(turn, grammar, config):
     """The full reading set of a turn, by exhaustive enumeration."""
-    sites = set(propose_trace_sites(turn, config))
-    candidates = []
+    sites = sorted(propose_trace_sites(turn, config))
+    candidates = []  # one (gap, entry) per gap and V2 token
     v2_tokens = 0
-    seen_ids = set()
     for i, word in enumerate(turn.words, start=1):
         for entry in grammar.entries(word):
             if not entry.is_v2:
                 continue
             v2_tokens += 1
-            for gap in sorted(sites):
-                if gap >= i and (gap, entry.entry_id) not in seen_ids:
-                    seen_ids.add((gap, entry.entry_id))
-                    candidates.append((gap, entry))
+            candidates.extend((gap, entry) for gap in sites if gap >= i)
     readings = set()
     for size in range(0, min(v2_tokens, len(candidates)) + 1):
         for subset in combinations(candidates, size):

@@ -92,16 +92,17 @@ def test_trace_edge_loc_shared_with_dsl(grammar, demo_corpus):
 
 def test_licenser_ordering_and_fidelity(grammar, demo_corpus):
     for turn in demo_corpus:
-        result = parse(turn, grammar, ParseConfig(mode="off"))
-        chart = result._chart
-        for edge in chart.edges:
+        edges = parse(turn, grammar, ParseConfig(mode="off"))._chart.edges
+        for edge in edges:
             if edge.kind != "empty":
                 continue
-            licenser = chart.edges[edge.licenser]
-            assert edge.start >= licenser.end  # constraint a
-            assert licenser.kind == "lexical" and licenser.entry.is_v2
-            # constraint c: the edge instantiates its licenser's template
-            assert edge.category is licenser.entry.trace_template
+            assert edge.entry.is_v2
+            # constraint a: a lexical edge of the same V2 entry ends at or
+            # before the gap
+            assert any(e.kind == "lexical" and e.entry is edge.entry
+                       and e.end <= edge.start for e in edges)
+            # constraint c: the edge instantiates that entry's template
+            assert edge.category is edge.entry.trace_template
 
 
 def test_monotone_gating(grammar, demo_corpus):
@@ -296,6 +297,17 @@ class TestPredArg:
         result = parse(_by_id(demo_corpus)["d01"], grammar, ParseConfig())
         with pytest.raises(IndexError):
             extract_pred_arg(result, 5)
+
+    def test_reading_cap_keeps_whole_trees(self, grammar, demo_corpus,
+                                           monkeypatch):
+        turn = _by_id(demo_corpus)["d22"]
+        full = parse(turn, grammar, ParseConfig(mode="off"))
+        assert len(full.readings) == 2
+        monkeypatch.setattr("prosogate.chart.MAX_READINGS", 1)
+        capped = parse(turn, grammar, ParseConfig(mode="off"))
+        (reading,) = capped.readings
+        assert extract_pred_arg(capped, 0) == \
+            extract_pred_arg(full, full.readings.index(reading))
 
 
 def test_readings_are_sorted_and_deterministic(grammar, demo_corpus):

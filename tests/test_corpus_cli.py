@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from prosogate.cli import build_parser, run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
                               loads_corpus)
+from prosogate.evaluation import BenchReport
 from prosogate.mlp import MlpClassifier
 from prosogate.prosody import (FEATURE_DIM, REGRESSION_LEN, SyllableRecord,
                                extract_features)
@@ -231,6 +232,8 @@ class TestSynth:
             synth_corpus(placement="everywhere")
         with pytest.raises(ValueError):
             synth_corpus(max_words=1)
+        with pytest.raises(ValueError, match="v2_only"):
+            synth_corpus(placement="none", v2_only=True)
         for separation in (math.nan, math.inf):
             with pytest.raises(ValueError, match="separation"):
                 synth_corpus(separation=separation)
@@ -371,21 +374,38 @@ class TestCliExitCodes:
         assert not model.exists()
         assert "prosogate train: error: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("report", [
-        "{}", "[]", '{"turns": [{"id": "d01"}]}',
-        '{"turns": [{"id": "d01", "proposed_sites": 5}]}',
-        '{"turns": [{"id": "d01", "proposed_sites": [0, "a"]}]}',
-        '{"turns": [{"id": "d01", "proposed_sites": [true]}]}'],
+    def test_synth_v2_only_without_traces_is_data_error(self, tmp_path,
+                                                         capsys):
+        corpus = tmp_path / "c.jsonl"
+        assert run(["synth", "--placement", "none", "--v2-only", "--out",
+                    str(corpus)]) == 2
+        assert not corpus.exists()
+        assert "prosogate synth: error: v2_only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("report, message", [
+        ("{}", "not a parse report"), ("[]", "not a parse report"),
+        ('{"turns": [{"id": "d01"}]}', "not a parse report"),
+        ('{"turns": [{"id": "d01", "proposed_sites": 5}]}',
+         "not a parse report"),
+        ('{"turns": [{"id": "d01", "proposed_sites": [0, "a"]}]}',
+         "not a parse report: turn 'd01'"),
+        ('{"turns": [{"id": "d01", "proposed_sites": [true]}]}',
+         "not a parse report: turn 'd01'"),
+        ('{"turns": [{"id": "d01", "proposed_sites": [0, 5]}]}',
+         "turn 'd01' proposes sites [0] outside its gaps 1..5"),
+        ('{"turns": [{"id": "d01", "proposed_sites": [99]}]}',
+         "turn 'd01' proposes sites [99] outside its gaps 1..5")],
         ids=["no-turns", "not-object", "no-sites", "sites-not-list",
-             "site-not-int", "site-bool"])
-    def test_bad_report_is_data_error(self, tmp_path, capsys, report):
+             "site-not-int", "site-bool", "site-zero", "site-past-end"])
+    def test_bad_report_is_data_error(self, tmp_path, capsys, report,
+                                      message):
         from prosogate import demo_corpus_text
         gold, bad = tmp_path / "gold.jsonl", tmp_path / "r.json"
         gold.write_text(demo_corpus_text())
         bad.write_text(report)
         assert run(["eval", "--gold", str(gold), "--proposed",
                     str(bad)]) == 2
-        assert "not a parse report" in capsys.readouterr().err
+        assert f"{bad}: {message}" in capsys.readouterr().err
 
     def test_success(self, tmp_path):
         out = tmp_path / "r.json"
@@ -458,6 +478,39 @@ class TestCliPipeline:
         corpus = tmp_path / "c.jsonl"
         run(["synth", "--turns", "10", "--out", str(corpus)])
         assert run(["rank", "--corpus", str(corpus)]) == 2
+
+    def test_eval_text_report(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert run(["parse", "--format", "json", "--out", str(report)]) == 0
+        gold = tmp_path / "gold.jsonl"
+        from prosogate import demo_corpus_text
+        gold.write_text(demo_corpus_text())
+        capsys.readouterr()
+        assert run(["eval", "--gold", str(gold), "--proposed",
+                    str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0] for line in lines] == [
+            "correct", "false alarm", "miss", "reject", "recall",
+            "precision", "error"]
+        assert "recall       100.0 %" in lines
+
+    def test_rank_text_report(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        assert run(["synth", "--turns", "10", "--v2-only", "--out",
+                    str(corpus)]) == 0
+        assert run(["rank", "--corpus", str(corpus)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "rank  sentences"
+        assert lines[-1] == "total 10"
+        assert sum(int(line.split()[1]) for line in lines[1:-1]) == 10
+
+    def test_bench_json_report(self, capsys):
+        assert run(["bench", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        fields = {f.name for f in dataclasses.fields(BenchReport)}
+        assert set(payload) == fields | {"tool_version"}
+        assert payload["turn_count"] == 22
+        assert payload["empty_edges_with"] < payload["empty_edges_without"]
 
     def test_bench_text_report(self, capsys):
         assert run(["bench"]) == 0

@@ -6,7 +6,7 @@ to enumerate.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import enumerate_readings
 from prosogate import load_demo_corpus, load_demo_grammar
@@ -55,7 +55,11 @@ def _random_turns(draw):
 
 @settings(max_examples=40)
 @given(_random_turns())
+# both tokens of one verb leave a trace at gap 4, through one packed edge
+@example(TurnRecord(turn_id="h", words=["sollst", "er", "schlief", "sollst"],
+                    gap_scores=[0.5] * 4))
 def test_random_turns_match_oracle(grammar, turn):
-    for config in (ParseConfig(mode="off"), ParseConfig(threshold=0.01)):
+    for config in (ParseConfig(mode="off"), ParseConfig(threshold=0.01),
+                   ParseConfig(mode="rank")):
         assert set(parse(turn, grammar, config).readings) == \
             enumerate_readings(turn, grammar, config)
