@@ -25,10 +25,12 @@ and combined with the edges indexed before it. So each adjacent pair
 (lexical or empty) edge, one lexicon entry at one span, is keyed by its
 entry; only derived edges are packed by category, with distinct derivations.
 
-Each pair is offered to every schema, but a schema is only applied when
-the edges' summary vectors pass its quick check (see ``grammar``): a
-clash means unification would fail, so the check changes no result. A
-leaf takes its vector from its lexicon entry; a derived edge's is
+A pair is offered only to the schemata whose quick check (see
+``grammar``) the edges' summary vectors pass: a clash means unification
+would fail, so the check changes no result. The check reads the two
+vectors alone, so the grammar decides it once per vector pair
+(``Grammar.admitting``), not once per edge pair. A leaf takes its
+vector from its lexicon entry; a derived edge's is
 computed when it is added, and keys its packing bucket, so that
 ``fs.canonical`` keys only categories whose span and vector collide.
 
@@ -263,9 +265,7 @@ def parse(turn, grammar, config):
     def combine(left, right):
         right_cat = right.category
         overlap = left.shares & right.shares
-        for schema in grammar.schemata:
-            if not schema.admits(left.summaries, right.summaries):
-                continue
+        for schema in grammar.admitting(left.summaries, right.summaries):
             if overlap:  # the daughters may share a leaf's nodes
                 right_cat, overlap = fs.copy_fs(right_cat), 0
             mother = schema.apply(left.category, right_cat)

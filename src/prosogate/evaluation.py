@@ -168,14 +168,16 @@ class BenchReport:
 def bench(corpus, grammar, config_on, config_off):
     """Parse the corpus once under both configs and time it.
 
-    Each turn is parsed gated, then ungated, before the next turn, so a
-    drift in host speed weighs on both totals alike, and the collector
-    is paused (as ``timeit`` does), so a collection of the caller's heap
-    does not land in one parse of a pair. Each side's totals are its
-    parse statistics summed over the turns. For every turn whose gold
-    trace gaps all pass the gate, the two reading sets must be
-    identical; a mismatch aborts with an EvalError naming the turn, a
-    parse error with a ParseError naming the turn.
+    Each turn is parsed under both configs before the next turn, so a
+    drift in host speed weighs on both totals alike; which side goes
+    first alternates from turn to turn, so neither side alone pays what
+    a first parse fills in (the grammar's quick-check table). The
+    collector is paused (as ``timeit`` does), so a collection of the
+    caller's heap does not land in one parse of a pair. Each side's
+    totals are its parse statistics summed over the turns. For every
+    turn whose gold trace gaps all pass the gate, the two reading sets
+    must be identical; a mismatch aborts with an EvalError naming the
+    turn, a parse error with a ParseError naming the turn.
     """
     on, off = Counter(), Counter()  # summed parse statistics per side
     differs, gated_sites = {}, {}
@@ -183,8 +185,11 @@ def bench(corpus, grammar, config_on, config_off):
     gc.collect()
     gc.disable()
     try:
-        for gated, ungated in zip(parse_corpus(corpus, grammar, config_on),
-                                  parse_corpus(corpus, grammar, config_off)):
+        for k, turn in enumerate(corpus):
+            order = -1 if k % 2 else 1  # odd turns parse ungated first
+            results = [next(parse_corpus([turn], grammar, config))
+                       for config in (config_on, config_off)[::order]]
+            gated, ungated = results[::order]
             on.update(gated.stats)
             off.update(ungated.stats)
             differs[gated.turn_id] = set(gated.readings) != set(ungated.readings)

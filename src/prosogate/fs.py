@@ -29,7 +29,10 @@ default every node is copied; given a set of nodes it must not share,
 gained complement arcs or has a child forwarded to another node, and
 every node above one) and reuses every other input node as it is,
 since no built node is ever written (structure sharing, Tomabechi
-1992).
+1992). Atoms, the commonest nodes, take no call of their own where
+that is safe: :func:`unify_mut` unifies an arc pair of two unforwarded
+atoms in its arc loop, and :func:`resolve` with ``keep`` takes an
+unforwarded atom child outside ``keep`` as itself.
 """
 
 from __future__ import annotations
@@ -130,20 +133,16 @@ def copy_fs(node, memo=None):
     return new
 
 
-def _stamp(node):
-    """Make the scratch slots of a node current, voiding older writes."""
-    if node.stamp != _generation:
-        node.stamp = _generation
-        node.forward = None
-        node.comp = None
-
-
 def unify_mut(x, y):
     """Merge y into x (or vice versa) in the current generation.
 
     Writes scratch slots only, so no input changes. Raises
     UnificationFailure on clash. Returns the representative node, which
     is x unless x is top.
+
+    A node is stamped (its scratch slots made current, voiding older
+    writes) before its slots are written; an arc pair of two unforwarded
+    atoms is unified here without a call.
     """
     gen = _generation
     while x.stamp == gen and x.forward is not None:
@@ -153,35 +152,34 @@ def unify_mut(x, y):
     if x is y:
         return x
     # Only an AVM with attributes gains complement arcs, so its built
-    # attributes tell whether a node is top.
+    # attributes tell whether a node is top; only such a node's comp is
+    # ever set, so forwarding any other node needs no comp reset.
     kind = x.kind
     if kind == AVM and not x.attrs:
-        _stamp(x)
-        x.forward = y
+        x.stamp, x.forward = gen, y
         return y
     if y.kind == AVM and not y.attrs:
-        _stamp(y)
-        y.forward = x
+        y.stamp, y.forward = gen, x
         return x
     if kind != y.kind:
         raise UnificationFailure
     if kind == ATOM:
         if x.atom != y.atom:
             raise UnificationFailure
-        _stamp(y)
-        y.forward = x
+        y.stamp, y.forward = gen, x
         return x
     if kind == LIST:
         if len(x.items) != len(y.items):
             raise UnificationFailure
-        _stamp(y)
-        y.forward = x
+        y.stamp, y.forward = gen, x
         for a, b in zip(x.items, y.items):
             unify_mut(a, b)
         return x
     # both AVMs: y's arcs, built then complement, go into x
-    _stamp(x)
-    _stamp(y)
+    if x.stamp != gen:
+        x.stamp, x.forward, x.comp = gen, None, None
+    if y.stamp != gen:
+        y.stamp, y.comp = gen, None
     arcs = y.attrs.items()
     if y.comp:
         arcs = [*arcs, *y.comp.items()]
@@ -190,12 +188,20 @@ def unify_mut(x, y):
         mine = x.attrs.get(feat)
         if mine is None and x.comp:
             mine = x.comp.get(feat)
-        if mine is not None:
-            unify_mut(mine, val)
-        elif x.comp is None:
-            x.comp = {feat: val}
+        if mine is None:
+            if x.comp is None:
+                x.comp = {feat: val}
+            else:
+                x.comp[feat] = val
+        elif (mine.kind == ATOM and val.kind == ATOM
+              and (mine.stamp != gen or mine.forward is None)
+              and (val.stamp != gen or val.forward is None)):
+            if mine is not val:
+                if mine.atom != val.atom:
+                    raise UnificationFailure
+                val.stamp, val.forward = gen, mine
         else:
-            x.comp[feat] = val
+            unify_mut(mine, val)
     return x
 
 
@@ -235,6 +241,9 @@ def resolve(node, memo=None, keep=None):
         new = node
         if kind == AVM:
             for k, v in node.attrs.items():
+                if (v.kind == ATOM and v not in keep
+                        and (v.stamp != gen or v.forward is None)):
+                    continue  # an unforwarded atom is itself
                 got = resolve(v, memo, keep)
                 if got is not v:
                     if new is node:
@@ -242,6 +251,9 @@ def resolve(node, memo=None, keep=None):
                     new.attrs[k] = got
         elif kind == LIST:
             for i, v in enumerate(node.items):
+                if (v.kind == ATOM and v not in keep
+                        and (v.stamp != gen or v.forward is None)):
+                    continue
                 got = resolve(v, memo, keep)
                 if got is not v:
                     if new is node:

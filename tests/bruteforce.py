@@ -1,11 +1,12 @@
 """Brute-force bracketing enumerator used as a parser oracle.
 
-Independent of the chart: it enumerates every item sequence (the words
-plus each subset of licensed empty items, one per gap and V2 verb token,
-with same-gap empties in every relative order) and every binary
-bracketing of it, applying the grammar schemata directly. Empty items
-may only ever appear as right daughters and a left part must contain at
-least one word, mirroring the right-periphery restriction. The number of
+Independent of the chart: it enumerates every distinct item sequence
+once (the words plus each multiset of licensed empty items, a (gap, V2
+entry) item at most as often as that entry has tokens at or before the
+gap, with same-gap empties in every distinct relative order) and every
+binary bracketing of it, applying the grammar schemata directly. Empty
+items may only ever appear as right daughters and a left part must
+contain at least one word, mirroring the right-periphery restriction. The number of
 empty items per sequence is bounded by the number of second-position
 verb tokens in the input: every empty head introduces a DSL value that
 only the v2-selection step of a distinct overt verb can discharge, so
@@ -15,7 +16,7 @@ Readings use the same bracketed label format as the chart parser, so the
 two reading sets are directly comparable.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 from prosogate import fs
 from prosogate.chart import (derivation_label, is_root_category,
@@ -69,45 +70,47 @@ def _derive(seq, grammar):
     return span(0, len(seq))
 
 
-def _sequences(words, empties):
-    """Interleave each same-gap permutation of the empty items."""
-    by_gap = {}
-    for gap, entry in empties:
-        by_gap.setdefault(gap, []).append(entry)
-    pools = [permutations(by_gap[g]) for g in sorted(by_gap)]
-
-    def build(pool_index, chosen):
-        if pool_index == len(pools):
-            placed = dict(zip(sorted(by_gap), chosen))
-            seq = []
-            for i, w in enumerate(words, start=1):
-                seq.append(("word", w))
-                for entry in placed.get(i, ()):
-                    seq.append(("empty", i, entry))
-            yield seq
-            return
-        for perm in pools[pool_index]:
-            yield from build(pool_index + 1, chosen + [perm])
-
-    yield from build(0, [])
-
-
-def enumerate_readings(turn, grammar, config):
-    """The full reading set of a turn, by exhaustive enumeration."""
+def item_sequences(turn, grammar, config):
+    """Every distinct item sequence of a turn, each once: the words with
+    a multiset of licensed empty items interleaved, same-gap empties in
+    each distinct relative order."""
     sites = sorted(propose_trace_sites(turn, config))
-    candidates = []  # one (gap, entry) per gap and V2 token
-    v2_tokens = 0
+    # (gap, entry id) -> the V2 tokens of that entry ending at or before
+    # the gap, each of which may leave a trace there
+    bounds, v2_tokens = {}, 0
     for i, word in enumerate(turn.words, start=1):
         for entry in grammar.entries(word):
             if not entry.is_v2:
                 continue
             v2_tokens += 1
-            candidates.extend((gap, entry) for gap in sites if gap >= i)
+            for gap in sites:
+                if gap >= i:
+                    key = (gap, entry.entry_id)
+                    bounds[key] = bounds.get(key, 0) + 1
+    for size in range(v2_tokens + 1):
+        for chosen in combinations_with_replacement(sorted(bounds), size):
+            if any(chosen.count(key) > bounds[key] for key in chosen):
+                continue
+            by_gap = {}
+            for gap, entry_id in chosen:
+                by_gap.setdefault(gap, []).append(entry_id)
+            gaps = sorted(by_gap)
+            orders = (sorted(set(permutations(by_gap[g]))) for g in gaps)
+            for placed in product(*orders):
+                placed = dict(zip(gaps, placed))
+                seq = []
+                for i, w in enumerate(turn.words, start=1):
+                    seq.append(("word", w))
+                    seq.extend(("empty", i, grammar.entries_by_id[entry_id])
+                               for entry_id in placed.get(i, ()))
+                yield seq
+
+
+def enumerate_readings(turn, grammar, config):
+    """The full reading set of a turn, by exhaustive enumeration."""
     readings = set()
-    for size in range(0, min(v2_tokens, len(candidates)) + 1):
-        for subset in combinations(candidates, size):
-            for seq in _sequences(turn.words, subset):
-                for cat, label in _derive(seq, grammar):
-                    if is_root_category(cat):
-                        readings.add(label)
+    for seq in item_sequences(turn, grammar, config):
+        for cat, label in _derive(seq, grammar):
+            if is_root_category(cat):
+                readings.add(label)
     return readings

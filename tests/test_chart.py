@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from bruteforce import enumerate_readings
-from prosogate import demo_grammar_text, fs
+from prosogate import demo_grammar_text, fs, load_demo_grammar
 from prosogate.chart import (Chart, EdgeCapExceeded, InputFormatError,
                              ParseConfig, ParseError, UnknownWordError,
                              extract_pred_arg, parse, parse_corpus,
@@ -11,6 +12,7 @@ from prosogate.chart import (Chart, EdgeCapExceeded, InputFormatError,
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
 from prosogate.grammar import RuleSchema, load_grammar
+from prosogate.synth import synth_corpus
 
 
 def _turn(words, scores, turn_id="t"):
@@ -147,46 +149,117 @@ def test_parse_corpus_names_failing_turn(grammar, demo_corpus):
         next(results)
 
 
+def _combination_order(edges):
+    """The adjacent pairs (non-empty left edge, any right edge) in the
+    order the closure combines them: edges are popped in id order, and
+    each is combined as a left daughter with the edges popped before it,
+    then as a right daughter."""
+    for edge in edges:
+        earlier = edges[:edge.edge_id]
+        if edge.kind != "empty":
+            yield from ((edge, right) for right in earlier
+                        if right.start == edge.end)
+        yield from ((left, edge) for left in earlier
+                    if left.kind != "empty" and left.end == edge.start)
+
+
+def _check_applications(turns, grammar, config, monkeypatch):
+    """For every turn, apply runs on each adjacent pair exactly for the
+    schemata whose quick check admits it, in schema order, pair after
+    pair in combination order, and no pair is combined twice."""
+    log = []
+    apply = RuleSchema.apply
+
+    def logging_apply(schema, left, right):
+        log.append((schema, left, right))
+        return apply(schema, left, right)
+
+    monkeypatch.setattr(RuleSchema, "apply", logging_apply)
+    for turn in turns:
+        log.clear()
+        edges = parse(turn, grammar, config)._chart.edges
+        pairs = list(_combination_order(edges))
+        assert len({(l.edge_id, r.edge_id) for l, r in pairs}) == len(pairs)
+        expected = [(schema, left, right) for left, right in pairs
+                    for schema in grammar.schemata
+                    if schema.admits(left.summaries, right.summaries)]
+        assert len(log) == len(expected), turn.turn_id
+        for (schema, lcat, rcat), (want, left, right) in zip(log, expected):
+            assert schema is want and lcat is left.category, turn.turn_id
+            # a right daughter that may share a leaf's nodes is a copy
+            if left.shares & right.shares:
+                assert fs.canonical(rcat) == fs.canonical(right.category)
+            else:
+                assert rcat is right.category, turn.turn_id
+        for edge in edges:
+            keys = [(id(schema), l, r) for schema, l, r in edge.derivations]
+            assert len(set(keys)) == len(keys), turn.turn_id
+
+
 @pytest.mark.parametrize("config", [ParseConfig(mode="off"),
                                     ParseConfig(threshold=0.01)],
                          ids=["off", "gated"])
 def test_each_adjacent_pair_combined_once(grammar, demo_corpus, monkeypatch,
                                           config):
-    """Every adjacent pair is offered to the quick check of every schema
-    exactly once, and apply runs right after each offer the check passes
-    and never otherwise."""
-    log = []
-    admits, apply = RuleSchema.admits, RuleSchema.apply
+    """Each adjacent pair is combined once, by exactly the schemata whose
+    quick check admits it, in schema order."""
+    _check_applications(demo_corpus, grammar, config, monkeypatch)
+
+
+@pytest.mark.parametrize("config", [ParseConfig(mode="off"),
+                                    ParseConfig(threshold=0.01),
+                                    ParseConfig(mode="rank")],
+                         ids=["off", "gated", "rank"])
+def test_admitted_schemata_across_corpora(demo_corpus, monkeypatch, config):
+    """One fresh grammar parses the demo corpus, then synth seeds 42 and
+    7: schemata decided for a vector pair in an earlier turn or corpus
+    are still exactly those whose quick check admits the pair."""
+    grammar = load_demo_grammar()
+    for turns in (demo_corpus, synth_corpus(seed=42), synth_corpus(seed=7)):
+        _check_applications(turns, grammar, config, monkeypatch)
+    assert grammar.admitted
+
+
+def _chart_snapshot(turns, grammar):
+    return [[(e.edge_id, e.span, e.kind, fs.canonical(e.category),
+              [(s.name, l, r) for s, l, r in e.derivations])
+             for e in parse(turn, grammar, config)._chart.edges]
+            for config in (ParseConfig(mode="off"), ParseConfig(threshold=0.01),
+                           ParseConfig(mode="rank"))
+            for turn in turns]
+
+
+def test_warmed_grammar_gives_fresh_charts(demo_corpus):
+    """A grammar that has parsed another corpus builds the same demo
+    charts as a fresh one, and its table is no part of its value."""
+    warmed = load_demo_grammar()
+    for turn in synth_corpus(seed=7):
+        parse(turn, warmed, ParseConfig(mode="off"))
+    fresh = load_demo_grammar()
+    assert len(warmed.admitted) > len(fresh.admitted) == 0
+    assert repr(warmed) == repr(fresh)
+    assert dataclasses.replace(warmed, admitted={}) == warmed
+    assert _chart_snapshot(demo_corpus, warmed) == \
+        _chart_snapshot(demo_corpus, fresh)
+
+
+def test_quick_check_runs_once_per_vector_pair(demo_corpus, monkeypatch):
+    """With the gate off, a fresh demo grammar evaluates the quick check
+    2,296 times over the demo corpus (8 schemata for each of the 287
+    vector pairs first seen), not once per (edge pair, schema) offer,
+    5,616 of them."""
+    calls = []
+    admits = RuleSchema.admits
 
     def counting_admits(schema, left, right):
-        passed = admits(schema, left, right)
-        log.append(("offer", id(schema), passed))
-        return passed
-
-    def counting_apply(schema, left, right):
-        log.append(("apply", id(schema)))
-        return apply(schema, left, right)
+        calls.append(schema)
+        return admits(schema, left, right)
 
     monkeypatch.setattr(RuleSchema, "admits", counting_admits)
-    monkeypatch.setattr(RuleSchema, "apply", counting_apply)
+    grammar = load_demo_grammar()
     for turn in demo_corpus:
-        log.clear()
-        edges = parse(turn, grammar, config)._chart.edges
-        pairs = sum(1 for left in edges if left.kind != "empty"
-                    for right in edges if right.start == left.end)
-        offers = [entry for entry in log if entry[0] == "offer"]
-        assert ([schema for _, schema, _ in offers]
-                == [id(schema) for schema in grammar.schemata] * pairs), \
-            turn.turn_id
-        expected = []
-        for offer in offers:
-            expected.append(offer)
-            if offer[2]:
-                expected.append(("apply", offer[1]))
-        assert log == expected, turn.turn_id
-        for edge in edges:
-            keys = [(id(schema), l, r) for schema, l, r in edge.derivations]
-            assert len(set(keys)) == len(keys), turn.turn_id
+        parse(turn, grammar, ParseConfig(mode="off"))
+    assert len(calls) == 8 * len(grammar.admitted) == 2296
 
 
 @pytest.mark.parametrize("config", [ParseConfig(mode="off"),

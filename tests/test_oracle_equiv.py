@@ -8,7 +8,7 @@ to enumerate.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bruteforce import enumerate_readings
+from bruteforce import enumerate_readings, item_sequences
 from prosogate import load_demo_corpus, load_demo_grammar
 from prosogate.chart import ParseConfig, parse
 from prosogate.corpus import TurnRecord
@@ -63,3 +63,32 @@ def test_random_turns_match_oracle(grammar, turn):
                    ParseConfig(mode="rank")):
         assert set(parse(turn, grammar, config).readings) == \
             enumerate_readings(turn, grammar, config)
+
+
+def _sequence_key(seq):
+    """An item sequence with each empty item's entry named by its id."""
+    return tuple(item if item[0] == "word" else item[:2] + (item[2].entry_id,)
+                 for item in seq)
+
+
+@settings(max_examples=40)
+@given(_random_turns())
+@example(TurnRecord(turn_id="h", words=["sollst", "er", "schlief", "sollst"],
+                    gap_scores=[0.5] * 4))
+def test_oracle_derives_each_item_sequence_once(grammar, turn):
+    for config in (ParseConfig(mode="off"), ParseConfig(threshold=0.01),
+                   ParseConfig(mode="rank")):
+        keys = [_sequence_key(seq)
+                for seq in item_sequences(turn, grammar, config)]
+        assert len(set(keys)) == len(keys)
+
+
+def test_two_tokens_trace_at_one_gap_once(grammar):
+    turn = TurnRecord(turn_id="h", words=["sollst", "er", "schlief", "sollst"],
+                      gap_scores=[0.5] * 4)
+    keys = [_sequence_key(seq)
+            for seq in item_sequences(turn, grammar, ParseConfig(mode="off"))]
+    both = (("word", "sollst"), ("word", "er"), ("word", "schlief"),
+            ("word", "sollst"), ("empty", 4, "sollst_f_v2"),
+            ("empty", 4, "sollst_f_v2"))
+    assert keys.count(both) == 1
