@@ -129,12 +129,12 @@ def cmd_parse(args):
 
 def cmd_eval(args):
     gold_corpus = load_corpus(args.gold)
-    with open(args.proposed, encoding="utf-8") as f:
-        report = json.load(f)
     try:
+        with open(args.proposed, encoding="utf-8") as f:
+            report = json.load(f)
         proposed_by_id = {t["id"]: set(t["proposed_sites"])
                           for t in report["turns"]}
-    except (KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise EvalError(
             f"{args.proposed}: not a parse report: {exc!r}") from exc
     for turn_id, sites in proposed_by_id.items():

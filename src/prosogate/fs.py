@@ -2,11 +2,15 @@
 
 A feature structure is one of three kinds of node:
 
-- an *atom* carrying a string value,
-- an *avm* mapping feature names to child structures (an avm with no
-  attributes is "top" and unifies with anything),
-- a *list* of child structures (a zero-length list is the empty list,
-  which only unifies with another empty list or with top).
+- an *atom* carrying a string value (its ``attrs`` is None),
+- an *avm* whose ``attrs`` maps feature names to child structures (an
+  avm with no attributes is "top" and unifies with anything),
+- a *list* whose ``attrs`` maps the positions ``0..n-1``, in order, to
+  child structures (a zero-length list is the empty list, which only
+  unifies with another empty list or with top).
+
+So every walk has one loop over a node's children, and two lists of one
+length have the same keys.
 
 Reentrancy (structure sharing) is plain Python object identity: two
 paths lead to the same node iff they reference the same ``FS`` object.
@@ -17,9 +21,9 @@ naming of shared nodes); the chart packs edges by it. Any feature name
 is accepted here: the grammar checks names against its declared set.
 
 Unification is quasi-destructive (Tomabechi 1991): it never writes the
-``attrs`` or ``items`` of a node, only two scratch slots, a forwarding
-pointer and the complement arcs (attributes a node gains from the nodes
-merged into it). Both slots are valid only while the node's stamp equals
+``attrs`` of a node, only two scratch slots, a forwarding pointer and
+the complement arcs (attributes a node gains from the nodes merged into
+it). Both slots are valid only while the node's stamp equals
 the current generation, so starting a new generation (see
 :func:`new_generation`) discards every scratch write at once. The
 result is read out of the current generation's view by :func:`resolve`
@@ -63,18 +67,18 @@ def new_generation():
 
 
 class FS:
-    """A single feature-structure node. Its kind, atom, attrs and items
-    are treated as immutable once built; ``stamp``, ``forward`` and
-    ``comp`` are unification scratch, valid in generation ``stamp`` only.
-    Nodes compare and hash by identity (``resolve`` keys nodes so)."""
+    """A single feature-structure node. Its kind, atom and attrs (its
+    children, keyed by feature or by list position) are treated as
+    immutable once built; ``stamp``, ``forward`` and ``comp`` are
+    unification scratch, valid in generation ``stamp`` only. Nodes
+    compare and hash by identity (``resolve`` keys nodes so)."""
 
-    __slots__ = ("kind", "atom", "attrs", "items", "stamp", "forward", "comp")
+    __slots__ = ("kind", "atom", "attrs", "stamp", "forward", "comp")
 
-    def __init__(self, kind, atom=None, attrs=None, items=None):
+    def __init__(self, kind, atom=None, attrs=None):
         self.kind = kind
         self.atom = atom
-        self.attrs = attrs if attrs is not None else ({} if kind == AVM else None)
-        self.items = items if items is not None else ([] if kind == LIST else None)
+        self.attrs = attrs if attrs is not None else (None if kind == ATOM else {})
         self.stamp = -1
         self.forward = None
         self.comp = None  # complement arcs: feature -> node
@@ -101,7 +105,7 @@ def avm(**attrs):
 
 
 def fs_list(*items):
-    return FS(LIST, items=list(items))
+    return FS(LIST, attrs=dict(enumerate(items)))
 
 
 def top():
@@ -113,7 +117,7 @@ def is_top(node):
 
 
 def is_elist(node):
-    return node.kind == LIST and not node.items
+    return node.kind == LIST and not node.attrs
 
 
 def copy_fs(node, memo=None):
@@ -126,10 +130,8 @@ def copy_fs(node, memo=None):
         return memo[key]
     new = FS(node.kind, atom=node.atom)
     memo[key] = new
-    if node.kind == AVM:
+    if node.kind != ATOM:
         new.attrs = {k: copy_fs(v, memo) for k, v in node.attrs.items()}
-    elif node.kind == LIST:
-        new.items = [copy_fs(v, memo) for v in node.items]
     return new
 
 
@@ -168,14 +170,10 @@ def unify_mut(x, y):
             raise UnificationFailure
         y.stamp, y.forward = gen, x
         return x
-    if kind == LIST:
-        if len(x.items) != len(y.items):
-            raise UnificationFailure
-        y.stamp, y.forward = gen, x
-        for a, b in zip(x.items, y.items):
-            unify_mut(a, b)
-        return x
-    # both AVMs: y's arcs, built then complement, go into x
+    if kind == LIST and len(x.attrs) != len(y.attrs):
+        raise UnificationFailure
+    # y's arcs, built then complement, go into x; two lists of one
+    # length have the same positions, so a list gains no complement arcs
     if x.stamp != gen:
         x.stamp, x.forward, x.comp = gen, None, None
     if y.stamp != gen:
@@ -231,15 +229,13 @@ def resolve(node, memo=None, keep=None):
     comp = node.comp if node.stamp == gen else None
     if keep is None or node in keep or comp:
         new = FS(kind, atom=node.atom)
-        if kind == AVM:
+        if kind != ATOM:
             new.attrs = {k: resolve(v, memo, keep) for k, v in node.attrs.items()}
             if comp:
                 new.attrs.update((k, resolve(v, memo, keep)) for k, v in comp.items())
-        elif kind == LIST:
-            new.items = [resolve(v, memo, keep) for v in node.items]
     else:  # share the node, or copy it once a child resolves to another
         new = node
-        if kind == AVM:
+        if kind != ATOM:
             for k, v in node.attrs.items():
                 if (v.kind == ATOM and v not in keep
                         and (v.stamp != gen or v.forward is None)):
@@ -247,18 +243,8 @@ def resolve(node, memo=None, keep=None):
                 got = resolve(v, memo, keep)
                 if got is not v:
                     if new is node:
-                        new = FS(AVM, attrs=dict(node.attrs))
+                        new = FS(kind, attrs=dict(node.attrs))
                     new.attrs[k] = got
-        elif kind == LIST:
-            for i, v in enumerate(node.items):
-                if (v.kind == ATOM and v not in keep
-                        and (v.stamp != gen or v.forward is None)):
-                    continue
-                got = resolve(v, memo, keep)
-                if got is not v:
-                    if new is node:
-                        new = FS(LIST, items=list(node.items))
-                    new.items[i] = got
     memo[node] = new
     return new
 
@@ -297,10 +283,8 @@ def subsumes(a, b):
             return False
         if x.kind == ATOM:
             return x.atom == y.atom
-        if x.kind == LIST:
-            return len(x.items) == len(y.items) and all(
-                walk(p, q) for p, q in zip(x.items, y.items)
-            )
+        if x.kind == LIST and len(x.attrs) != len(y.attrs):
+            return False
         return all(f in y.attrs and walk(v, y.attrs[f]) for f, v in x.attrs.items())
 
     return walk(a, b)
@@ -331,19 +315,15 @@ def canonical(node):
         numbers[k] = len(numbers)
         if n.kind == ATOM:
             out.append(repr(n.atom))
-        elif n.kind == LIST:
-            out.append("<")
-            for v in n.items:
-                emit(v)
-                out.append(" ")
-            out.append(">")
-        else:
-            out.append("[")
-            for f in sorted(n.attrs):
+            return
+        is_avm = n.kind == AVM  # a list writes its items in order, no keys
+        out.append("[" if is_avm else "<")
+        for f in sorted(n.attrs) if is_avm else n.attrs:
+            if is_avm:
                 out.append(f"{f!r}:")
-                emit(n.attrs[f])
-                out.append(" ")
-            out.append("]")
+            emit(n.attrs[f])
+            out.append(" ")
+        out.append("]" if is_avm else ">")
 
     emit(node)
     return "".join(out)

@@ -72,7 +72,7 @@ def summarize(node):
     if node.kind == fs.ATOM:
         return node.atom
     if node.kind == fs.LIST:
-        return len(node.items)
+        return len(node.attrs)
     return AVM_SUMMARY if node.attrs else None
 
 
@@ -196,15 +196,11 @@ def _summarize_into(node, trie, out):
     i, steps = trie
     if i is not None:
         out[i] = summarize(node)
-    for step, sub in steps.items():
-        if node.kind == fs.AVM:
+    if node.attrs:
+        for step, sub in steps.items():
             child = node.attrs.get(step)
-        elif node.kind == fs.LIST and type(step) is int and step < len(node.items):
-            child = node.items[step]
-        else:
-            continue
-        if child is not None:
-            _summarize_into(child, sub, out)
+            if child is not None:
+                _summarize_into(child, sub, out)
 
 
 def _is_finite_final_verb(cat):
@@ -263,17 +259,16 @@ def _tree_paths(node, path=(), seen=None):
     seen = set() if seen is None else seen
     seen.add(id(node))
     yield path, node
-    kids = node.attrs.items() if node.kind == fs.AVM else enumerate(node.items or ())
-    for step, child in kids:
+    for step, child in (node.attrs or {}).items():
         if id(child) not in seen:
             yield from _tree_paths(child, path + (step,), seen)
 
 
 def _check_features(node, declared, where):
     """GrammarError at where for the first attribute below node that is
-    not a declared feature."""
+    not a declared feature (a list's positions are not features)."""
     for _, n in _tree_paths(node):
-        for f in n.attrs or ():
+        for f in n.attrs if n.kind == fs.AVM else ():
             if f not in declared:
                 raise GrammarError(f"{where}: undeclared feature {f!r}")
 

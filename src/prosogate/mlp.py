@@ -122,8 +122,8 @@ class MlpClassifier:
     @classmethod
     def from_json(cls, text):
         """Rebuild a classifier from ``to_json`` text; ValueError if not."""
-        d = json.loads(text)
         try:
+            d = json.loads(text)
             if d["layout_id"] != LAYOUT_ID:
                 raise ValueError(f"classifier layout {d['layout_id']!r} is "
                                  f"not {LAYOUT_ID!r}")
@@ -131,7 +131,8 @@ class MlpClassifier:
             weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
             return cls(dims[0], dims[1], dims[2], seed=d["seed"],
                        weights=weights)
-        except (KeyError, IndexError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError,
+                RecursionError) as exc:
             raise ValueError(f"malformed classifier: {exc!r}") from exc
 
     @classmethod
@@ -190,10 +191,9 @@ def train(data, config=None, seed=0):
             grads = clf.gradients(X[i], targets[labels[i]])
             for p, g in zip(clf.params, grads):
                 p -= config.learning_rate * g
-        clf.train_log.append({
-            "epoch": epoch,
-            "presented": {"S3+": majority, "S3-": majority},
-        })
+        plus, minus = np.bincount(labels[order], minlength=2).tolist()
+        clf.train_log.append({"epoch": epoch,
+                              "presented": {"S3+": plus, "S3-": minus}})
     return clf
 
 

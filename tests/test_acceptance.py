@@ -77,7 +77,7 @@ def test_criterion_05_reference_tree_reproduction(grammar, demo_corpus):
     empty, = [e for e in result._chart.edges if e.kind == "empty"]
     assert empty.span == (5, 5)
     loc = empty.category.get("LOC")
-    assert loc is empty.category.get("DSL").items[0]
+    assert loc is empty.category.get("DSL").attrs[0]
     from prosogate.fs import equivalent
     assert equivalent(loc, grammar.entries_by_id["reparierte_f"]
                       .category.get("LOC"))

@@ -86,10 +86,39 @@ def test_trace_edge_loc_shared_with_dsl(grammar, demo_corpus):
     assert edge.start == edge.end == 5
     # the trace's LOC is the DSL element itself (structure sharing per the
     # head-trace description) and carries the final form's valence
-    assert edge.category.get("LOC") is edge.category.get("DSL").items[0]
+    assert edge.category.get("LOC") is edge.category.get("DSL").attrs[0]
     final = grammar.entries_by_id["reparierte_f"]
     assert unify(edge.category.get("LOC"), final.category.get("LOC")) is not None
-    assert len(edge.category.get("LOC", "SUBCAT").items) == 2
+    assert len(edge.category.get("LOC", "SUBCAT").attrs) == 2
+
+
+def test_list_children_keyed_by_position(grammar, demo_corpus):
+    """Every list reachable from the lexicon, the schema patterns and the
+    chart categories keeps its children under 0..n-1, in order; an atom
+    has no children, an AVM only feature names."""
+    roots = [e.category for e in grammar.entries_by_id.values()]
+    roots += [e.trace_template for e in grammar.entries_by_id.values()
+              if e.is_v2]
+    roots += [s.pattern for s in grammar.schemata]
+    for turn in demo_corpus:
+        roots += [e.category for e in
+                  parse(turn, grammar, ParseConfig(mode="off"))._chart.edges]
+    seen, todo, lists = set(), roots, 0
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.kind == fs.ATOM:
+            assert node.attrs is None
+            continue
+        if node.kind == fs.LIST:
+            lists += 1
+            assert list(node.attrs) == list(range(len(node.attrs)))
+        else:
+            assert all(type(f) is str for f in node.attrs)
+        todo.extend(node.attrs.values())
+    assert lists > 100
 
 
 def test_licenser_ordering_and_fidelity(grammar, demo_corpus):

@@ -336,8 +336,10 @@ class TestCliExitCodes:
         json.dumps({**_MODEL, "dims": [FEATURE_DIM]}),
         json.dumps({**_MODEL, "weights": [_MODEL["weights"][0], [math.nan] * 3,
                                           *_MODEL["weights"][2:]]}),
+        "not json",
+        '{"a": ' * 200_000 + "0" + "}" * 200_000,
     ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims",
-            "nan-weight"])
+            "nan-weight", "not-json", "deep"])
     def test_bad_model_is_data_error(self, tmp_path, capsys, model):
         corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
         assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
@@ -394,9 +396,12 @@ class TestCliExitCodes:
         ('{"turns": [{"id": "d01", "proposed_sites": [0, 5]}]}',
          "turn 'd01' proposes sites [0] outside its gaps 1..5"),
         ('{"turns": [{"id": "d01", "proposed_sites": [99]}]}',
-         "turn 'd01' proposes sites [99] outside its gaps 1..5")],
+         "turn 'd01' proposes sites [99] outside its gaps 1..5"),
+        ("not json", "not a parse report: JSONDecodeError('Expecting value"),
+        ("[" * 200_000 + "]" * 200_000, "not a parse report: RecursionError(")],
         ids=["no-turns", "not-object", "no-sites", "sites-not-list",
-             "site-not-int", "site-bool", "site-zero", "site-past-end"])
+             "site-not-int", "site-bool", "site-zero", "site-past-end",
+             "not-json", "deep"])
     def test_bad_report_is_data_error(self, tmp_path, capsys, report,
                                       message):
         from prosogate import demo_corpus_text

@@ -40,7 +40,7 @@ def test_subcat_variable_binding():
     b = parse_avm({"SUBCAT": [{"HEAD": {"POS": "noun", "CASE": "nom"}}, "#x"]})
     got = unify(a, b)
     assert got is not None
-    x = got.get("SUBCAT").items[1]
+    x = got.get("SUBCAT").attrs[1]
     assert x.get("HEAD", "CASE").atom == "acc"
 
 
@@ -53,7 +53,7 @@ def test_trace_description_shares_loc_and_dsl():
                           "DSL": ["#1"]})
     got = unify(skeleton, concrete)
     assert got is not None
-    assert got.get("LOC") is got.get("DSL").items[0]
+    assert got.get("LOC") is got.get("DSL").attrs[0]
     assert got.get("LOC", "HEAD", "POS").atom == "verb"
 
 

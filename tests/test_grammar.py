@@ -43,8 +43,8 @@ def test_lexical_rule_builds_v2_entry():
     assert head.get("FIN").atom == "+"
     # selects exactly one complement: a verbal projection carrying the trace
     subcat = v2.category.get("LOC", "SUBCAT")
-    assert len(subcat.items) == 1
-    assert subcat.items[0].get("LOC", "HEAD", "POS").atom == "verb"
+    assert len(subcat.attrs) == 1
+    assert subcat.attrs[0].get("LOC", "HEAD", "POS").atom == "verb"
 
 
 def test_trace_subcat_equals_final_subcat():
@@ -52,14 +52,14 @@ def test_trace_subcat_equals_final_subcat():
     v2 = apply_v2_lexical_rule(entry)
     trace_subcat = v2.trace_template.get("LOC", "SUBCAT")
     assert fs.equivalent(trace_subcat, entry.category.get("LOC", "SUBCAT"))
-    assert len(trace_subcat.items) == 2
+    assert len(trace_subcat.attrs) == 2
 
 
 def test_trace_loc_node_identical_to_selected_dsl():
     v2 = apply_v2_lexical_rule(_entry("reparierte_f", "reparierte", FINAL_TRANS))
-    complement = v2.category.get("LOC", "SUBCAT").items[0]
-    assert complement.get("DSL").items[0] is v2.trace_template.get("LOC")
-    assert v2.trace_template.get("DSL").items[0] is v2.trace_template.get("LOC")
+    complement = v2.category.get("LOC", "SUBCAT").attrs[0]
+    assert complement.get("DSL").attrs[0] is v2.trace_template.get("LOC")
+    assert v2.trace_template.get("DSL").attrs[0] is v2.trace_template.get("LOC")
 
 
 def test_trace_matches_generic_description():
@@ -97,7 +97,7 @@ def test_modal_trace_keeps_modal_subcat():
         "DSL": [],
     }
     v2 = apply_v2_lexical_rule(_entry("sollst_f", "sollst", modal))
-    args = v2.trace_template.get("LOC", "SUBCAT").items
+    args = v2.trace_template.get("LOC", "SUBCAT").attrs
     assert args[1].get("LOC", "HEAD", "VFORM").atom == "inf"
 
 
@@ -128,7 +128,11 @@ def test_finite_verb_yields_two_entries():
     ({"schemata": [{"name": "s", "daughters": [{"LOC": "#1"}, {"FOO": "bar"}],
                     "mother": {"LOC": "#1"}}]},
      "schemata[0].RIGHT: undeclared feature 'FOO'"),
-], ids=["lexicon", "lexicon-shared-node", "schema-daughter"])
+    # a list's positions are not features, but its elements' arcs are
+    ({"lexicon": [{"id": "x", "orth": "x",
+                   "avm": {"LOC": {"SUBCAT": [{"FOO": "bar"}]}}}]},
+     "lexicon[0]: undeclared feature 'FOO'"),
+], ids=["lexicon", "lexicon-shared-node", "schema-daughter", "list-element"])
 def test_undeclared_feature_names_offender(overrides, message):
     with pytest.raises(GrammarError) as exc:
         load_grammar(json.dumps(_doc(**overrides)))

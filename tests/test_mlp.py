@@ -96,6 +96,28 @@ def test_epoch_balancing_counts():
         assert entry["presented"] == {"S3+": 900, "S3-": 900}
 
 
+def test_train_log_counts_the_presented_targets(monkeypatch):
+    presented = []
+    gradients = MlpClassifier.gradients
+
+    def recording(self, x, target):
+        presented.append("S3+" if target[0] == 1.0 else "S3-")
+        return gradients(self, x, target)
+
+    monkeypatch.setattr(MlpClassifier, "gradients", recording)
+    rng = np.random.default_rng(8)
+    data = [(rng.normal(size=4), "S3-") for _ in range(30)]
+    data += [(rng.normal(1.0, 1.0, size=4), "S3+") for _ in range(7)]
+    clf = train(data, TrainConfig(epochs=3, hidden1=3, hidden2=3), seed=2)
+    assert len(clf.train_log) == 3
+    for entry in clf.train_log:
+        n = sum(entry["presented"].values())
+        epoch, presented = presented[:n], presented[n:]
+        assert entry["presented"] == {"S3+": epoch.count("S3+"),
+                                      "S3-": epoch.count("S3-")}
+    assert presented == []
+
+
 def test_balancing_invariance_under_duplication():
     rng = np.random.default_rng(6)
     base = _gaussian_set(rng, 120, dim=4)

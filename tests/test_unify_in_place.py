@@ -33,7 +33,7 @@ def _copy(node, memo):
     new.kind, new.atom, new.forward = node.kind, node.atom, None
     new.attrs = ({k: _copy(v, memo) for k, v in node.attrs.items()}
                  if node.kind == fs.AVM else None)
-    new.items = ([_copy(v, memo) for v in node.items]
+    new.items = ([_copy(v, memo) for v in node.attrs.values()]
                  if node.kind == fs.LIST else None)
     return new
 
@@ -90,7 +90,7 @@ def _read_back(node, memo):
     if node.kind == fs.AVM:
         new.attrs = {k: _read_back(v, memo) for k, v in node.attrs.items()}
     elif node.kind == fs.LIST:
-        new.items = [_read_back(v, memo) for v in node.items]
+        new.attrs = dict(enumerate(_read_back(v, memo) for v in node.items))
     memo[id(node)] = new
     return new
 
@@ -129,11 +129,8 @@ def _snapshot(*roots):
         seen.add(id(n))
         out.append((id(n), n.kind, n.atom,
                     None if n.attrs is None
-                    else tuple((k, id(v)) for k, v in n.attrs.items()),
-                    None if n.items is None else tuple(map(id, n.items))))
+                    else tuple((k, id(v)) for k, v in n.attrs.items())))
         for child in (n.attrs or {}).values():
-            walk(child)
-        for child in n.items or ():
             walk(child)
 
     for root in roots:
@@ -148,7 +145,6 @@ def _nodes(root):
         if id(n) not in seen:
             seen[id(n)] = n
             todo.extend((n.attrs or {}).values())
-            todo.extend(n.items or ())
     return seen
 
 
@@ -229,7 +225,7 @@ def test_identical_daughters_stay_disjoint():
                       "mother": {"PHON": ["#l", "#r"]}}]}))
     (schema,), cat = g.schemata, g.entries("ja")[0].category
     got = schema.apply(cat, cat)
-    first, second = got.get("PHON").items
+    first, second = got.get("PHON").attrs.values()
     assert first is not second
     assert fs.canonical(got) == fs.canonical(reference_apply(schema, cat, cat))
 
@@ -315,7 +311,7 @@ def test_stored_template_is_the_lexical_rule_output(grammar):
             assert fs.canonical(entry.trace_template) == fs.canonical(
                 raw.trace_template)
             loc = entry.trace_template.get("LOC")
-            assert entry.trace_template.get("DSL").items[0] is loc
+            assert entry.trace_template.get("DSL").attrs[0] is loc
 
 
 def tagged_avms(atoms, features):
