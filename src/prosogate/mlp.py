@@ -8,6 +8,15 @@ label, 0 for the other), with per-epoch class balancing: the minority
 class is resampled with replacement up to the majority count, so each
 epoch presents an equal number of vectors from each class.
 
+The six parameters (weights and bias of each layer, in layer order) are
+reshaped views of one flat float64 vector, ``theta``; the gradient that
+``gradients`` writes has the same layout in a second flat vector,
+allocated once per classifier. So an SGD step is one scaling and one
+subtraction over all parameters, ``grad *= lr; theta -= grad``, in place
+of one ``p -= lr * g`` per parameter. Each element still goes through
+the same two roundings, ``lr * g`` and then ``p - (lr * g)``, so the
+weights a seed trains are bit for bit those of the per-parameter loop.
+
 ``classify`` normalizes the two outputs to a proper posterior (sum 1)
 in log space, so it is defined even where both sigmoids underflow to 0.
 A gap's input vector is that of its word's final syllable
@@ -32,6 +41,16 @@ LABEL_INDEX = {"S3+": 0, "S3-": 1}
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _views(flat, shapes):
+    """Consecutive reshaped views of ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    return tuple(views)
 
 
 @dataclass
@@ -70,7 +89,13 @@ class MlpClassifier:
                              f"declared {declared}")
         if not all(np.isfinite(p).all() for p in weights):
             raise ValueError("classifier weights must be finite numbers")
-        self.params = weights
+        self.theta = np.empty(sum(int(np.prod(s)) for s in declared))
+        self._grad = np.empty_like(self.theta)
+        # tuples, so no parameter can be rebound off the flat vectors
+        self.params = _views(self.theta, declared)
+        self._grads = _views(self._grad, declared)
+        for view, p in zip(self.params, weights):
+            view[...] = p
 
     def _forward(self, x):
         """Returns the activation of every layer, input included."""
@@ -99,16 +124,22 @@ class MlpClassifier:
         return 0.5 * float(np.sum((out - target) ** 2))
 
     def gradients(self, x, target):
-        """Analytic squared-error gradients, aligned with self.params."""
+        """Analytic squared-error gradients, aligned with self.params.
+
+        They are views of one flat vector laid out as ``theta``, written
+        in place: the next call overwrites them.
+        """
         acts = self._forward(x)
-        delta = (acts[-1] - target) * acts[-1] * (1.0 - acts[-1])
-        grads = [None] * len(self.params)
-        for i in range(len(self.params) - 2, -1, -2):
+        grads = self._grads
+        out = acts[-1]
+        delta = np.multiply((out - target) * out, 1.0 - out, out=grads[-1])
+        for i in range(len(grads) - 2, -1, -2):
             layer = i // 2
-            grads[i] = np.outer(acts[layer], delta)
-            grads[i + 1] = delta
+            np.multiply(acts[layer][:, None], delta, out=grads[i])
             if layer > 0:
-                delta = (delta @ self.params[i].T) * acts[layer] * (1.0 - acts[layer])
+                a = acts[layer]
+                delta = np.multiply((delta @ self.params[i].T) * a, 1.0 - a,
+                                    out=grads[i - 1])
         return grads
 
     def to_json(self):
@@ -124,21 +155,28 @@ class MlpClassifier:
         """Rebuild a classifier from ``to_json`` text; ValueError if not."""
         try:
             d = json.loads(text)
-            if d["layout_id"] != LAYOUT_ID:
-                raise ValueError(f"classifier layout {d['layout_id']!r} is "
-                                 f"not {LAYOUT_ID!r}")
-            dims = d["dims"]
+            layout, dims, seed = d["layout_id"], d["dims"], d["seed"]
             weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
-            return cls(dims[0], dims[1], dims[2], seed=d["seed"],
-                       weights=weights)
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError,
+        except (ValueError, OverflowError, KeyError, TypeError,
                 RecursionError) as exc:
             raise ValueError(f"malformed classifier: {exc!r}") from exc
+        if layout != LAYOUT_ID:
+            raise ValueError(f"classifier layout {layout!r} is not "
+                             f"{LAYOUT_ID!r}")
+        if not (type(dims) is list and len(dims) == 4
+                and all(type(n) is int and n > 0 for n in dims)
+                and dims[-1] == OUTPUT_NODES):
+            raise ValueError(f"malformed classifier: dims {dims!r} are not "
+                             f"four positive ints ending in {OUTPUT_NODES}")
+        return cls(*dims[:3], seed=seed, weights=weights)
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls.from_json(f.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def train(data, config=None, seed=0):
@@ -173,6 +211,7 @@ def train(data, config=None, seed=0):
 
     clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
     targets = np.eye(OUTPUT_NODES)
+    theta, grad = clf.theta, clf._grad  # grad: what gradients writes
     rng = np.random.default_rng(seed + 1)
     majority = max(len(idx_plus), len(idx_minus))
 
@@ -188,9 +227,9 @@ def train(data, config=None, seed=0):
         order = np.concatenate(epoch_idx)
         rng.shuffle(order)
         for i in order:
-            grads = clf.gradients(X[i], targets[labels[i]])
-            for p, g in zip(clf.params, grads):
-                p -= config.learning_rate * g
+            clf.gradients(X[i], targets[labels[i]])
+            grad *= config.learning_rate
+            theta -= grad
         plus, minus = np.bincount(labels[order], minlength=2).tolist()
         clf.train_log.append({"epoch": epoch,
                               "presented": {"S3+": plus, "S3-": minus}})

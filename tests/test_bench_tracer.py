@@ -6,7 +6,9 @@ in a benchmark run."""
 import sys
 from pathlib import Path
 
-from prosogate import chart, corpus, demo_corpus_text, fs, synth, \
+import numpy as np
+
+from prosogate import chart, corpus, demo_corpus_text, fs, mlp, synth, \
     grammar as grammar_module
 from prosogate.chart import ParseConfig
 
@@ -39,6 +41,21 @@ def test_tracer_targets_resolve_and_restore(grammar, demo_corpus):
     for (owner, attr, _, _), original in zip(tracing.TARGETS, originals):
         assert getattr(owner, attr) is original, attr
     assert grammar_module.copy_fs is fs.copy_fs
+
+
+def test_traced_training_counts_one_gradients_call_per_step():
+    # the benchmark's mlp.sgd_steps is the count of gradients calls
+    rng = np.random.default_rng(0)
+    data = [(rng.normal(size=4), "S3+") for _ in range(5)]
+    data += [(rng.normal(size=4), "S3-") for _ in range(12)]
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.root("bench.setup") as block:
+        clf = mlp.train(data, mlp.TrainConfig(epochs=3, hidden1=2, hidden2=2))
+    presented = sum(n for entry in clf.train_log
+                    for n in entry["presented"].values())
+    assert presented == 3 * 2 * 12
+    assert block["mlp.gradients_calls"] == presented
+    assert block["mlp.train_calls"] == 1
 
 
 def test_benchmark_workloads_run():

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -328,25 +330,53 @@ class TestCliExitCodes:
         assert run(["parse", "--grammar", str(bad)]) == 2
         assert where in capsys.readouterr().err
 
-    @pytest.mark.parametrize("model", [
-        "{}",
-        "[]",
-        json.dumps({**_MODEL, "layout_id": "other-242"}),
-        json.dumps({**_MODEL, "weights": []}),
-        json.dumps({**_MODEL, "dims": [FEATURE_DIM]}),
-        json.dumps({**_MODEL, "weights": [_MODEL["weights"][0], [math.nan] * 3,
-                                          *_MODEL["weights"][2:]]}),
-        "not json",
-        '{"a": ' * 200_000 + "0" + "}" * 200_000,
+    @pytest.mark.parametrize("model, where", [
+        ("{}", "malformed classifier: "),
+        ("[]", "malformed classifier: "),
+        (json.dumps({**_MODEL, "layout_id": "other-242"}),
+         "classifier layout 'other-242'"),
+        (json.dumps({**_MODEL, "weights": []}), "classifier weight shapes"),
+        (json.dumps({**_MODEL, "dims": [FEATURE_DIM]}),
+         "malformed classifier: dims"),
+        (json.dumps({**_MODEL, "weights": [_MODEL["weights"][0],
+                                           [math.nan] * 3,
+                                           *_MODEL["weights"][2:]]}),
+         "classifier weights must be finite"),
+        ("not json", "malformed classifier: "),
+        ('{"a": ' * 200_000 + "0" + "}" * 200_000, "malformed classifier: "),
+        (json.dumps({**_MODEL, "weights": [[[1.0], [1.0, 2.0]],
+                                           *_MODEL["weights"][1:]]}),
+         "malformed classifier: "),
+        (json.dumps({**_MODEL, "weights": [_MODEL["weights"][0], ["a"] * 3,
+                                           *_MODEL["weights"][2:]]}),
+         "malformed classifier: "),
+        (json.dumps({**_MODEL, "weights": [_MODEL["weights"][0],
+                                           [10 ** 400] * 3,
+                                           *_MODEL["weights"][2:]]}),
+         "malformed classifier: "),
+        (json.dumps({**_MODEL, "dims": [FEATURE_DIM, 3, 3, 3]}),
+         "malformed classifier: dims"),
+        (json.dumps({**_MODEL, "dims": [FEATURE_DIM, 3, 3, 2, 2]}),
+         "malformed classifier: dims"),
+        (json.dumps({**_MODEL, "dims": [FEATURE_DIM, 0, 3, 2]}),
+         "malformed classifier: dims"),
+        (json.dumps({**_MODEL, "dims": [FEATURE_DIM, 3.0, 3, 2]}),
+         "malformed classifier: dims"),
+        (json.dumps({**_MODEL, "dims": [FEATURE_DIM, True, 3, 2]}),
+         "malformed classifier: dims"),
     ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims",
-            "nan-weight", "not-json", "deep"])
-    def test_bad_model_is_data_error(self, tmp_path, capsys, model):
+            "nan-weight", "not-json", "deep", "ragged-weights",
+            "non-numeric-weight", "overflowing-weight", "dims-not-ending-in-2",
+            "long-dims", "zero-dim", "float-dim", "bool-dim"])
+    def test_bad_model_is_data_error(self, tmp_path, capsys, model, where):
         corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
         assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
         bad.write_text(model)
         assert run(["score", "--corpus", str(corpus), "--model",
                     str(bad)]) == 2
-        assert "classifier" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"prosogate score: error: {bad}: " in err
+        assert where in err
 
     def test_underflowing_model_scores_finite(self, tmp_path, capsys):
         corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
@@ -452,6 +482,20 @@ class TestCliPipeline:
         rescored = loads_corpus(scored.read_text())
         for turn in rescored:
             assert len(turn.gap_scores) == len(turn.words)
+
+    def test_seed_42_model_digest(self, tmp_path):
+        # Unchanged behaviour: the weights trained for a seed are fixed.
+        # The digest holds on the toolchain it was taken on; elsewhere a
+        # different digest may mean a different host, not a defect.
+        corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
+        assert run(["synth", "--seed", "42", "--out", str(corpus)]) == 0
+        assert run(["train", "--corpus", str(corpus), "--seed", "42",
+                    "--out", str(model)]) == 0
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+            "ad7921ea6c2fb68854d2920fd6cb560f1dc376f262bd96356b115420a0d3af69"
+        ), ("seed-42 model digest changed; it was pinned on CPython 3.11.7, "
+            "numpy 2.4.6, OpenBLAS 0.3.31, and this run has CPython "
+            f"{platform.python_version()}, numpy {np.__version__}")
 
     def test_synth_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

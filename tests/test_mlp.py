@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prosogate.mlp import MlpClassifier, TrainConfig, train, score_turn
+from prosogate.mlp import LABEL_INDEX, OUTPUT_NODES, MlpClassifier, \
+    TrainConfig, train, score_turn
 from prosogate.corpus import CorpusError, Syllable, TurnRecord
 from prosogate.prosody import SyllableRecord
 
@@ -65,7 +66,7 @@ def test_posteriors_sum_to_one():
 def test_underflowing_outputs_still_give_a_posterior():
     # output biases of -1000 drive both sigmoids to 0.0 exactly
     clf = MlpClassifier(10, 4, 3, seed=1)
-    clf.params[-1] = np.array([-1000.0, -1001.0])
+    clf.params[-1][:] = [-1000.0, -1001.0]
     x = np.random.default_rng(2).normal(size=10)
     with np.errstate(over="ignore"):
         assert not clf._forward(x)[-1].any()
@@ -197,6 +198,100 @@ def test_training_is_deterministic():
     b = train(list(data), cfg, seed=3)
     for pa, pb in zip(a.params, b.params):
         assert np.array_equal(pa, pb)
+
+
+def _reference_train(data, config, seed):
+    """The per-parameter SGD loop: one ``np.outer`` per weight gradient
+    and one ``p -= lr * g`` per parameter. Returns (params, train_log)."""
+    pairs = [(np.asarray(v, dtype=np.float64), LABEL_INDEX[label])
+             for v, label in data if label != "S3?"]
+    X = np.stack([v for v, _ in pairs])
+    labels = np.array([label for _, label in pairs])
+    idx_plus = np.flatnonzero(labels == 0)
+    idx_minus = np.flatnonzero(labels == 1)
+    init = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
+    params = [p.copy() for p in init.params]
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    def gradients(x, target):
+        acts = [x]
+        for i in range(0, len(params), 2):
+            acts.append(sigmoid(acts[-1] @ params[i] + params[i + 1]))
+        delta = (acts[-1] - target) * acts[-1] * (1.0 - acts[-1])
+        grads = [None] * len(params)
+        for i in range(len(params) - 2, -1, -2):
+            layer = i // 2
+            grads[i] = np.outer(acts[layer], delta)
+            grads[i + 1] = delta
+            if layer > 0:
+                delta = ((delta @ params[i].T) * acts[layer]
+                         * (1.0 - acts[layer]))
+        return grads
+
+    targets = np.eye(OUTPUT_NODES)
+    rng = np.random.default_rng(seed + 1)
+    majority = max(len(idx_plus), len(idx_minus))
+    log = []
+    for epoch in range(config.epochs):
+        epoch_idx = []
+        for cls_idx in (idx_plus, idx_minus):
+            take = cls_idx
+            if len(cls_idx) < majority:
+                extra = rng.choice(cls_idx, size=majority - len(cls_idx),
+                                   replace=True)
+                take = np.concatenate([cls_idx, extra])
+            epoch_idx.append(take)
+        order = np.concatenate(epoch_idx)
+        rng.shuffle(order)
+        for i in order:
+            for p, g in zip(params, gradients(X[i], targets[labels[i]])):
+                p -= config.learning_rate * g
+        plus, minus = np.bincount(labels[order], minlength=2).tolist()
+        log.append({"epoch": epoch, "presented": {"S3+": plus, "S3-": minus}})
+    return params, log
+
+
+def _imbalanced_set(rng, n_plus, n_minus, dim=6):
+    data = [(rng.normal(1.0, 1.0, size=dim), "S3+") for _ in range(n_plus)]
+    data += [(rng.normal(-1.0, 1.0, size=dim), "S3-") for _ in range(n_minus)]
+    data += [(rng.normal(size=dim), "S3?") for _ in range(5)]
+    rng.shuffle(data)
+    return data
+
+
+@pytest.mark.parametrize("config", [
+    TrainConfig(epochs=3, hidden1=1, hidden2=1),
+    TrainConfig(epochs=0, hidden1=4, hidden2=3),
+    TrainConfig(epochs=4, learning_rate=0.05, hidden1=5, hidden2=2),
+    TrainConfig(epochs=2, learning_rate=1.7, hidden1=3, hidden2=6),
+], ids=["hidden-1", "epochs-0", "rate-0.05", "rate-1.7"])
+@pytest.mark.parametrize("seed, n_plus, n_minus",
+                         [(0, 9, 40), (3, 31, 6), (11, 17, 17)])
+def test_train_matches_the_per_parameter_loop(config, seed, n_plus, n_minus):
+    data = _imbalanced_set(np.random.default_rng(100 + seed), n_plus,
+                           n_minus)
+    ref_params, ref_log = _reference_train(data, config, seed)
+    clf = train(data, config, seed=seed)
+    assert clf.train_log == ref_log
+    assert len(clf.params) == len(ref_params)
+    for p, ref in zip(clf.params, ref_params):
+        assert p.shape == ref.shape
+        assert np.array_equal(p.view(np.uint64), ref.view(np.uint64))
+
+
+def test_gradients_write_one_preallocated_flat_vector():
+    clf = MlpClassifier(5, 3, 2, seed=0)
+    x, target = np.linspace(-1.0, 1.0, 5), np.array([0.0, 1.0])
+    grads = clf.gradients(x, target)
+    assert sum(g.size for g in grads) == clf._grad.size == clf.theta.size
+    for p, g in zip(clf.params, grads):
+        assert g.shape == p.shape
+        assert np.shares_memory(p, clf.theta)
+        assert np.shares_memory(g, clf._grad)
+    again = clf.gradients(-x, target)
+    assert all(np.shares_memory(a, b) for a, b in zip(grads, again))
 
 
 def test_save_load_round_trip(tmp_path):
