@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prosogate import load_demo_corpus, load_demo_grammar
+from prosogate.chart import ParseConfig, extract_pred_arg, parse_corpus
 from prosogate.cli import build_parser, run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
-                              loads_corpus)
+                              load_corpus, loads_corpus)
 from prosogate.evaluation import BenchReport
 from prosogate.mlp import MlpClassifier
 from prosogate.prosody import (FEATURE_DIM, REGRESSION_LEN, SyllableRecord,
@@ -448,6 +450,77 @@ class TestCliExitCodes:
         assert out.exists()
 
 
+# The pinned digests hold on the toolchain they were taken on; elsewhere a
+# different digest may mean a different host, not a defect.
+TOOLCHAIN = "CPython 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31"
+
+
+def _toolchain_note(what):
+    return (f"{what} changed; it was pinned on {TOOLCHAIN}, and this run has "
+            f"CPython {platform.python_version()}, numpy {np.__version__}")
+
+
+def _sha256(data):
+    return hashlib.sha256(
+        data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def seed_42(tmp_path_factory):
+    """The corpus `synth --seed 42` writes and the model `train --seed 42`
+    fits to it."""
+    tmp = tmp_path_factory.mktemp("seed-42")
+    corpus, model = tmp / "c.jsonl", tmp / "m.json"
+    assert run(["synth", "--seed", "42", "--out", str(corpus)]) == 0
+    assert run(["train", "--corpus", str(corpus), "--seed", "42",
+                "--out", str(model)]) == 0
+    return corpus, model
+
+
+# Unchanged behaviour, artefact by artefact: `parse --format json` without
+# `elapsed_ms`, `bench --format json` without its timings and `speedup`,
+# every `extract_pred_arg` record of every gate-off reading, the seed-42
+# model, and the seed-42 corpus after `score` (which rounds scores, so the
+# model's own digest is what pins each weight). A change that moves one of
+# them on purpose updates its digest and says why.
+BEHAVIOUR_DIGESTS = {
+    "model seed-42":
+        "ad7921ea6c2fb68854d2920fd6cb560f1dc376f262bd96356b115420a0d3af69",
+    "parse off demo":
+        "0bae16defce942ffbd139a0911aebc7164cb12cbc5c2ce3f5d7955d22e43ddb0",
+    "parse threshold demo":
+        "7b870cdae269ef55c8bdbe12ffdcb2b6e9eb4ce3b4dadddfeeb5a0638f8625d6",
+    "parse rank demo":
+        "8a0c6bd90457670a2e480718d04b20a1fa4ff199f1d03163031289f55d634eee",
+    "bench demo":
+        "4779658d616ed29adf4639f15a7c541fb63980693c89840cfeb0f90306ea8c07",
+    "pred-arg demo":
+        "0eb4f565d5432b9a7396283f251e0ee49438dc1d29ba64624a6f055ede7ba5ca",
+    "parse off seed-42":
+        "794a9feeb6bc8eb141b3f5e4ff0ed336142758095d51081bebd320336b3a48da",
+    "parse threshold seed-42":
+        "2bd7a6864b61995d47fa8877bac93e4cd784c9304bfe734c129d6067a8c43f29",
+    "parse rank seed-42":
+        "3170524c9a9320326af7e817e540912b76bd9c6c962f0144062aafa3ba454aa9",
+    "bench seed-42":
+        "31615a8208ef3a62b19fdd0dedd4cd65d962b07bf80a1124599c2bf78e7b45b6",
+    "pred-arg seed-42":
+        "4a50d46c6108a6962d62f727ce4e1c0727613d9379d6fbc41b1c2b7b88732646",
+    "parse off seed-7":
+        "894c63f17a6a4f3187459391f155ca13b7680908b114edd5ecf68980fbc84493",
+    "parse threshold seed-7":
+        "49bed8df17b5f72416471ed3143647c65ec2f17e77aca46901db7d4eb6374445",
+    "parse rank seed-7":
+        "c14bb364369e64b20ddd8f4a23c4d750ee41e9144662ee766323229fbea63c62",
+    "bench seed-7":
+        "8d62764cba2fcce5569f299c8ee5b1e2726c1414700e08943d2f1f10960b2597",
+    "pred-arg seed-7":
+        "f2cfe0e080f4f77b9207457b7db9725e61950af1f7d2dfdd1cedf113fc1177fb",
+    "score seed-42":
+        "e9caf3c51ef0cd1f2608a97c721e65b951ebc871e728fecb31744360757b83fa",
+}
+
+
 class TestCliPipeline:
     def test_parse_report_shape(self, tmp_path):
         out = tmp_path / "r.json"
@@ -483,19 +556,46 @@ class TestCliPipeline:
         for turn in rescored:
             assert len(turn.gap_scores) == len(turn.words)
 
-    def test_seed_42_model_digest(self, tmp_path):
+    def test_seed_42_model_digest(self, seed_42):
         # Unchanged behaviour: the weights trained for a seed are fixed.
-        # The digest holds on the toolchain it was taken on; elsewhere a
-        # different digest may mean a different host, not a defect.
-        corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
-        assert run(["synth", "--seed", "42", "--out", str(corpus)]) == 0
-        assert run(["train", "--corpus", str(corpus), "--seed", "42",
-                    "--out", str(model)]) == 0
-        assert hashlib.sha256(model.read_bytes()).hexdigest() == (
-            "ad7921ea6c2fb68854d2920fd6cb560f1dc376f262bd96356b115420a0d3af69"
-        ), ("seed-42 model digest changed; it was pinned on CPython 3.11.7, "
-            "numpy 2.4.6, OpenBLAS 0.3.31, and this run has CPython "
-            f"{platform.python_version()}, numpy {np.__version__}")
+        _, model = seed_42
+        assert _sha256(model.read_bytes()) == BEHAVIOUR_DIGESTS[
+            "model seed-42"], _toolchain_note("seed-42 model digest")
+
+    def test_behaviour_digests(self, seed_42, tmp_path):
+        corpus_42, model = seed_42
+        corpus_7, out = tmp_path / "c7.jsonl", tmp_path / "out"
+        assert run(["synth", "--seed", "7", "--turns", "300",
+                    "--out", str(corpus_7)]) == 0
+        corpora = {"demo": None, "seed-42": corpus_42, "seed-7": corpus_7}
+        digests = {"model seed-42": _sha256(model.read_bytes())}
+        for name, path in corpora.items():
+            flags = ["--corpus", str(path)] if path else []
+            for mode in ("off", "threshold", "rank"):
+                assert run(["parse", "--format", "json", "--mode", mode,
+                            *flags, "--out", str(out)]) == 0
+                report = json.loads(out.read_text())
+                for turn in report["turns"]:
+                    del turn["statistics"]["elapsed_ms"]
+                digests[f"parse {mode} {name}"] = _sha256(
+                    json.dumps(report, sort_keys=True, indent=2))
+            assert run(["bench", "--format", "json", *flags,
+                        "--out", str(out)]) == 0
+            report = {k: v for k, v in json.loads(out.read_text()).items()
+                      if not k.startswith(("overall_", "average_", "speedup"))}
+            digests[f"bench {name}"] = _sha256(json.dumps(report,
+                                                          sort_keys=True))
+            turns = load_corpus(path) if path else load_demo_corpus()
+            records = [(result.turn_id, i, extract_pred_arg(result, i))
+                       for result in parse_corpus(turns, load_demo_grammar(),
+                                                  ParseConfig(mode="off"))
+                       for i in range(len(result.readings))]
+            digests[f"pred-arg {name}"] = _sha256(repr(records))
+        assert run(["score", "--corpus", str(corpus_42), "--model", str(model),
+                    "--out", str(out)]) == 0
+        digests["score seed-42"] = _sha256(out.read_bytes())
+        assert digests == BEHAVIOUR_DIGESTS, _toolchain_note(
+            "a behaviour digest")
 
     def test_synth_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
