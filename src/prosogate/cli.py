@@ -19,14 +19,12 @@ from .chart import ParseConfig, ParseError, parse_corpus
 from .corpus import CorpusError, load_corpus, dumps_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
     score_trace_hypotheses
-from .fs import AvmFormatError
 from .grammar import GrammarError, load_grammar_file
 from .mlp import MlpClassifier, TrainConfig, gap_vectors, score_turn, train
-from .prosody import LayoutError
 from .synth import synth_corpus
 
-DATA_ERRORS = (CorpusError, GrammarError, ParseError, EvalError,
-               AvmFormatError, LayoutError, OSError, ValueError)
+DATA_ERRORS = (CorpusError, GrammarError, ParseError, EvalError, OSError,
+               ValueError)
 
 
 class Parser(argparse.ArgumentParser):

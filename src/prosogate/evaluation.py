@@ -176,11 +176,11 @@ def bench(corpus, grammar, config_on, config_off):
     caller's heap does not land in one parse of a pair. Each side's
     totals are its parse statistics summed over the turns. For every
     turn whose gold trace gaps all pass the gate, the two reading sets
-    must be identical; a mismatch aborts with an EvalError naming the
-    turn, a parse error with a ParseError naming the turn.
+    must be identical; the first turn that fails, by a reading mismatch
+    (EvalError) or a parse error (ParseError), aborts with an error
+    naming it.
     """
     on, off = Counter(), Counter()  # summed parse statistics per side
-    differs, gated_sites = {}, {}
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -192,17 +192,14 @@ def bench(corpus, grammar, config_on, config_off):
             gated, ungated = results[::order]
             on.update(gated.stats)
             off.update(ungated.stats)
-            differs[gated.turn_id] = set(gated.readings) != set(ungated.readings)
-            gated_sites[gated.turn_id] = set(gated.proposed_sites)
+            if (set(gated.readings) != set(ungated.readings)
+                    and set(turn.gold_traces or []) <= set(gated.proposed_sites)):
+                raise EvalError(
+                    f"turn {turn.turn_id!r}: gated reading set differs "
+                    f"although all gold sites pass the gate")
     finally:
         if collecting:
             gc.enable()
-    for turn in corpus:
-        if (differs[turn.turn_id]
-                and set(turn.gold_traces or []) <= gated_sites[turn.turn_id]):
-            raise EvalError(
-                f"turn {turn.turn_id!r}: gated reading set differs although "
-                f"all gold sites pass the gate")
     return BenchReport(
         overall_with=on["elapsed_ms"] / 1000.0,
         overall_without=off["elapsed_ms"] / 1000.0,

@@ -112,10 +112,6 @@ def top():
     return FS(AVM)
 
 
-def is_top(node):
-    return node.kind == AVM and not node.attrs
-
-
 def is_elist(node):
     return node.kind == LIST and not node.attrs
 
@@ -277,7 +273,7 @@ def subsumes(a, b):
         if id(x) in mapping:
             return mapping[id(x)] is y
         mapping[id(x)] = y
-        if is_top(x):
+        if x.kind == AVM and not x.attrs:  # top
             return True
         if x.kind != y.kind:
             return False
@@ -288,11 +284,6 @@ def subsumes(a, b):
         return all(f in y.attrs and walk(v, y.attrs[f]) for f, v in x.attrs.items())
 
     return walk(a, b)
-
-
-def equivalent(a, b):
-    """Structural identity up to tag renaming."""
-    return canonical(a) == canonical(b)
 
 
 def canonical(node):

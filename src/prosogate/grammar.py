@@ -349,18 +349,10 @@ def load_grammar(text):
         grammar.entries_by_id[entry.entry_id] = entry
         grammar.lexicon.setdefault(entry.orth, []).append(entry)
 
-    for i, item in enumerate(doc["lexicon"]):
-        where = f"lexicon[{i}]"
-        if not isinstance(item, dict):
-            raise GrammarError(f"{where}: not a JSON object")
-        try:
-            cat = parse_avm(item["avm"])
-            _check_features(cat, features, where)
-            entry = LexEntry(item["id"], item["orth"], cat)
-        except (fs.AvmFormatError, KeyError) as exc:
-            raise GrammarError(f"{where}: {exc}") from exc
-        except RecursionError as exc:
-            raise GrammarError(f"{where}: nested too deeply") from exc
+    def add_entry(item, where):
+        cat = parse_avm(item["avm"])
+        _check_features(cat, features, where)
+        entry = LexEntry(item["id"], item["orth"], cat)
         if not isinstance(entry.entry_id, str) or not isinstance(entry.orth, str):
             raise GrammarError(f"{where}: id and orth must be strings")
         register(entry, where)
@@ -371,29 +363,29 @@ def load_grammar(text):
             v2.trace_template = copy_fs(v2.trace_template)
             register(v2, where + " (lexical rule)")
 
-    for i, item in enumerate(doc["schemata"]):
-        where = f"schemata[{i}]"
-        if not isinstance(item, dict):
-            raise GrammarError(f"{where}: not a JSON object")
-        try:
-            daughters = item["daughters"]
-            if not isinstance(daughters, list) or len(daughters) != 2:
-                raise GrammarError(f"{where}: schemata are binary")
-            tags = {}
-            pattern = parse_avm(
-                {"LEFT": daughters[0], "RIGHT": daughters[1], "MOTHER": item["mother"]},
-                tags,
-            )
-            for part in ("LEFT", "RIGHT", "MOTHER"):
-                _check_features(pattern.attrs[part], features, f"{where}.{part}")
-            schema = RuleSchema(name=item["name"], pattern=pattern)
-        except fs.AvmFormatError as exc:
-            raise GrammarError(f"{where}: {exc}") from exc
-        except KeyError as exc:
-            raise GrammarError(f"{where}: missing key {exc}") from exc
-        except RecursionError as exc:
-            raise GrammarError(f"{where}: nested too deeply") from exc
-        grammar.schemata.append(schema)
+    def add_schema(item, where):
+        daughters = item["daughters"]
+        if not isinstance(daughters, list) or len(daughters) != 2:
+            raise GrammarError(f"{where}: schemata are binary")
+        pattern = parse_avm({"LEFT": daughters[0], "RIGHT": daughters[1],
+                             "MOTHER": item["mother"]})
+        for part in ("LEFT", "RIGHT", "MOTHER"):
+            _check_features(pattern.attrs[part], features, f"{where}.{part}")
+        grammar.schemata.append(RuleSchema(name=item["name"], pattern=pattern))
+
+    for key, add in (("lexicon", add_entry), ("schemata", add_schema)):
+        for i, item in enumerate(doc[key]):
+            where = f"{key}[{i}]"
+            if not isinstance(item, dict):
+                raise GrammarError(f"{where}: not a JSON object")
+            try:
+                add(item, where)
+            except fs.AvmFormatError as exc:
+                raise GrammarError(f"{where}: {exc}") from exc
+            except KeyError as exc:
+                raise GrammarError(f"{where}: missing key {exc}") from exc
+            except RecursionError as exc:
+                raise GrammarError(f"{where}: nested too deeply") from exc
     _compile_quick_check(grammar)
     for entry in grammar.entries_by_id.values():
         entry.summaries = grammar.summaries(entry.category)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 from .corpus import Corpus, Syllable, TurnRecord
 from .prosody import REGRESSION_LEN, SyllableRecord
@@ -22,6 +23,9 @@ DETS = ["den", "das"]
 NOUNS = {"den": "wagen", "das": "auto"}
 ADVS = ["gestern", "heute"]
 TRANS = ["reparierte", "kaufte"]
+# Slot -> words to draw; a NOUN is its DET's noun, a non-slot is itself.
+SLOTS = {"PRON": PRONOUNS, "PRON3": ["er", "sie"], "ADV": ADVS, "VT": TRANS,
+         "DET": DETS}
 
 # (pattern, gold final trace?) -- slot names are expanded per turn.
 V2_PATTERNS = [
@@ -49,25 +53,19 @@ SYLLABLE_COUNT = {
 }
 
 
+# The measured fields of a record: those declared before its accent flag.
+_FIELDS = [f.name for f in fields(SyllableRecord)]
+MEASUREMENTS = _FIELDS[:_FIELDS.index("accent")]
+
+
 def _expand(pattern, rng):
     words = []
-    det = None
     for slot in pattern:
-        if slot == "PRON":
-            words.append(rng.choice(PRONOUNS))
-        elif slot == "PRON3":
-            words.append(rng.choice(["er", "sie"]))
-        elif slot == "ADV":
-            words.append(rng.choice(ADVS))
-        elif slot == "VT":
-            words.append(rng.choice(TRANS))
-        elif slot == "DET":
-            det = rng.choice(DETS)
-            words.append(det)
-        elif slot == "NOUN":
-            words.append(NOUNS[det])
-        else:
-            words.append(slot)
+        if slot == "NOUN":
+            slot = NOUNS[words[-1]]
+        elif slot in SLOTS:
+            slot = rng.choice(SLOTS[slot])
+        words.append(slot)
     return words
 
 
@@ -75,17 +73,10 @@ def _syllable(rng, mean, word_final):
     def draw(n):
         return [rng.gauss(mean, 1.0) for _ in range(n)]
 
-    vals = draw(13)
     return SyllableRecord(
-        nucleus_dur=vals[0],
-        f0_min=vals[1], f0_max=vals[2], f0_onset=vals[3], f0_offset=vals[4],
-        f0_min_pos=vals[5], f0_max_pos=vals[6], f0_onset_pos=vals[7],
-        f0_offset_pos=vals[8],
-        energy_max=vals[9], energy_max_pos=vals[10],
-        energy_mean=vals[11], f0_mean=vals[12],
+        **dict(zip(MEASUREMENTS, draw(len(MEASUREMENTS)))),
         accent=rng.random() < 0.4,
         word_final=word_final,
-        pause_before=0.0,
         pause_after=max(0.0, rng.gauss(0.15 * mean, 0.05)) if word_final else 0.0,
         f0_regression=draw(REGRESSION_LEN),
         energy_regression=draw(REGRESSION_LEN),

@@ -302,9 +302,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("doc, where", [
         ({"features": []}, "missing 'lexicon'"),
         ({"features": [], "lexicon": [{"orth": "x", "avm": {}}],
-          "schemata": []}, "lexicon[0]: 'id'"),
+          "schemata": []}, "lexicon[0]: missing key 'id'"),
         ({"features": [], "lexicon": [{"id": "x", "avm": {}}],
-          "schemata": []}, "lexicon[0]: 'orth'"),
+          "schemata": []}, "lexicon[0]: missing key 'orth'"),
         ({"features": [], "lexicon": [],
           "schemata": [{"daughters": [{}, {}], "mother": {}}]},
          "schemata[0]: missing key 'name'"),

@@ -187,3 +187,28 @@ def test_bench_gating_reduces_work(grammar, demo_corpus):
     assert report.empty_edges_with < report.empty_edges_without
     assert report.proposed_sites_with < report.proposed_sites_without
     assert report.overall_with > 0 and report.overall_without > 0
+
+
+def _turns(*lines):
+    from prosogate.corpus import loads_corpus
+    return loads_corpus("\n".join(lines))
+
+
+def test_bench_rejects_lost_readings_when_gold_sites_pass(grammar):
+    # the gate drops the trace site at gap 5, which no gold trace names
+    lost = ('{"id": "a", "words": ["gestern", "reparierte", "er", "den", '
+            '"wagen"], "gap_scores": [0.5, 0.5, 0.5, 0.5, 0.0], '
+            '"gold_traces": []}')
+    with pytest.raises(EvalError, match="turn 'a': gated reading set differs"):
+        bench(_turns(lost), grammar, ParseConfig(threshold=0.01),
+              ParseConfig(mode="off"))
+    # a gold site the gate drops excuses the difference
+    missed = lost.replace('"gold_traces": []', '"gold_traces": [5]')
+    bench(_turns(missed), grammar, ParseConfig(threshold=0.01),
+          ParseConfig(mode="off"))
+    # turns are checked in order: the mismatch is raised before a later
+    # turn's parse error
+    unknown = '{"id": "b", "words": ["zzz"], "gap_scores": [0.5]}'
+    with pytest.raises(EvalError, match="turn 'a'"):
+        bench(_turns(lost, unknown), grammar, ParseConfig(threshold=0.01),
+              ParseConfig(mode="off"))
