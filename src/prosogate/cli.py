@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import __version__, load_demo_corpus, load_demo_grammar
+from . import __version__, load_demo_corpus, load_demo_grammar, read_text
 from .chart import ParseConfig, ParseError, parse_corpus
 from .corpus import CorpusError, load_corpus, dumps_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
@@ -127,9 +127,9 @@ def cmd_parse(args):
 
 def cmd_eval(args):
     gold_corpus = load_corpus(args.gold)
+    text = read_text(args.proposed)
     try:
-        with open(args.proposed, encoding="utf-8") as f:
-            report = json.load(f)
+        report = json.loads(text)
         proposed_by_id = {t["id"]: set(t["proposed_sites"])
                           for t in report["turns"]}
     except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:

@@ -21,6 +21,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
+from . import read_text
 from .prosody import REGRESSION_LEN, SyllableRecord
 
 S3_LABELS = ("S3+", "S3-", "S3?")
@@ -217,8 +218,7 @@ def loads_corpus(text):
 
 
 def load_corpus(path):
-    with open(path, encoding="utf-8") as f:
-        return loads_corpus(f.read())
+    return loads_corpus(read_text(path))
 
 
 def dumps_corpus(corpus):

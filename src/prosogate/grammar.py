@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import fs
+from . import fs, read_text
 from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm
 
 
@@ -395,5 +395,4 @@ def load_grammar(text):
 
 
 def load_grammar_file(path):
-    with open(path, encoding="utf-8") as f:
-        return load_grammar(f.read())
+    return load_grammar(read_text(path))

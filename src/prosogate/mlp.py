@@ -43,6 +43,13 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _holds_bool(value):
+    """Whether a JSON value is a boolean or a list that nests one."""
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _views(flat, shapes):
     """Consecutive reshaped views of ``flat``, one per shape."""
     views, start = [], 0
@@ -168,6 +175,11 @@ class MlpClassifier:
                 and dims[-1] == OUTPUT_NODES):
             raise ValueError(f"malformed classifier: dims {dims!r} are not "
                              f"four positive ints ending in {OUTPUT_NODES}")
+        if type(seed) is not int:
+            raise ValueError(f"malformed classifier: seed {seed!r} is not an "
+                             f"int")
+        if _holds_bool(d["weights"]):
+            raise ValueError("malformed classifier: weights hold a boolean")
         return cls(*dims[:3], seed=seed, weights=weights)
 
     @classmethod

@@ -366,10 +366,23 @@ class TestCliExitCodes:
          "malformed classifier: dims"),
         (json.dumps({**_MODEL, "dims": [FEATURE_DIM, True, 3, 2]}),
          "malformed classifier: dims"),
+        (json.dumps({**_MODEL, "weights": [*_MODEL["weights"][:-1],
+                                           [True, False]]}),
+         "malformed classifier: weights hold a boolean"),
+        (json.dumps({**_MODEL, "weights": [*_MODEL["weights"][:-1],
+                                           [0.5, True]]}),
+         "malformed classifier: weights hold a boolean"),
+        (json.dumps({**_MODEL, "seed": {"x": [1]}}),
+         "malformed classifier: seed {'x': [1]} is not an int"),
+        (json.dumps({**_MODEL, "seed": 1.0}),
+         "malformed classifier: seed 1.0 is not an int"),
+        (json.dumps({**_MODEL, "seed": True}),
+         "malformed classifier: seed True is not an int"),
     ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims",
             "nan-weight", "not-json", "deep", "ragged-weights",
             "non-numeric-weight", "overflowing-weight", "dims-not-ending-in-2",
-            "long-dims", "zero-dim", "float-dim", "bool-dim"])
+            "long-dims", "zero-dim", "float-dim", "bool-dim", "bool-weights",
+            "bool-among-weights", "object-seed", "float-seed", "bool-seed"])
     def test_bad_model_is_data_error(self, tmp_path, capsys, model, where):
         corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
         assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
@@ -379,6 +392,18 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"prosogate score: error: {bad}: " in err
         assert where in err
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--grammar", "--proposed"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, flag):
+        from prosogate import demo_corpus_text
+        gold, bad = tmp_path / "gold.jsonl", tmp_path / "bad"
+        gold.write_text(demo_corpus_text())
+        bad.write_bytes(b"\xff\xfe{}\n")
+        command = (["eval", "--gold", str(gold)] if flag == "--proposed"
+                   else ["parse"])
+        assert run([*command, flag, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and "can't decode byte 0xff" in err
 
     def test_underflowing_model_scores_finite(self, tmp_path, capsys):
         corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
