@@ -192,8 +192,9 @@ def bench(corpus, grammar, config_on, config_off):
             gated, ungated = results[::order]
             on.update(gated.stats)
             off.update(ungated.stats)
+            gold = set(turn.gold_traces or [])
             if (set(gated.readings) != set(ungated.readings)
-                    and set(turn.gold_traces or []) <= set(gated.proposed_sites)):
+                    and gold <= set(gated.proposed_sites)):
                 raise EvalError(
                     f"turn {turn.turn_id!r}: gated reading set differs "
                     f"although all gold sites pass the gate")
