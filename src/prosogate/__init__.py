@@ -5,14 +5,16 @@ from importlib import resources
 __version__ = "0.1.0"
 
 
-def read_text(path):
-    """A UTF-8 file's text; a ValueError naming the file if it is not
-    UTF-8."""
+def load_file(path, loads):
+    """``loads`` of a UTF-8 file's text. A ValueError it raises comes
+    back as the same class naming the file; a file that is not UTF-8 is
+    a plain ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+            return loads(f.read())
+    except ValueError as exc:
+        cls = ValueError if isinstance(exc, UnicodeDecodeError) else type(exc)
+        raise cls(f"{path}: {exc}") from exc
 
 
 def demo_grammar_text():

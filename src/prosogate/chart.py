@@ -17,7 +17,9 @@ c) every empty edge instantiates the precomputed trace template of an
 
 Empty edges may only serve as right daughters (right-periphery
 restriction), which also guarantees termination: no derived edge is ever
-zero-width, so empty edges cannot feed each other.
+zero-width, so empty edges cannot feed each other. But a mother over an
+empty edge keeps its left daughter's span, so a grammar can make an edge
+derive itself: a ParseError, checked only where such a mother packs.
 
 Each edge is queued once, when created, and indexed only once popped
 and combined with the edges indexed before it. So each adjacent pair
@@ -53,23 +55,25 @@ from dataclasses import dataclass, field
 from . import fs
 
 
-class ParseError(Exception):
-    pass
+class ParseError(ValueError):
+    """A turn that cannot be parsed; the message names the turn."""
+
+    def __init__(self, turn, message):
+        super().__init__(f"turn {turn.turn_id!r}: {message}")
 
 
 class UnknownWordError(ParseError):
-    def __init__(self, word):
-        super().__init__(f"unknown word {word!r}")
+    """A word with no lexicon entry."""
 
 
 class EdgeCapExceeded(ParseError):
-    def __init__(self, cap, stats):
-        super().__init__(f"edge cap {cap} exceeded")
+    def __init__(self, turn, cap, stats):
+        super().__init__(turn, f"edge cap {cap} exceeded")
         self.stats = stats
 
 
 class InputFormatError(ParseError):
-    pass
+    """A turn without one gap score per word."""
 
 
 MAX_READINGS = 2000  # readings unpacked per turn
@@ -139,7 +143,7 @@ def propose_trace_sites(turn, config):
     scores = turn.gap_scores
     if scores is None or len(scores) != n:
         raise InputFormatError(
-            f"need one gap score per word "
+            turn, f"need one gap score per word "
             f"(got {0 if scores is None else len(scores)} for {n} words)"
         )
     if config.mode == "rank":
@@ -224,8 +228,9 @@ class ParseResult:
 def parse(turn, grammar, config):
     """Exhaustively parse one turn; see module docstring for the phases.
 
-    Raises UnknownWordError for out-of-lexicon words and EdgeCapExceeded
-    (with the partial chart's statistics) when config.max_edges is hit.
+    Raises a ParseError naming the turn: UnknownWordError,
+    InputFormatError, EdgeCapExceeded (with the partial chart's
+    statistics), or a plain one for an edge that derives itself.
     An unparseable turn yields an empty reading list, not an error.
     """
     t0 = time.perf_counter()
@@ -241,13 +246,13 @@ def parse(turn, grammar, config):
 
     def check_cap():
         if len(chart.edges) > config.max_edges:
-            raise EdgeCapExceeded(config.max_edges, statistics())
+            raise EdgeCapExceeded(turn, config.max_edges, statistics())
 
     # (i) lexical edges
     for i, word in enumerate(turn.words):
         entries = grammar.entries(word)
         if not entries:
-            raise UnknownWordError(word)
+            raise UnknownWordError(turn, f"unknown word {word!r}")
         for entry in entries:
             chart.add(i, i + 1, entry.category, "lexical", entry=entry)
 
@@ -271,9 +276,14 @@ def parse(turn, grammar, config):
             mother = schema.apply(left.category, right_cat)
             if mother is None:
                 continue
-            chart.add(left.start, right.end, mother, "derived",
-                      derivation=(schema, left.edge_id, right.edge_id),
-                      shares=left.shares | right.shares)
+            edge, is_new = chart.add(
+                left.start, right.end, mother, "derived",
+                derivation=(schema, left.edge_id, right.edge_id),
+                shares=left.shares | right.shares)
+            if (right.kind == "empty" and not is_new
+                    and _reaches(left, edge, chart.edges)):
+                raise ParseError(turn, f"cyclic derivation: {schema.name} "
+                                 f"derives edge {edge.edge_id} from itself")
             check_cap()
 
     while chart.agenda:
@@ -301,16 +311,20 @@ def parse(turn, grammar, config):
     return result
 
 
-def parse_corpus(turns, grammar, config):
-    """Parse turns in order, yielding one ParseResult each.
-
-    A ParseError is re-raised as a ParseError naming the failing turn.
-    """
-    for turn in turns:
-        try:
-            yield parse(turn, grammar, config)
-        except ParseError as exc:
-            raise ParseError(f"turn {turn.turn_id!r}: {exc}") from exc
+def _reaches(edge, target, edges):
+    """Whether ``target`` is ``edge`` or below it along derivations with
+    an empty right daughter, the only ones whose mother keeps a span.
+    A loop, not a recursion: such a chain may be thousands deep."""
+    stack, seen = [edge], set()
+    while stack:
+        edge = stack.pop()
+        if edge is target:
+            return True
+        if edge.edge_id not in seen:
+            seen.add(edge.edge_id)
+            stack.extend(edges[lid] for _, lid, rid in edge.derivations
+                         if edges[rid].kind == "empty")
+    return False
 
 
 def derivation_label(kind, entry, start, schema=None, left=None, right=None):

@@ -14,17 +14,17 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import __version__, load_demo_corpus, load_demo_grammar, read_text
-from .chart import ParseConfig, ParseError, parse_corpus
+from . import __version__, load_demo_corpus, load_demo_grammar, load_file
+from .chart import ParseConfig, parse
 from .corpus import CorpusError, load_corpus, dumps_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
     score_trace_hypotheses
-from .grammar import GrammarError, load_grammar_file
+from .grammar import load_grammar_file
 from .mlp import MlpClassifier, TrainConfig, gap_vectors, score_turn, train
 from .synth import synth_corpus
 
-DATA_ERRORS = (CorpusError, GrammarError, ParseError, EvalError, OSError,
-               ValueError)
+# CorpusError, GrammarError, ParseError and EvalError are ValueErrors
+DATA_ERRORS = (OSError, ValueError)
 
 
 class Parser(argparse.ArgumentParser):
@@ -42,15 +42,11 @@ def _write(text, out_path):
 
 
 def _load_grammar(path):
-    if path:
-        return load_grammar_file(path)
-    return load_demo_grammar()
+    return load_grammar_file(path) if path else load_demo_grammar()
 
 
 def _load_corpus(path):
-    if path:
-        return load_corpus(path)
-    return load_demo_corpus()
+    return load_corpus(path) if path else load_demo_corpus()
 
 
 def _report_json(payload):
@@ -103,10 +99,9 @@ def cmd_parse(args):
     config = ParseConfig(mode=args.mode, threshold=args.threshold,
                          rank_limit=args.rank_limit, max_edges=args.max_edges)
     turns = []
-    for result in parse_corpus(sorted(corpus, key=lambda t: t.turn_id),
-                               grammar, config):
-        turns.append({"id": result.turn_id,
-                      "readings": result.readings,
+    for turn in sorted(corpus, key=lambda t: t.turn_id):
+        result = parse(turn, grammar, config)
+        turns.append({"id": result.turn_id, "readings": result.readings,
                       "proposed_sites": result.proposed_sites,
                       "statistics": result.stats})
     if args.format == "json":
@@ -125,33 +120,36 @@ def cmd_parse(args):
     return 0
 
 
-def cmd_eval(args):
-    gold_corpus = load_corpus(args.gold)
-    text = read_text(args.proposed)
+def _proposed_sites(gold_corpus, text):
+    """Each gold turn's proposed sites, in corpus order, read from the
+    text of a parse report."""
     try:
-        report = json.loads(text)
-        proposed_by_id = {t["id"]: set(t["proposed_sites"])
-                          for t in report["turns"]}
+        by_id = {t["id"]: set(t["proposed_sites"])
+                 for t in json.loads(text)["turns"]}
     except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
-        raise EvalError(
-            f"{args.proposed}: not a parse report: {exc!r}") from exc
-    for turn_id, sites in proposed_by_id.items():
+        raise EvalError(f"not a parse report: {exc!r}") from exc
+    for turn_id, sites in by_id.items():
         if not all(type(site) is int for site in sites):
-            raise EvalError(f"{args.proposed}: not a parse report: turn "
-                            f"{turn_id!r} has a site that is not a gap index")
-    gold, proposed, universe = [], [], []
+            raise EvalError(f"not a parse report: turn {turn_id!r} has a "
+                            f"site that is not a gap index")
     for turn in gold_corpus:
-        if turn.turn_id not in proposed_by_id:
+        if turn.turn_id not in by_id:
             raise EvalError(f"turn {turn.turn_id!r} missing from the report")
         n = len(turn.words)
-        sites = proposed_by_id[turn.turn_id]
-        outside = sorted(site for site in sites if not 1 <= site <= n)
+        outside = sorted(site for site in by_id[turn.turn_id]
+                         if not 1 <= site <= n)
         if outside:
-            raise EvalError(f"{args.proposed}: turn {turn.turn_id!r} proposes "
-                            f"sites {outside} outside its gaps 1..{n}")
-        gold.append(set(turn.gold_traces or []))
-        proposed.append(sites)
-        universe.append(set(range(1, n + 1)))
+            raise EvalError(f"turn {turn.turn_id!r} proposes sites {outside} "
+                            f"outside its gaps 1..{n}")
+    return [by_id[turn.turn_id] for turn in gold_corpus]
+
+
+def cmd_eval(args):
+    gold_corpus = load_corpus(args.gold)
+    proposed = load_file(args.proposed,
+                         lambda text: _proposed_sites(gold_corpus, text))
+    gold = [set(turn.gold_traces or []) for turn in gold_corpus]
+    universe = [set(range(1, len(turn.words) + 1)) for turn in gold_corpus]
     counts = score_trace_hypotheses(gold, proposed, universe)
     report = metrics(counts)
     if args.format == "json":

@@ -21,13 +21,13 @@ import numbers
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
-from . import read_text
+from . import load_file
 from .prosody import REGRESSION_LEN, SyllableRecord
 
 S3_LABELS = ("S3+", "S3-", "S3?")
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     pass
 
 
@@ -176,14 +176,6 @@ class Corpus:
     def __len__(self):
         return len(self.turns)
 
-    def validate(self):
-        seen = set()
-        for t in self.turns:
-            if t.turn_id in seen:
-                raise CorpusError(f"duplicate turn id {t.turn_id!r}")
-            seen.add(t.turn_id)
-            t.validate()
-
 
 def loads_corpus(text):
     corpus = Corpus()
@@ -218,7 +210,7 @@ def loads_corpus(text):
 
 
 def load_corpus(path):
-    return loads_corpus(read_text(path))
+    return load_file(path, loads_corpus)
 
 
 def dumps_corpus(corpus):

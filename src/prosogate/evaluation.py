@@ -16,10 +16,10 @@ from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 
-from .chart import gaps_by_score, parse_corpus
+from .chart import gaps_by_score, parse
 
 
-class EvalError(Exception):
+class EvalError(ValueError):
     pass
 
 
@@ -187,7 +187,7 @@ def bench(corpus, grammar, config_on, config_off):
     try:
         for k, turn in enumerate(corpus):
             order = -1 if k % 2 else 1  # odd turns parse ungated first
-            results = [next(parse_corpus([turn], grammar, config))
+            results = [parse(turn, grammar, config)
                        for config in (config_on, config_off)[::order]]
             gated, ungated = results[::order]
             on.update(gated.stats)

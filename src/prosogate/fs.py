@@ -320,7 +320,7 @@ def canonical(node):
     return "".join(out)
 
 
-def parse_avm(obj, tags=None):
+def parse_avm(obj):
     """Build an FS from its JSON encoding.
 
     Encoding rules:
@@ -331,12 +331,8 @@ def parse_avm(obj, tags=None):
       which *defines* tag ``n`` as its value;
     - the string ``"#n"`` *references* tag ``n`` (forward references are
       allowed; an unconstrained reference resolves to top).
-
-    ``tags`` lets callers share one tag namespace across several encoded
-    values (used by rule schemata, whose daughters and mother share tags).
     """
-    if tags is None:
-        tags = {}
+    tags = {}
     new_generation()
 
     def build(o):

@@ -53,11 +53,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import fs, read_text
+from . import fs, load_file
 from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm
 
 
-class GrammarError(Exception):
+class GrammarError(ValueError):
     """Malformed grammar document (bad feature, bad schema, duplicate id)."""
 
 
@@ -395,4 +395,4 @@ def load_grammar(text):
 
 
 def load_grammar_file(path):
-    return load_grammar(read_text(path))
+    return load_file(path, load_grammar)

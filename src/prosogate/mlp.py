@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import load_file
 from .prosody import extract_features
 
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
@@ -184,11 +185,7 @@ class MlpClassifier:
 
     @classmethod
     def load(cls, path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                return cls.from_json(f.read())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        return load_file(path, cls.from_json)
 
 
 def train(data, config=None, seed=0):

@@ -162,5 +162,4 @@ def synth_corpus(seed=42, turns=104, separation=2.0, placement="final",
         corpus.turns.append(TurnRecord(
             turn_id=f"s{k:04d}", words=words, gap_scores=scores,
             gold_traces=gold, s3_labels=labels, syllables=syllables))
-    corpus.validate()
     return corpus

@@ -7,8 +7,7 @@ from bruteforce import enumerate_readings
 from prosogate import demo_grammar_text, fs, load_demo_grammar
 from prosogate.chart import (Chart, EdgeCapExceeded, InputFormatError,
                              ParseConfig, ParseError, UnknownWordError,
-                             extract_pred_arg, parse, parse_corpus,
-                             propose_trace_sites)
+                             extract_pred_arg, parse, propose_trace_sites)
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
 from prosogate.grammar import RuleSchema, load_grammar
@@ -168,14 +167,17 @@ def test_unknown_word(grammar):
         parse(t, grammar, ParseConfig())
 
 
-def test_parse_corpus_names_failing_turn(grammar, demo_corpus):
-    good = _by_id(demo_corpus)["d01"]
+def test_parse_names_failing_turn(grammar, demo_corpus):
     bad = _turn(["gestern", "explodierte"], [0.0, 0.9], turn_id="x7")
-    results = parse_corpus([good, bad], grammar, ParseConfig())
-    assert next(results).turn_id == "d01"
     with pytest.raises(ParseError,
                        match="turn 'x7': unknown word 'explodierte'"):
-        next(results)
+        parse(bad, grammar, ParseConfig())
+    with pytest.raises(EdgeCapExceeded,
+                       match="^turn 'd02': edge cap 12 exceeded$"):
+        parse(_by_id(demo_corpus)["d02"], grammar,
+              ParseConfig(mode="off", max_edges=12))
+    with pytest.raises(InputFormatError, match="^turn 'q3': need one gap"):
+        parse(_turn(["er"], None, turn_id="q3"), grammar, ParseConfig())
 
 
 def _combination_order(edges):

@@ -1,20 +1,24 @@
 import argparse
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import platform
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from prosogate import load_demo_corpus, load_demo_grammar
-from prosogate.chart import ParseConfig, extract_pred_arg, parse_corpus
+from prosogate import demo_grammar_text, load_demo_corpus, load_demo_grammar
+from prosogate.chart import ParseConfig, ParseError, extract_pred_arg, parse
 from prosogate.cli import build_parser, run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
                               load_corpus, loads_corpus)
 from prosogate.evaluation import BenchReport
+from prosogate.grammar import GrammarError, load_grammar
 from prosogate.mlp import MlpClassifier
 from prosogate.prosody import (FEATURE_DIM, REGRESSION_LEN, SyllableRecord,
                                extract_features)
@@ -205,6 +209,101 @@ class TestCorpusFuzz:
         _check_loads(json.dumps(turn))
 
 
+def _paths(node, path=()):
+    """The path of every value below a JSON value, the value excluded."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield path + (key,)
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _one_field_replaced(draw, doc):
+    """A copy of a JSON document in which one value, at any depth, is
+    any JSON value; often {}, which as a feature structure is top and
+    lets the most grammars load."""
+    doc = copy.deepcopy(doc)
+    *steps, last = draw(st.sampled_from(list(_paths(doc))))
+    owner = doc
+    for step in steps:
+        owner = owner[step]
+    owner[last] = draw(st.just({}) | _json_values)
+    return doc
+
+
+_FUZZ_TURNS = ("d01", "d02", "d03")
+
+
+def _cyclic_grammar():
+    """The demo grammar with head-subject's right daughter unconstrained,
+    so a subject over an empty edge rebuilds its own category: on turn
+    d01 the mother packs into its left daughter."""
+    doc = json.loads(demo_grammar_text())
+    doc["schemata"][0]["daughters"][1] = {}
+    return doc
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """A gold corpus of the fuzzed demo turns and its parse report."""
+    gold = tmp_path_factory.mktemp("eval") / "gold.jsonl"
+    gold.write_text(dumps_corpus(Corpus([
+        turn for turn in load_demo_corpus() if turn.turn_id in _FUZZ_TURNS])))
+    report = gold.with_name("report.json")
+    assert run(["parse", "--format", "json", "--mode", "off", "--corpus",
+                str(gold), "--out", str(report)]) == 0
+    return gold, report
+
+
+class TestInputFuzz:
+    """One field of a valid grammar, classifier or parse report replaced
+    by any JSON value: loading gives the input's own ValueError subclass
+    or succeeds, and what loads works."""
+
+    @settings(max_examples=150)
+    @given(doc=_one_field_replaced(json.loads(demo_grammar_text())))
+    @example(doc=_cyclic_grammar())
+    def test_grammar_field(self, doc, demo_corpus):
+        try:
+            grammar = load_grammar(json.dumps(doc))
+        except GrammarError:
+            return
+        config = ParseConfig(mode="off", max_edges=300)
+        for turn in demo_corpus:
+            if turn.turn_id in _FUZZ_TURNS:
+                try:
+                    parse(turn, grammar, config)
+                except ParseError as exc:
+                    assert str(exc).startswith(f"turn {turn.turn_id!r}: ")
+
+    @settings(max_examples=150)
+    @given(_one_field_replaced(json.loads(MlpClassifier(3, 2, 2).to_json())))
+    def test_model_field(self, doc):
+        try:
+            clf = MlpClassifier.from_json(json.dumps(doc))
+        except ValueError:
+            return
+        assert MlpClassifier.from_json(clf.to_json()).to_json() == \
+            clf.to_json()
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_report_field(self, eval_files, data):
+        gold, path = eval_files
+        bad = path.with_name("bad.json")
+        doc = data.draw(_one_field_replaced(json.loads(path.read_text())))
+        bad.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["eval", "--gold", str(gold), "--proposed", str(bad),
+                        "--out", str(bad.with_name("eval.txt"))])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith(
+                f"prosogate eval: error: {bad}: ")
+
+
 class TestSynth:
     def test_deterministic_bytes(self):
         a = dumps_corpus(synth_corpus(seed=9, turns=12))
@@ -292,6 +391,31 @@ class TestCliExitCodes:
                           '"gap_scores": [0.5, 0.5]}\n')
         assert run(["parse", "--corpus", str(corpus), "--max-edges", "1"]) == 2
         assert "turn 'q2': edge cap 1 exceeded" in capsys.readouterr().err
+
+    def test_cyclic_grammar_error_names_turn(self, tmp_path, capsys):
+        bad = tmp_path / "g.json"
+        bad.write_text(json.dumps(_cyclic_grammar()))
+        assert run(["parse", "--mode", "off", "--grammar", str(bad)]) == 2
+        assert ("prosogate parse: error: turn 'd01': cyclic derivation: "
+                "head-subject derives edge 10 from itself"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--corpus", '{"id": "a"\n', "line 1: malformed JSON"),
+        ("--gold", '{"id": "a"\n', "line 1: malformed JSON"),
+        ("--grammar", json.dumps({"features": [], "schemata": [],
+                                  "lexicon": [{"orth": "x", "avm": {}}]}),
+         "lexicon[0]: missing key 'id'"),
+    ], ids=["corpus", "gold", "grammar"])
+    def test_data_error_names_file(self, tmp_path, capsys, flag, text,
+                                   message):
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        command = (["eval", "--proposed", str(tmp_path / "r.json")]
+                   if flag == "--gold" else ["parse"])
+        assert run([*command, flag, str(bad)]) == 2
+        assert f"prosogate {command[0]}: error: {bad}: {message}" in \
+            capsys.readouterr().err
 
     def test_unknown_word_error_names_turn(self, tmp_path, capsys):
         bad = tmp_path / "c.jsonl"
@@ -611,9 +735,11 @@ class TestCliPipeline:
             digests[f"bench {name}"] = _sha256(json.dumps(report,
                                                           sort_keys=True))
             turns = load_corpus(path) if path else load_demo_corpus()
+            grammar = load_demo_grammar()
+            results = (parse(turn, grammar, ParseConfig(mode="off"))
+                       for turn in turns)
             records = [(result.turn_id, i, extract_pred_arg(result, i))
-                       for result in parse_corpus(turns, load_demo_grammar(),
-                                                  ParseConfig(mode="off"))
+                       for result in results
                        for i in range(len(result.readings))]
             digests[f"pred-arg {name}"] = _sha256(repr(records))
         assert run(["score", "--corpus", str(corpus_42), "--model", str(model),

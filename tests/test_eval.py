@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from prosogate.chart import ParseConfig
+from prosogate.chart import EdgeCapExceeded, ParseConfig
 from prosogate.evaluation import (BenchReport, ConfusionCounts, EvalError,
                                   bench, crosstab, fmt_pct, metrics,
                                   rank_experiment, score_trace_hypotheses)
@@ -212,3 +212,12 @@ def test_bench_rejects_lost_readings_when_gold_sites_pass(grammar):
     with pytest.raises(EvalError, match="turn 'a'"):
         bench(_turns(lost, unknown), grammar, ParseConfig(threshold=0.01),
               ParseConfig(mode="off"))
+
+
+def test_bench_passes_edge_cap_on_with_its_stats(grammar):
+    turn = '{"id": "q2", "words": ["im", "im"], "gap_scores": [0.5, 0.5]}'
+    with pytest.raises(EdgeCapExceeded,
+                       match="^turn 'q2': edge cap 1 exceeded$") as info:
+        bench(_turns(turn), grammar, ParseConfig(max_edges=1),
+              ParseConfig(mode="off", max_edges=1))
+    assert info.value.stats["lexical_edges"] == 2
