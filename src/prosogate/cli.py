@@ -126,7 +126,7 @@ def _proposed_sites(gold_corpus, text):
     try:
         by_id = {t["id"]: set(t["proposed_sites"])
                  for t in json.loads(text)["turns"]}
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise EvalError(f"not a parse report: {exc!r}") from exc
     for turn_id, sites in by_id.items():
         if not all(type(site) is int for site in sites):

@@ -184,9 +184,9 @@ def loads_corpus(text):
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
+        try:  # ValueError: a JSONDecodeError or an int over the digit limit
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise CorpusError(f"line {lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")

@@ -11,7 +11,6 @@ precision.
 
 from __future__ import annotations
 
-import gc
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
@@ -165,42 +164,38 @@ class BenchReport:
         self.speedup = 1.0 - self.overall_with / without if without else 0.0
 
 
-def bench(corpus, grammar, config_on, config_off):
-    """Parse the corpus once under both configs and time it.
+REPEATS = 3  # parses of each turn per side; each side keeps its fastest
 
-    Each turn is parsed under both configs before the next turn, so a
-    drift in host speed weighs on both totals alike; which side goes
-    first alternates from turn to turn, so neither side alone pays what
-    a first parse fills in (the grammar's quick-check table). The
-    collector is paused (as ``timeit`` does), so a collection of the
-    caller's heap does not land in one parse of a pair. Each side's
-    totals are its parse statistics summed over the turns. For every
-    turn whose gold trace gaps all pass the gate, the two reading sets
-    must be identical; the first turn that fails, by a reading mismatch
+
+def bench(corpus, grammar, config_on, config_off):
+    """Parse the corpus under both configs and time it.
+
+    Each turn is parsed gated, then ungated, ``REPEATS`` times before the
+    next turn, so a drift in host speed weighs on both totals alike.
+    Each side keeps its fastest parse of the turn (as ``timeit`` advises
+    taking the minimum), so a collection, a host stall or what a first
+    parse fills in (the grammar's quick-check table) lands in a repeat
+    that the minimum discards. Each side's totals are the statistics of
+    its kept parses, summed over the turns. For every turn whose gold
+    trace gaps all pass the gate, the two reading sets must be
+    identical; the first turn that fails, by a reading mismatch
     (EvalError) or a parse error (ParseError), aborts with an error
     naming it.
     """
     on, off = Counter(), Counter()  # summed parse statistics per side
-    collecting = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        for k, turn in enumerate(corpus):
-            order = -1 if k % 2 else 1  # odd turns parse ungated first
-            results = [parse(turn, grammar, config)
-                       for config in (config_on, config_off)[::order]]
-            gated, ungated = results[::order]
-            on.update(gated.stats)
-            off.update(ungated.stats)
-            gold = set(turn.gold_traces or [])
-            if (set(gated.readings) != set(ungated.readings)
-                    and gold <= set(gated.proposed_sites)):
-                raise EvalError(
-                    f"turn {turn.turn_id!r}: gated reading set differs "
-                    f"although all gold sites pass the gate")
-    finally:
-        if collecting:
-            gc.enable()
+    for turn in corpus:
+        runs = [(parse(turn, grammar, config_on),
+                 parse(turn, grammar, config_off)) for _ in range(REPEATS)]
+        gated, ungated = (min(side, key=lambda r: r.stats["elapsed_ms"])
+                          for side in zip(*runs))
+        on.update(gated.stats)
+        off.update(ungated.stats)
+        gold = set(turn.gold_traces or [])
+        if (set(gated.readings) != set(ungated.readings)
+                and gold <= set(gated.proposed_sites)):
+            raise EvalError(
+                f"turn {turn.turn_id!r}: gated reading set differs "
+                f"although all gold sites pass the gate")
     return BenchReport(
         overall_with=on["elapsed_ms"] / 1000.0,
         overall_without=off["elapsed_ms"] / 1000.0,

@@ -159,7 +159,6 @@ class RuleSchema:
 
 @dataclass
 class Grammar:
-    features: frozenset
     lexicon: dict = field(default_factory=dict)  # orth -> [LexEntry]
     entries_by_id: dict = field(default_factory=dict)
     schemata: list = field(default_factory=list)
@@ -325,9 +324,9 @@ def load_grammar(text):
     and values nested too deeply to build, raise GrammarError with a
     location.
     """
-    try:
+    try:  # ValueError: a JSONDecodeError or an int over the digit limit
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise GrammarError(f"grammar is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise GrammarError("grammar is nested too deeply to decode") from exc
@@ -341,7 +340,7 @@ def load_grammar(text):
     if not all(isinstance(f, str) for f in doc["features"]):
         raise GrammarError("grammar 'features' are not all strings")
     features = frozenset(doc["features"])
-    grammar = Grammar(features=features)
+    grammar = Grammar()
 
     def register(entry, where):
         if entry.entry_id in grammar.entries_by_id:

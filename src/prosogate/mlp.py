@@ -22,7 +22,8 @@ in log space, so it is defined even where both sigmoids underflow to 0.
 A gap's input vector is that of its word's final syllable
 (``gap_vectors``), in training and in scoring alike.
 A classifier's JSON names the one prosodic feature layout its weights
-were trained on (``LAYOUT_ID``); loading rejects any other.
+were trained on (``LAYOUT_ID``); loading rejects any other, and any
+input size but that layout's ``FEATURE_DIM`` values.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import load_file
-from .prosody import extract_features
+from .prosody import FEATURE_DIM, extract_features
 
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
 OUTPUT_NODES = 2  # S3+ at index 0, S3- at index 1
@@ -173,9 +174,10 @@ class MlpClassifier:
                              f"{LAYOUT_ID!r}")
         if not (type(dims) is list and len(dims) == 4
                 and all(type(n) is int and n > 0 for n in dims)
-                and dims[-1] == OUTPUT_NODES):
+                and dims[0] == FEATURE_DIM and dims[-1] == OUTPUT_NODES):
             raise ValueError(f"malformed classifier: dims {dims!r} are not "
-                             f"four positive ints ending in {OUTPUT_NODES}")
+                             f"four positive ints, {FEATURE_DIM} first and "
+                             f"{OUTPUT_NODES} last")
         if type(seed) is not int:
             raise ValueError(f"malformed classifier: seed {seed!r} is not an "
                              f"int")

@@ -54,7 +54,10 @@ class TestCorpusIO:
             assert a.words == b.words
             assert a.gold_traces == b.gold_traces
 
-    @pytest.mark.parametrize("line", ["{oops", "[" * 100000])
+    @pytest.mark.parametrize("line", [
+        "{oops", "[" * 100000,
+        pytest.param('{"id": "b", "words": ["x"], "gap_scores": ['
+                     + "1" * 5000 + "]}", id="5000-digit-int")])
     def test_malformed_json_reports_line(self, line):
         text = '{"id": "a", "words": ["x"]}\n' + line + '\n'
         with pytest.raises(CorpusError, match="line 2: malformed JSON"):
@@ -278,7 +281,8 @@ class TestInputFuzz:
                     assert str(exc).startswith(f"turn {turn.turn_id!r}: ")
 
     @settings(max_examples=150)
-    @given(_one_field_replaced(json.loads(MlpClassifier(3, 2, 2).to_json())))
+    @given(_one_field_replaced(
+        json.loads(MlpClassifier(FEATURE_DIM, 2, 2).to_json())))
     def test_model_field(self, doc):
         try:
             clf = MlpClassifier.from_json(json.dumps(doc))
@@ -490,6 +494,8 @@ class TestCliExitCodes:
          "malformed classifier: dims"),
         (json.dumps({**_MODEL, "dims": [FEATURE_DIM, True, 3, 2]}),
          "malformed classifier: dims"),
+        (MlpClassifier(3, 2, 2).to_json(),
+         "malformed classifier: dims [3, 2, 2, 2]"),
         (json.dumps({**_MODEL, "weights": [*_MODEL["weights"][:-1],
                                            [True, False]]}),
          "malformed classifier: weights hold a boolean"),
@@ -505,8 +511,9 @@ class TestCliExitCodes:
     ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims",
             "nan-weight", "not-json", "deep", "ragged-weights",
             "non-numeric-weight", "overflowing-weight", "dims-not-ending-in-2",
-            "long-dims", "zero-dim", "float-dim", "bool-dim", "bool-weights",
-            "bool-among-weights", "object-seed", "float-seed", "bool-seed"])
+            "long-dims", "zero-dim", "float-dim", "bool-dim", "short-input",
+            "bool-weights", "bool-among-weights", "object-seed", "float-seed",
+            "bool-seed"])
     def test_bad_model_is_data_error(self, tmp_path, capsys, model, where):
         corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
         assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
@@ -579,10 +586,12 @@ class TestCliExitCodes:
         ('{"turns": [{"id": "d01", "proposed_sites": [99]}]}',
          "turn 'd01' proposes sites [99] outside its gaps 1..5"),
         ("not json", "not a parse report: JSONDecodeError('Expecting value"),
-        ("[" * 200_000 + "]" * 200_000, "not a parse report: RecursionError(")],
+        ("[" * 200_000 + "]" * 200_000, "not a parse report: RecursionError("),
+        ('{"turns": [{"id": "d01", "proposed_sites": [' + "1" * 5000 + "]}]}",
+         "not a parse report: ValueError('Exceeds the limit")],
         ids=["no-turns", "not-object", "no-sites", "sites-not-list",
              "site-not-int", "site-bool", "site-zero", "site-past-end",
-             "not-json", "deep"])
+             "not-json", "deep", "5000-digit-int"])
     def test_bad_report_is_data_error(self, tmp_path, capsys, report,
                                       message):
         from prosogate import demo_corpus_text

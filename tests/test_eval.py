@@ -189,6 +189,35 @@ def test_bench_gating_reduces_work(grammar, demo_corpus):
     assert report.overall_with > 0 and report.overall_without > 0
 
 
+def test_bench_keeps_each_sides_fastest_parse_per_turn(monkeypatch):
+    from types import SimpleNamespace
+    from prosogate import evaluation
+    from prosogate.chart import ParseResult
+    gated, ungated = ParseConfig(threshold=0.01), ParseConfig(mode="off")
+    # elapsed_ms of each turn's parses per side; the first is never the
+    # fastest on both sides, so a single timed pass reads other totals
+    times = {("a", "on"): [5.0, 2.0, 3.0], ("a", "off"): [4.0, 6.0, 1.0],
+             ("b", "on"): [1.0, 7.0, 9.0], ("b", "off"): [8.0, 2.5, 3.5]}
+    counts = {"on": {"empty_edges": 2, "proposed_sites": 1},
+              "off": {"empty_edges": 5, "proposed_sites": 3}}
+
+    def scripted_parse(turn, grammar, config):
+        side = "on" if config is gated else "off"
+        stats = {**counts[side],
+                 "elapsed_ms": times[turn.turn_id, side].pop(0)}
+        return ParseResult(turn.turn_id, 1, ["r"], [], stats)
+
+    monkeypatch.setattr(evaluation, "parse", scripted_parse)
+    corpus = [SimpleNamespace(turn_id=t, gold_traces=[]) for t in "ab"]
+    report = bench(corpus, None, gated, ungated)
+    assert not any(times.values())  # three parses a side per turn
+    assert report.overall_with == pytest.approx((2.0 + 1.0) / 1000)
+    assert report.overall_without == pytest.approx((1.0 + 2.5) / 1000)
+    assert (report.empty_edges_with, report.empty_edges_without) == (4, 10)
+    assert (report.proposed_sites_with, report.proposed_sites_without) == \
+        (2, 6)
+
+
 def _turns(*lines):
     from prosogate.corpus import loads_corpus
     return loads_corpus("\n".join(lines))

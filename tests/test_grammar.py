@@ -148,8 +148,9 @@ def test_duplicate_entry_id_rejected():
 
 
 def test_malformed_json_rejected():
-    with pytest.raises(GrammarError, match="JSON"):
-        load_grammar("{not json")
+    for text in ("{not json", '{"features": [' + "1" * 5000 + "]}"):
+        with pytest.raises(GrammarError, match="JSON"):
+            load_grammar(text)
 
 
 def test_missing_section_rejected():

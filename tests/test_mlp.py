@@ -4,7 +4,7 @@ import pytest
 from prosogate.mlp import LABEL_INDEX, OUTPUT_NODES, MlpClassifier, \
     TrainConfig, train, score_turn
 from prosogate.corpus import CorpusError, Syllable, TurnRecord
-from prosogate.prosody import SyllableRecord
+from prosogate.prosody import FEATURE_DIM, SyllableRecord
 
 
 def _gaussian_set(rng, n_per_class, dim=8, separation=3.0):
@@ -296,13 +296,13 @@ def test_gradients_write_one_preallocated_flat_vector():
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    clf = train(_gaussian_set(rng, 40, dim=4),
+    clf = train(_gaussian_set(rng, 40, dim=FEATURE_DIM),
                 TrainConfig(epochs=1, hidden1=4, hidden2=3), seed=2)
     path = tmp_path / "clf.json"
     path.write_text(clf.to_json())
     loaded = MlpClassifier.load(path)
     assert loaded.dims == clf.dims
-    x = rng.normal(size=4)
+    x = rng.normal(size=FEATURE_DIM)
     assert loaded.classify(x) == clf.classify(x)
 
 
