@@ -124,10 +124,14 @@ def _proposed_sites(gold_corpus, text):
     """Each gold turn's proposed sites, in corpus order, read from the
     text of a parse report."""
     try:
-        by_id = {t["id"]: set(t["proposed_sites"])
-                 for t in json.loads(text)["turns"]}
+        report = json.loads(text)["turns"]
+        by_id = {t["id"]: set(t["proposed_sites"]) for t in report}
     except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise EvalError(f"not a parse report: {exc!r}") from exc
+    if len(by_id) < len(report):
+        ids = [t["id"] for t in report]
+        twice = next(i for i in by_id if ids.count(i) > 1)
+        raise EvalError(f"not a parse report: turn {twice!r} is listed twice")
     for turn_id, sites in by_id.items():
         if not all(type(site) is int for site in sites):
             raise EvalError(f"not a parse report: turn {turn_id!r} has a "

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from . import load_file
-from .prosody import REGRESSION_LEN, SyllableRecord
+from .prosody import MEASUREMENTS, REGRESSION_LEN, SyllableRecord
 
 S3_LABELS = ("S3+", "S3-", "S3?")
 
@@ -40,21 +39,22 @@ def _finite(values):
         return False
 
 
-_scalar_features = attrgetter(*(f.name for f in fields(SyllableRecord)
-                                if type(f.default) is float))
+_scalar_features = attrgetter(*MEASUREMENTS, "pause_before", "pause_after")
 
 
 def _syllable_from_dict(i, s):
-    """Syllable ``i`` of a turn from its JSON object, with its word and
-    feature types checked. Both regression blocks are required."""
+    """Syllable ``i`` of a turn from its JSON object, with its word,
+    feature types and pauses checked: the one check a record gets. Both
+    regression blocks are required."""
     try:
         rec = SyllableRecord.from_dict(s["features"])
         f0, energy = rec.f0_regression, rec.energy_regression
         ok = (type(s["word"]) is int and type(f0) is type(energy) is list
               and len(f0) == len(energy) == REGRESSION_LEN
               and type(rec.accent) is type(rec.word_final) is bool
-              and _finite((*_scalar_features(rec), *f0, *energy)))
-    except (TypeError, ValueError):  # not a mapping, unknown field, pause < 0
+              and _finite((*_scalar_features(rec), *f0, *energy))
+              and rec.pause_before >= 0 <= rec.pause_after)
+    except TypeError:  # not a mapping, or an unknown field
         ok = False
     if not ok:
         raise CorpusError(
@@ -92,8 +92,8 @@ class TurnRecord:
                 ("words", lambda w: isinstance(w, str), "strings"),
                 ("gap_scores", lambda x: _finite((x,)) and x >= 0,
                  "finite numbers >= 0"),
-                ("gold_traces", lambda g: isinstance(g, numbers.Integral)
-                 and not isinstance(g, bool) and 1 <= g <= n, f"gaps 1..{n}"),
+                ("gold_traces", lambda g: type(g) is int and 1 <= g <= n,
+                 f"gaps 1..{n}"),
                 ("s3_labels", lambda label: label in S3_LABELS, "S3 labels")):
             values = getattr(self, name)
             if values is not None and not isinstance(values, list):
@@ -101,6 +101,9 @@ class TurnRecord:
             bad = [v for v in values or [] if not ok(v)]
             if bad:
                 raise CorpusError(f"{where}: {name} {bad} are not {what}")
+        gold = self.gold_traces or []
+        if len(set(gold)) < len(gold):
+            raise CorpusError(f"{where}: gold_traces {gold} repeat a gap")
         for name in ("gap_scores", "s3_labels"):
             values = getattr(self, name)
             if values is not None and len(values) != n:

@@ -363,6 +363,8 @@ def load_grammar(text):
             register(v2, where + " (lexical rule)")
 
     def add_schema(item, where):
+        if not isinstance(item["name"], str):
+            raise GrammarError(f"{where}: name must be a string")
         daughters = item["daughters"]
         if not isinstance(daughters, list) or len(daughters) != 2:
             raise GrammarError(f"{where}: schemata are binary")

@@ -18,24 +18,20 @@ The layout is fixed and totals FEATURE_DIM = 242 values:
                                242
 
 A trained classifier's weights are tied to this layout, which its JSON
-names as ``"layout_id": "default-242"``.
+names as ``"layout_id": "default-242"``. A record is checked where it
+enters, by the corpus loader (finite measurements, pauses >= 0, true/false
+flags, two blocks of REGRESSION_LEN numbers); code here assumes it fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
+from operator import attrgetter
 
 import numpy as np
 
-PER_SYLLABLE_VALUES = 15
 CONTEXT_RADIUS = 6  # syllables of context on each side
 REGRESSION_LEN = 16  # coefficients in each of the F0 and energy blocks
-FEATURE_DIM = ((PER_SYLLABLE_VALUES + 1) * (2 * CONTEXT_RADIUS + 1)
-               + 2 + 2 * REGRESSION_LEN)
-
-
-class LayoutError(ValueError):
-    """Record does not fit the layout (wrong regression block length)."""
 
 
 @dataclass
@@ -60,21 +56,10 @@ class SyllableRecord:
     f0_regression: list = field(default_factory=list)
     energy_regression: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.pause_before < 0 or self.pause_after < 0:
-            raise ValueError("pause lengths must be >= 0")
-
     def block(self):
-        return [
-            self.nucleus_dur,
-            self.f0_min, self.f0_max, self.f0_onset, self.f0_offset,
-            self.f0_min_pos, self.f0_max_pos, self.f0_onset_pos,
-            self.f0_offset_pos,
-            self.energy_max, self.energy_max_pos,
-            self.energy_mean, self.f0_mean,
-            1.0 if self.accent else 0.0,
-            1.0 if self.word_final else 0.0,
-        ]
+        """The measurements, then the accent and word-final flags."""
+        return [*_measured(self), 1.0 if self.accent else 0.0,
+                1.0 if self.word_final else 0.0]
 
     def to_dict(self):
         return asdict(self)
@@ -82,6 +67,16 @@ class SyllableRecord:
     @classmethod
     def from_dict(cls, d):
         return cls(**d)
+
+
+# The measured fields of a record: those declared before its accent flag.
+_FIELDS = [f.name for f in fields(SyllableRecord)]
+MEASUREMENTS = tuple(_FIELDS[:_FIELDS.index("accent")])
+_measured = attrgetter(*MEASUREMENTS)
+
+PER_SYLLABLE_VALUES = len(MEASUREMENTS) + 2  # and the two flags
+FEATURE_DIM = ((PER_SYLLABLE_VALUES + 1) * (2 * CONTEXT_RADIUS + 1)
+               + 2 + 2 * REGRESSION_LEN)
 
 
 def extract_features(syllables, index):
@@ -103,11 +98,6 @@ def extract_features(syllables, index):
             values.extend([0.0] * PER_SYLLABLE_VALUES)
             flags.append(0.0)
     cur = syllables[index]
-    for name, block in (("F0", cur.f0_regression),
-                        ("energy", cur.energy_regression)):
-        if len(block) != REGRESSION_LEN:
-            raise LayoutError(f"{name} regression block has {len(block)} "
-                              f"coefficients, expected {REGRESSION_LEN}")
     return np.array(
         values + flags + [cur.pause_before, cur.pause_after]
         + list(cur.f0_regression) + list(cur.energy_regression),

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields
 
 from .corpus import Corpus, Syllable, TurnRecord
-from .prosody import REGRESSION_LEN, SyllableRecord
+from .prosody import MEASUREMENTS, REGRESSION_LEN, SyllableRecord
 
 PRONOUNS = ["er", "sie", "ich", "du"]
 DETS = ["den", "das"]
@@ -51,11 +50,6 @@ SYLLABLE_COUNT = {
     "nicht": 1, "daß": 1, "im": 1, "reparierte": 4, "kaufte": 2,
     "schlief": 1, "dachte": 2, "glaube": 2, "sollst": 1, "töten": 2,
 }
-
-
-# The measured fields of a record: those declared before its accent flag.
-_FIELDS = [f.name for f in fields(SyllableRecord)]
-MEASUREMENTS = _FIELDS[:_FIELDS.index("accent")]
 
 
 def _expand(pattern, rng):

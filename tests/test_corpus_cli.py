@@ -103,8 +103,10 @@ class TestCorpusIO:
         '"words": ["x", "y"], "gold_traces": ["2"]',
         '"words": ["x", "y"], "gold_traces": [1.0]',
         '"words": ["x", "y"], "gold_traces": [true]',
+        '"words": ["x", "y"], "gold_traces": [2, 2]',
         '"words": ["x"], "gap_scores": [1' + "0" * 400 + "]",
         _with_syllable(pause_before=-1),
+        _with_syllable(pause_after=-1),
         _with_syllable(f0_regression=5),
         _with_syllable(energy_regression=[0.0] * (REGRESSION_LEN - 1)),
         _with_syllable(f0_regression=["0"] * REGRESSION_LEN),
@@ -450,10 +452,15 @@ class TestCliExitCodes:
         ({"features": [], "lexicon": [],
           "schemata": [{"name": "s", "daughters": 5, "mother": {}}]},
          "schemata[0]: schemata are binary"),
+        *(({"features": [], "lexicon": [],
+            "schemata": [{"name": name, "daughters": [{}, {}], "mother": {}}]},
+           "schemata[0]: name must be a string")
+          for name in (5, None, ["x"], {"a": 1})),
     ], ids=["no-lexicon", "entry-without-id", "entry-without-orth",
             "schema-without-name", "not-object", "features-not-list",
             "features-not-strings", "entry-not-object", "unhashable-id",
-            "schema-not-object", "daughters-not-list"])
+            "schema-not-object", "daughters-not-list", "name-int",
+            "name-null", "name-list", "name-object"])
     def test_bad_grammar_is_data_error(self, tmp_path, capsys, doc, where):
         bad = tmp_path / "g.json"
         bad.write_text(json.dumps(doc))
@@ -588,10 +595,13 @@ class TestCliExitCodes:
         ("not json", "not a parse report: JSONDecodeError('Expecting value"),
         ("[" * 200_000 + "]" * 200_000, "not a parse report: RecursionError("),
         ('{"turns": [{"id": "d01", "proposed_sites": [' + "1" * 5000 + "]}]}",
-         "not a parse report: ValueError('Exceeds the limit")],
+         "not a parse report: ValueError('Exceeds the limit"),
+        ('{"turns": [{"id": "d01", "proposed_sites": [1]}, '
+         '{"id": "d01", "proposed_sites": [2]}]}',
+         "not a parse report: turn 'd01' is listed twice")],
         ids=["no-turns", "not-object", "no-sites", "sites-not-list",
              "site-not-int", "site-bool", "site-zero", "site-past-end",
-             "not-json", "deep", "5000-digit-int"])
+             "not-json", "deep", "5000-digit-int", "turn-twice"])
     def test_bad_report_is_data_error(self, tmp_path, capsys, report,
                                       message):
         from prosogate import demo_corpus_text
