@@ -17,6 +17,14 @@ of one ``p -= lr * g`` per parameter. Each element still goes through
 the same two roundings, ``lr * g`` and then ``p - (lr * g)``, so the
 weights a seed trains are bit for bit those of the per-parameter loop.
 
+Each weight gradient is one BLAS product of a column by a row
+(``np.dot``, inner dimension 1), so each element is the one rounded
+product a * delta, as ``np.outer`` gives it; only the sign of a zero
+may differ (BLAS writes +0.0 where the product is -0.0). That moves no
+weight, because no parameter is ever -0.0: weights start as -s + 2s*u
+and biases as +0.0, theta - g is -0.0 only where theta is -0.0, and
+theta - (+/-0.0) is theta for every other theta.
+
 ``classify`` normalizes the two outputs to a proper posterior (sum 1)
 in log space, so it is defined even where both sigmoids underflow to 0.
 A gap's input vector is that of its word's final syllable
@@ -39,10 +47,6 @@ from .prosody import FEATURE_DIM, extract_features
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
 OUTPUT_NODES = 2  # S3+ at index 0, S3- at index 1
 LABEL_INDEX = {"S3+": 0, "S3-": 1}
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _holds_bool(value):
@@ -107,12 +111,20 @@ class MlpClassifier:
             view[...] = p
 
     def _forward(self, x):
-        """Returns the activation of every layer, input included."""
+        """Returns the activation of every layer, input included.
+
+        Each layer's sigmoid 1 / (1 + e^-z) is computed in place in the
+        one array its ``x @ W`` allocates, in the same steps and so to
+        the same bits as the out-of-place expression.
+        """
         acts = [np.asarray(x, dtype=np.float64)]
-        a = acts[0]
         for i in range(0, len(self.params), 2):
-            a = _sigmoid(a @ self.params[i] + self.params[i + 1])
-            acts.append(a)
+            z = acts[-1] @ self.params[i]
+            z += self.params[i + 1]
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            z += 1.0
+            acts.append(np.divide(1.0, z, out=z))
         return acts
 
     def classify(self, x):
@@ -144,7 +156,7 @@ class MlpClassifier:
         delta = np.multiply((out - target) * out, 1.0 - out, out=grads[-1])
         for i in range(len(grads) - 2, -1, -2):
             layer = i // 2
-            np.multiply(acts[layer][:, None], delta, out=grads[i])
+            np.dot(acts[layer][:, None], delta[None, :], out=grads[i])
             if layer > 0:
                 a = acts[layer]
                 delta = np.multiply((delta @ self.params[i].T) * a, 1.0 - a,
@@ -221,7 +233,7 @@ def train(data, config=None, seed=0):
         raise ValueError("training data must contain both S3+ and S3-")
 
     clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
-    targets = np.eye(OUTPUT_NODES)
+    rows, row_targets = list(X), list(np.eye(OUTPUT_NODES)[labels])
     theta, grad = clf.theta, clf._grad  # grad: what gradients writes
     rng = np.random.default_rng(seed + 1)
     majority = max(len(idx_plus), len(idx_minus))
@@ -237,8 +249,8 @@ def train(data, config=None, seed=0):
             epoch_idx.append(take)
         order = np.concatenate(epoch_idx)
         rng.shuffle(order)
-        for i in order:
-            clf.gradients(X[i], targets[labels[i]])
+        for i in order.tolist():
+            clf.gradients(rows[i], row_targets[i])
             grad *= config.learning_rate
             theta -= grad
         plus, minus = np.bincount(labels[order], minlength=2).tolist()

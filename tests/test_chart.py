@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import enumerate_readings
-from prosogate import demo_grammar_text, fs, load_demo_grammar
-from prosogate.chart import (Chart, EdgeCapExceeded, InputFormatError,
-                             ParseConfig, ParseError, UnknownWordError,
-                             extract_pred_arg, parse, propose_trace_sites)
+from prosogate import (demo_grammar_text, fs, load_demo_corpus,
+                       load_demo_grammar)
+from prosogate.chart import (MAX_READINGS, Chart, EdgeCapExceeded,
+                             InputFormatError, ParseConfig, ParseError,
+                             UnknownWordError, extract_pred_arg, parse,
+                             propose_trace_sites)
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
 from prosogate.grammar import RuleSchema, load_grammar
@@ -144,6 +148,63 @@ def test_monotone_gating(grammar, demo_corpus):
                 assert set(r.readings) <= prev_readings
                 assert r.stats["empty_edges"] <= prev_empty
             prev_readings, prev_empty = set(r.readings), r.stats["empty_edges"]
+
+
+GATES = [ParseConfig(threshold=0.01), ParseConfig(threshold=0.5),
+         ParseConfig(mode="rank", rank_limit=1),
+         ParseConfig(mode="rank", rank_limit=2)]
+TRACE_GAP = re.compile(r"t/[^ ()@]+@(\d+)")  # t/<entry>@<gap>
+
+
+def _gating_rule_holds(turn, grammar):
+    """Whether each gate keeps exactly the ungated readings whose traces
+    all sit at its proposed sites. None for a turn whose ungated
+    readings reach MAX_READINGS (truncated, so exempt)."""
+    ungated = parse(turn, grammar, ParseConfig(mode="off")).readings
+    if len(ungated) >= MAX_READINGS:
+        return None
+    for config in GATES:
+        gated = parse(turn, grammar, config)
+        sites = set(gated.proposed_sites)
+        kept = [r for r in ungated
+                if {int(g) for g in TRACE_GAP.findall(r)} <= sites]
+        if gated.readings != kept:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("corpus", ["demo", "synth-42"])
+def test_gated_readings_are_the_ungated_ones_with_proposed_traces(
+        grammar, demo_corpus, corpus):
+    # no turn of these corpora reaches MAX_READINGS, so none is exempt
+    turns = demo_corpus if corpus == "demo" else synth_corpus(seed=42)
+    assert [t.turn_id for t in turns
+            if _gating_rule_holds(t, grammar) is not True] == []
+
+
+DEMO_WORDS = sorted(load_demo_grammar().lexicon)
+SHORT_DEMO_WORDS = [t.words for t in load_demo_corpus() if len(t.words) <= 6]
+
+
+@st.composite
+def _demo_vocabulary_turns(draw):
+    """At most 6 words: drawn from the demo lexicon, or a short demo
+    turn's words in any order (which parse far more often)."""
+    words = draw(st.one_of(
+        st.lists(st.sampled_from(DEMO_WORDS), min_size=1, max_size=6),
+        st.sampled_from(SHORT_DEMO_WORDS).flatmap(st.permutations)))
+    scores = draw(st.lists(st.sampled_from([0.0, 0.005, 0.3, 0.5, 0.9]),
+                           min_size=len(words), max_size=len(words)))
+    return TurnRecord(turn_id="h", words=list(words), gap_scores=scores)
+
+
+@settings(max_examples=100)
+@given(_demo_vocabulary_turns())
+# the gate keeps the verb-final reading and drops the V2 one (trace at 2)
+@example(TurnRecord(turn_id="h", words=["er", "schlief"],
+                    gap_scores=[0.0, 0.0]))
+def test_gating_rule_on_random_turns(grammar, turn):
+    assert _gating_rule_holds(turn, grammar) is not False
 
 
 def test_verb_final_clause_needs_no_trace(grammar, demo_corpus):

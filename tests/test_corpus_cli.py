@@ -633,27 +633,32 @@ def _sha256(data):
         data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def seed_42(tmp_path_factory):
-    """The corpus `synth --seed 42` writes and the model `train --seed 42`
+def _synth_and_train(tmp, seed):
+    """The corpus `synth --seed S` writes and the model `train --seed S`
     fits to it."""
-    tmp = tmp_path_factory.mktemp("seed-42")
-    corpus, model = tmp / "c.jsonl", tmp / "m.json"
-    assert run(["synth", "--seed", "42", "--out", str(corpus)]) == 0
-    assert run(["train", "--corpus", str(corpus), "--seed", "42",
+    corpus, model = tmp / f"c{seed}.jsonl", tmp / f"m{seed}.json"
+    assert run(["synth", "--seed", str(seed), "--out", str(corpus)]) == 0
+    assert run(["train", "--corpus", str(corpus), "--seed", str(seed),
                 "--out", str(model)]) == 0
     return corpus, model
+
+
+@pytest.fixture(scope="module")
+def seed_42(tmp_path_factory):
+    return _synth_and_train(tmp_path_factory.mktemp("seed-42"), 42)
 
 
 # Unchanged behaviour, artefact by artefact: `parse --format json` without
 # `elapsed_ms`, `bench --format json` without its timings and `speedup`,
 # every `extract_pred_arg` record of every gate-off reading, the seed-42
-# model, and the seed-42 corpus after `score` (which rounds scores, so the
-# model's own digest is what pins each weight). A change that moves one of
-# them on purpose updates its digest and says why.
+# and seed-7 models, and the seed-42 corpus after `score` (which rounds
+# scores, so the models' own digests are what pin each weight). A change
+# that moves one of them on purpose updates its digest and says why.
 BEHAVIOUR_DIGESTS = {
     "model seed-42":
         "ad7921ea6c2fb68854d2920fd6cb560f1dc376f262bd96356b115420a0d3af69",
+    "model seed-7":
+        "cf31e4e24aeb89c62f115eed920371564362a81009d34e272b0fedc513de684d",
     "parse off demo":
         "0bae16defce942ffbd139a0911aebc7164cb12cbc5c2ce3f5d7955d22e43ddb0",
     "parse threshold demo":
@@ -730,13 +735,22 @@ class TestCliPipeline:
         assert _sha256(model.read_bytes()) == BEHAVIOUR_DIGESTS[
             "model seed-42"], _toolchain_note("seed-42 model digest")
 
+    def test_seed_42_model_has_no_negative_zero(self, seed_42):
+        # the invariant that keeps a BLAS outer product's +0.0 (where
+        # np.outer gives -0.0) from moving a weight; JSON keeps the sign
+        _, model = seed_42
+        for p in MlpClassifier.load(model).params:
+            assert not (np.signbit(p) & (p == 0)).any()
+
     def test_behaviour_digests(self, seed_42, tmp_path):
         corpus_42, model = seed_42
-        corpus_7, out = tmp_path / "c7.jsonl", tmp_path / "out"
+        corpus_7, out = tmp_path / "c7-300.jsonl", tmp_path / "out"
         assert run(["synth", "--seed", "7", "--turns", "300",
                     "--out", str(corpus_7)]) == 0
         corpora = {"demo": None, "seed-42": corpus_42, "seed-7": corpus_7}
-        digests = {"model seed-42": _sha256(model.read_bytes())}
+        _, model_7 = _synth_and_train(tmp_path, 7)
+        digests = {"model seed-42": _sha256(model.read_bytes()),
+                   "model seed-7": _sha256(model_7.read_bytes())}
         for name, path in corpora.items():
             flags = ["--corpus", str(path)] if path else []
             for mode in ("off", "threshold", "rank"):

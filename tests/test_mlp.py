@@ -253,25 +253,41 @@ def _reference_train(data, config, seed):
     return params, log
 
 
-def _imbalanced_set(rng, n_plus, n_minus, dim=6):
+def _imbalanced_set(rng, n_plus, n_minus, dim=6, padded=False):
+    """Gaussian vectors per class, plus five S3? ones. ``padded`` zeroes
+    a leading block of 0 to dim/2 values in each, as the 242-value
+    layout pads the context window at a turn's start, so the outer
+    products meet exact zeros and form signed ones."""
     data = [(rng.normal(1.0, 1.0, size=dim), "S3+") for _ in range(n_plus)]
     data += [(rng.normal(-1.0, 1.0, size=dim), "S3-") for _ in range(n_minus)]
     data += [(rng.normal(size=dim), "S3?") for _ in range(5)]
+    if padded:
+        for vec, _ in data:
+            vec[:rng.integers(0, dim // 2 + 1)] = 0.0
     rng.shuffle(data)
     return data
 
 
-@pytest.mark.parametrize("config", [
+TRAIN_CONFIGS = [
     TrainConfig(epochs=3, hidden1=1, hidden2=1),
     TrainConfig(epochs=0, hidden1=4, hidden2=3),
     TrainConfig(epochs=4, learning_rate=0.05, hidden1=5, hidden2=2),
     TrainConfig(epochs=2, learning_rate=1.7, hidden1=3, hidden2=6),
-], ids=["hidden-1", "epochs-0", "rate-0.05", "rate-1.7"])
-@pytest.mark.parametrize("seed, n_plus, n_minus",
-                         [(0, 9, 40), (3, 31, 6), (11, 17, 17)])
-def test_train_matches_the_per_parameter_loop(config, seed, n_plus, n_minus):
+]
+TRAIN_CONFIG_IDS = ["hidden-1", "epochs-0", "rate-0.05", "rate-1.7"]
+
+
+@pytest.mark.parametrize("config", TRAIN_CONFIGS, ids=TRAIN_CONFIG_IDS)
+@pytest.mark.parametrize("seed, n_plus, n_minus, padded", [
+    pytest.param(0, 9, 40, False, id="0-9-40"),
+    pytest.param(3, 31, 6, False, id="3-31-6"),
+    pytest.param(11, 17, 17, False, id="11-17-17"),
+    pytest.param(5, 20, 13, True, id="5-20-13-zero-padded"),
+])
+def test_train_matches_the_per_parameter_loop(config, seed, n_plus, n_minus,
+                                              padded):
     data = _imbalanced_set(np.random.default_rng(100 + seed), n_plus,
-                           n_minus)
+                           n_minus, padded=padded)
     ref_params, ref_log = _reference_train(data, config, seed)
     clf = train(data, config, seed=seed)
     assert clf.train_log == ref_log
@@ -279,6 +295,15 @@ def test_train_matches_the_per_parameter_loop(config, seed, n_plus, n_minus):
     for p, ref in zip(clf.params, ref_params):
         assert p.shape == ref.shape
         assert np.array_equal(p.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("config", TRAIN_CONFIGS, ids=TRAIN_CONFIG_IDS)
+def test_no_trained_parameter_is_negative_zero(config):
+    # the invariant that lets a BLAS outer product, which writes +0.0
+    # where np.outer writes -0.0, leave every weight unchanged
+    data = _imbalanced_set(np.random.default_rng(105), 20, 13, padded=True)
+    for p in train(data, config, seed=5).params:
+        assert not (np.signbit(p) & (p == 0)).any()
 
 
 def test_gradients_write_one_preallocated_flat_vector():
