@@ -48,6 +48,7 @@ masks meet, the right category is copied once for that pair.
 
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -77,6 +78,7 @@ class InputFormatError(ParseError):
 
 
 MAX_READINGS = 2000  # readings unpacked per turn
+MAX_EDGES = 20000  # chart edges per turn, leaves included
 
 
 @dataclass
@@ -90,7 +92,6 @@ class ParseConfig:
     mode: str = "threshold"  # threshold | rank | off (-> threshold 0)
     threshold: float = 0.01
     rank_limit: int = 2
-    max_edges: int = 20000
 
     def __post_init__(self):
         if self.mode not in ("threshold", "rank", "off"):
@@ -99,8 +100,6 @@ class ParseConfig:
             raise ValueError("threshold must be in [0, 1]")
         if self.rank_limit < 1:
             raise ValueError("rank limit must be positive")
-        if self.max_edges < 1:
-            raise ValueError("edge cap must be positive")
         if self.mode == "off":
             self.mode, self.threshold = "threshold", 0.0
 
@@ -245,8 +244,8 @@ def parse(turn, grammar, config):
                 "elapsed_ms": (time.perf_counter() - t0) * 1000.0}
 
     def check_cap():
-        if len(chart.edges) > config.max_edges:
-            raise EdgeCapExceeded(turn, config.max_edges, statistics())
+        if len(chart.edges) > MAX_EDGES:
+            raise EdgeCapExceeded(turn, MAX_EDGES, statistics())
 
     # (i) lexical edges
     for i, word in enumerate(turn.words):
@@ -334,6 +333,15 @@ def derivation_label(kind, entry, start, schema=None, left=None, right=None):
     if kind == "empty":
         return f"t/{entry.entry_id}@{start}"
     return f"({schema} {left} {right})"
+
+
+_TRACE_LABEL = re.compile(r"(?<![^ (])t/[^ ()]+@(\d+)(?![^ )])")
+
+
+def trace_gaps(label):
+    """The gaps of the traces (``t/<entry>@<gap>``) in a derivation
+    label, as a set."""
+    return {int(gap) for gap in _TRACE_LABEL.findall(label)}
 
 
 def _unpack(edge, chart, limit):

@@ -57,9 +57,7 @@ def _report_json(payload):
 
 def cmd_synth(args):
     corpus = synth_corpus(seed=args.seed, turns=args.turns,
-                          separation=args.separation,
-                          placement=args.placement, v2_only=args.v2_only,
-                          max_words=args.max_words)
+                          separation=args.separation, v2_only=args.v2_only)
     _write(dumps_corpus(corpus), args.out)
     return 0
 
@@ -97,7 +95,7 @@ def cmd_parse(args):
     grammar = _load_grammar(args.grammar)
     corpus = _load_corpus(args.corpus)
     config = ParseConfig(mode=args.mode, threshold=args.threshold,
-                         rank_limit=args.rank_limit, max_edges=args.max_edges)
+                         rank_limit=args.rank_limit)
     turns = []
     for turn in sorted(corpus, key=lambda t: t.turn_id):
         result = parse(turn, grammar, config)
@@ -201,9 +199,8 @@ def cmd_rank(args):
 def cmd_bench(args):
     grammar = _load_grammar(args.grammar)
     corpus = _load_corpus(args.corpus)
-    config_on = ParseConfig(mode="threshold", threshold=args.threshold,
-                            max_edges=args.max_edges)
-    config_off = ParseConfig(mode="off", max_edges=args.max_edges)
+    config_on = ParseConfig(mode="threshold", threshold=args.threshold)
+    config_off = ParseConfig(mode="off")
     report = bench(corpus, grammar, config_on, config_off)
     if args.format == "json":
         _write(_report_json(asdict(report)), args.out)
@@ -244,9 +241,7 @@ def build_parser():
     common(p, seed=True)
     p.add_argument("--turns", type=int, default=104)
     p.add_argument("--separation", type=float, default=2.0)
-    p.add_argument("--placement", choices=("final", "none"), default="final")
     p.add_argument("--v2-only", action="store_true")
-    p.add_argument("--max-words", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the boundary classifier")
@@ -271,7 +266,6 @@ def build_parser():
                    default="threshold")
     p.add_argument("--threshold", type=float, default=0.01)
     p.add_argument("--rank-limit", type=int, default=2)
-    p.add_argument("--max-edges", type=int, default=20000)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score a parse report against gold traces")
@@ -287,7 +281,6 @@ def build_parser():
     p = sub.add_parser("bench", help="time gated vs ungated parsing")
     common(p, report=True, grammar=True, corpus=True)
     p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--max-edges", type=int, default=20000)
     p.set_defaults(func=cmd_bench)
     return top
 

@@ -5,8 +5,9 @@ default ``TrainConfig``) and two sigmoid output nodes, one for S3+ and
 one for S3-. Training is plain stochastic gradient descent on squared
 error against one-hot targets (1 for the node matching the reference
 label, 0 for the other), with per-epoch class balancing: the minority
-class is resampled with replacement up to the majority count, so each
-epoch presents an equal number of vectors from each class.
+class is topped up to the majority count by random draws from it (a
+vector may be drawn more than once), so each epoch presents an equal
+number of vectors from each class.
 
 The six parameters (weights and bias of each layer, in layer order) are
 reshaped views of one flat float64 vector, ``theta``; the gradient that
@@ -110,15 +111,16 @@ class MlpClassifier:
         for view, p in zip(self.params, weights):
             view[...] = p
 
-    def _forward(self, x):
-        """Returns the activation of every layer, input included.
+    def _forward(self, x, layers=3):
+        """Returns the activation of the input and of the first
+        ``layers`` layers (all three by default).
 
         Each layer's sigmoid 1 / (1 + e^-z) is computed in place in the
         one array its ``x @ W`` allocates, in the same steps and so to
         the same bits as the out-of-place expression.
         """
         acts = [np.asarray(x, dtype=np.float64)]
-        for i in range(0, len(self.params), 2):
+        for i in range(0, 2 * layers, 2):
             z = acts[-1] @ self.params[i]
             z += self.params[i + 1]
             np.negative(z, out=z)
@@ -135,7 +137,7 @@ class MlpClassifier:
             raise ValueError(
                 f"vector length {x.shape[-1]} != input dimension {self.dims[0]}")
         with np.errstate(over="ignore"):  # exp(-z) = inf is sigmoid 0
-            hidden = self._forward(x)[-2]
+            hidden = self._forward(x, layers=2)[-1]
         log_s = -np.logaddexp(0.0, -(hidden @ self.params[-2] + self.params[-1]))
         p = np.exp(log_s - np.logaddexp.reduce(log_s, axis=-1, keepdims=True))
         return float(p[..., 0]), float(p[..., 1])

@@ -87,43 +87,26 @@ def _gap_score(rng, label, is_gold):
     return 10.0 ** (-9.0 * rng.random())  # mostly far below 0.01
 
 
-def synth_corpus(seed=42, turns=104, separation=2.0, placement="final",
-                 v2_only=False, max_words=None):
+def synth_corpus(seed=42, turns=104, separation=2.0, v2_only=False):
     """Generate a corpus of template sentences with syllables, S3 labels,
     calibrated gap scores, and gold trace positions.
 
-    placement "final" puts the gold trace at the clause-final gap of V2
-    turns (mixed with trace-less subordinate/fragment turns); "none"
-    generates only trace-less turns. v2_only restricts to V2 templates
-    with exactly one gold gap each, as needed for the rank experiment,
-    and so cannot be combined with placement "none".
+    Each V2 turn has its gold trace at its clause-final gap, and the V2
+    templates are mixed with trace-less subordinate and fragment turns.
+    v2_only restricts to V2 templates, so each turn has exactly one gold
+    gap, as the rank experiment needs.
     """
     if turns <= 0:
         raise ValueError("need at least one turn")
     if not math.isfinite(separation):
         raise ValueError("separation must be a finite number")
-    if placement not in ("final", "none"):
-        raise ValueError(f"unknown placement rule {placement!r}")
-    if placement == "none" and v2_only:
-        raise ValueError("v2_only needs a gold gap per turn, which placement "
-                         "'none' never gives")
     rng = random.Random(seed)
-    if placement == "none":
-        pool = NO_TRACE_PATTERNS
-    elif v2_only:
-        pool = V2_PATTERNS
-    else:
-        pool = V2_PATTERNS + V2_PATTERNS + NO_TRACE_PATTERNS
-    if max_words is not None:
-        pool = [p for p in pool if len(p[0]) <= max_words]
-        if not pool:
-            raise ValueError(f"no template with at most {max_words} words")
+    pool = V2_PATTERNS if v2_only else V2_PATTERNS * 2 + NO_TRACE_PATTERNS
 
     corpus = Corpus(provenance={
         "generator": "synth", "seed": seed,
         "params": {"turns": turns, "separation": separation,
-                   "placement": placement, "v2_only": v2_only,
-                   "max_words": max_words}})
+                   "v2_only": v2_only}})
     for k in range(turns):
         pattern, has_trace = pool[rng.randrange(len(pool))]
         words = _expand(pattern, rng)

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +10,7 @@ from prosogate import (demo_grammar_text, fs, load_demo_corpus,
 from prosogate.chart import (MAX_READINGS, Chart, EdgeCapExceeded,
                              InputFormatError, ParseConfig, ParseError,
                              UnknownWordError, extract_pred_arg, parse,
-                             propose_trace_sites)
+                             propose_trace_sites, trace_gaps)
 from prosogate.corpus import TurnRecord
 from prosogate.fs import unify
 from prosogate.grammar import RuleSchema, load_grammar
@@ -69,8 +68,6 @@ class TestProposeTraceSites:
             ParseConfig(threshold=1.5)
         with pytest.raises(ValueError):
             ParseConfig(mode="rank", rank_limit=0)
-        with pytest.raises(ValueError):
-            ParseConfig(max_edges=0)
 
 
 def test_v2_tree_bracketing(grammar, demo_corpus):
@@ -153,7 +150,6 @@ def test_monotone_gating(grammar, demo_corpus):
 GATES = [ParseConfig(threshold=0.01), ParseConfig(threshold=0.5),
          ParseConfig(mode="rank", rank_limit=1),
          ParseConfig(mode="rank", rank_limit=2)]
-TRACE_GAP = re.compile(r"t/[^ ()@]+@(\d+)")  # t/<entry>@<gap>
 
 
 def _gating_rule_holds(turn, grammar):
@@ -166,11 +162,17 @@ def _gating_rule_holds(turn, grammar):
     for config in GATES:
         gated = parse(turn, grammar, config)
         sites = set(gated.proposed_sites)
-        kept = [r for r in ungated
-                if {int(g) for g in TRACE_GAP.findall(r)} <= sites]
+        kept = [r for r in ungated if trace_gaps(r) <= sites]
         if gated.readings != kept:
             return False
     return True
+
+
+def test_trace_gaps_reads_only_trace_leaves():
+    assert trace_gaps("t/sollst@1") == {1}
+    assert trace_gaps("(a (b t/x@3 sollst/y) t/x@12)") == {3, 12}
+    # a word ending in t, an entry id with an @, a gap with a suffix
+    assert trace_gaps("(a geht/x@1 (b t/x@2a t/x))") == set()
 
 
 @pytest.mark.parametrize("corpus", ["demo", "synth-42"])
@@ -228,15 +230,15 @@ def test_unknown_word(grammar):
         parse(t, grammar, ParseConfig())
 
 
-def test_parse_names_failing_turn(grammar, demo_corpus):
+def test_parse_names_failing_turn(grammar, demo_corpus, monkeypatch):
     bad = _turn(["gestern", "explodierte"], [0.0, 0.9], turn_id="x7")
     with pytest.raises(ParseError,
                        match="turn 'x7': unknown word 'explodierte'"):
         parse(bad, grammar, ParseConfig())
+    monkeypatch.setattr("prosogate.chart.MAX_EDGES", 12)
     with pytest.raises(EdgeCapExceeded,
                        match="^turn 'd02': edge cap 12 exceeded$"):
-        parse(_by_id(demo_corpus)["d02"], grammar,
-              ParseConfig(mode="off", max_edges=12))
+        parse(_by_id(demo_corpus)["d02"], grammar, ParseConfig(mode="off"))
     with pytest.raises(InputFormatError, match="^turn 'q3': need one gap"):
         parse(_turn(["er"], None, turn_id="q3"), grammar, ParseConfig())
 
@@ -395,19 +397,21 @@ def test_schema_applications_over_demo_corpus(grammar, demo_corpus,
     assert sum(outcomes) == 169
 
 
-def test_edge_cap(grammar, demo_corpus):
+def test_edge_cap(grammar, demo_corpus, monkeypatch):
     turn = _by_id(demo_corpus)["d02"]
+    monkeypatch.setattr("prosogate.chart.MAX_EDGES", 12)
     with pytest.raises(EdgeCapExceeded) as exc_info:
-        parse(turn, grammar, ParseConfig(mode="off", max_edges=12))
+        parse(turn, grammar, ParseConfig(mode="off"))
     stats = exc_info.value.stats
     assert stats["lexical_edges"] > 0
     assert stats["elapsed_ms"] >= 0
 
 
-def test_edge_cap_counts_leaves(grammar):
+def test_edge_cap_counts_leaves(grammar, monkeypatch):
     turn = _turn(["im", "im"], [0.5, 0.5])
+    monkeypatch.setattr("prosogate.chart.MAX_EDGES", 1)
     with pytest.raises(EdgeCapExceeded) as exc_info:
-        parse(turn, grammar, ParseConfig(mode="off", max_edges=1))
+        parse(turn, grammar, ParseConfig(mode="off"))
     stats = exc_info.value.stats
     assert stats["lexical_edges"] == 2
     assert stats["derived_edges"] == 0

@@ -274,13 +274,15 @@ class TestInputFuzz:
             grammar = load_grammar(json.dumps(doc))
         except GrammarError:
             return
-        config = ParseConfig(mode="off", max_edges=300)
-        for turn in demo_corpus:
-            if turn.turn_id in _FUZZ_TURNS:
-                try:
-                    parse(turn, grammar, config)
-                except ParseError as exc:
-                    assert str(exc).startswith(f"turn {turn.turn_id!r}: ")
+        config = ParseConfig(mode="off")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("prosogate.chart.MAX_EDGES", 300)
+            for turn in demo_corpus:
+                if turn.turn_id in _FUZZ_TURNS:
+                    try:
+                        parse(turn, grammar, config)
+                    except ParseError as exc:
+                        assert str(exc).startswith(f"turn {turn.turn_id!r}: ")
 
     @settings(max_examples=150)
     @given(_one_field_replaced(
@@ -326,23 +328,19 @@ class TestSynth:
             for g in turn.gold_traces:
                 assert turn.gap_scores[g - 1] >= 0.01
 
-    def test_placement_none_has_no_traces(self):
-        corpus = synth_corpus(seed=3, turns=10, placement="none")
-        assert all(t.gold_traces == [] for t in corpus)
-
     def test_v2_only_has_one_gold_gap_each(self):
         corpus = synth_corpus(seed=3, turns=10, v2_only=True)
         assert all(len(t.gold_traces) == 1 for t in corpus)
 
+    def test_meta_records_its_settings(self):
+        corpus = synth_corpus(seed=5, turns=3, separation=1.5, v2_only=True)
+        assert corpus.provenance == {
+            "generator": "synth", "seed": 5,
+            "params": {"turns": 3, "separation": 1.5, "v2_only": True}}
+
     def test_degenerate_params_rejected(self):
         with pytest.raises(ValueError):
             synth_corpus(turns=0)
-        with pytest.raises(ValueError):
-            synth_corpus(placement="everywhere")
-        with pytest.raises(ValueError):
-            synth_corpus(max_words=1)
-        with pytest.raises(ValueError, match="v2_only"):
-            synth_corpus(placement="none", v2_only=True)
         for separation in (math.nan, math.inf):
             with pytest.raises(ValueError, match="separation"):
                 synth_corpus(separation=separation)
@@ -391,11 +389,14 @@ class TestCliExitCodes:
         assert run(["parse", "--corpus", str(bad)]) == 2
         assert "line 1: " in capsys.readouterr().err
 
-    def test_edge_cap_error_names_turn(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["parse", "bench"])
+    def test_edge_cap_error_names_turn(self, tmp_path, capsys, monkeypatch,
+                                       command):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text('{"id": "q2", "words": ["im", "im"], '
                           '"gap_scores": [0.5, 0.5]}\n')
-        assert run(["parse", "--corpus", str(corpus), "--max-edges", "1"]) == 2
+        monkeypatch.setattr("prosogate.chart.MAX_EDGES", 1)
+        assert run([command, "--corpus", str(corpus)]) == 2
         assert "turn 'q2': edge cap 1 exceeded" in capsys.readouterr().err
 
     def test_cyclic_grammar_error_names_turn(self, tmp_path, capsys):
@@ -571,14 +572,6 @@ class TestCliExitCodes:
         assert not model.exists()
         assert "prosogate train: error: " in capsys.readouterr().err
 
-    def test_synth_v2_only_without_traces_is_data_error(self, tmp_path,
-                                                         capsys):
-        corpus = tmp_path / "c.jsonl"
-        assert run(["synth", "--placement", "none", "--v2-only", "--out",
-                    str(corpus)]) == 2
-        assert not corpus.exists()
-        assert "prosogate synth: error: v2_only" in capsys.readouterr().err
-
     @pytest.mark.parametrize("report, message", [
         ("{}", "not a parse report"), ("[]", "not a parse report"),
         ('{"turns": [{"id": "d01"}]}', "not a parse report"),
@@ -651,9 +644,11 @@ def seed_42(tmp_path_factory):
 # Unchanged behaviour, artefact by artefact: `parse --format json` without
 # `elapsed_ms`, `bench --format json` without its timings and `speedup`,
 # every `extract_pred_arg` record of every gate-off reading, the seed-42
-# and seed-7 models, and the seed-42 corpus after `score` (which rounds
-# scores, so the models' own digests are what pin each weight). A change
-# that moves one of them on purpose updates its digest and says why.
+# and seed-7 models, the turn lines of three `synth` corpora (their
+# `_meta` line, which records the settings, dropped), and the seed-42
+# corpus after `score` (which rounds scores, so the models' own digests
+# are what pin each weight). A change that moves one of them on purpose
+# updates its digest and says why.
 BEHAVIOUR_DIGESTS = {
     "model seed-42":
         "ad7921ea6c2fb68854d2920fd6cb560f1dc376f262bd96356b115420a0d3af69",
@@ -690,7 +685,13 @@ BEHAVIOUR_DIGESTS = {
     "pred-arg seed-7":
         "f2cfe0e080f4f77b9207457b7db9725e61950af1f7d2dfdd1cedf113fc1177fb",
     "score seed-42":
-        "e9caf3c51ef0cd1f2608a97c721e65b951ebc871e728fecb31744360757b83fa",
+        "d25685fa1143bc5765a36dec3152683e23ae9fc98f350299f5c3d823887e6e59",
+    "synth seed-42":
+        "21e3d1a1410fe22293ba7ff9bcfe05d115f8b2a33d2d132181ed4f992af71184",
+    "synth seed-7":
+        "2588a2076fa8f6a7b39036bb55b512a4487b64ff230d54d8ba87e4ca0022c2c4",
+    "synth seed-3":
+        "b0a1c5587f14051764fbbb3486d7fe9eca09b3c3657c62079d113973f597b0a4",
 }
 
 
@@ -745,8 +746,11 @@ class TestCliPipeline:
     def test_behaviour_digests(self, seed_42, tmp_path):
         corpus_42, model = seed_42
         corpus_7, out = tmp_path / "c7-300.jsonl", tmp_path / "out"
+        corpus_3 = tmp_path / "c3-500.jsonl"
         assert run(["synth", "--seed", "7", "--turns", "300",
                     "--out", str(corpus_7)]) == 0
+        assert run(["synth", "--seed", "3", "--turns", "500", "--v2-only",
+                    "--out", str(corpus_3)]) == 0
         corpora = {"demo": None, "seed-42": corpus_42, "seed-7": corpus_7}
         _, model_7 = _synth_and_train(tmp_path, 7)
         digests = {"model seed-42": _sha256(model.read_bytes()),
@@ -778,6 +782,10 @@ class TestCliPipeline:
         assert run(["score", "--corpus", str(corpus_42), "--model", str(model),
                     "--out", str(out)]) == 0
         digests["score seed-42"] = _sha256(out.read_bytes())
+        for name, path in (("seed-42", corpus_42), ("seed-7", corpus_7),
+                           ("seed-3", corpus_3)):
+            _meta, turns = path.read_text().split("\n", 1)
+            digests[f"synth {name}"] = _sha256(turns)
         assert digests == BEHAVIOUR_DIGESTS, _toolchain_note(
             "a behaviour digest")
 
@@ -854,17 +862,15 @@ class TestCliPipeline:
 
 # The long options of each subcommand: exactly those its handler reads.
 CLI_FLAGS = {
-    "synth": {"--seed", "--out", "--turns", "--separation", "--placement",
-              "--v2-only", "--max-words"},
+    "synth": {"--seed", "--out", "--turns", "--separation", "--v2-only"},
     "train": {"--seed", "--out", "--corpus", "--epochs", "--learning-rate",
               "--hidden1", "--hidden2"},
     "score": {"--out", "--corpus", "--model"},
     "parse": {"--format", "--out", "--grammar", "--corpus", "--mode",
-              "--threshold", "--rank-limit", "--max-edges"},
+              "--threshold", "--rank-limit"},
     "eval": {"--format", "--out", "--gold", "--proposed"},
     "rank": {"--format", "--out", "--corpus"},
-    "bench": {"--format", "--out", "--grammar", "--corpus", "--threshold",
-              "--max-edges"},
+    "bench": {"--format", "--out", "--grammar", "--corpus", "--threshold"},
 }
 
 

@@ -102,18 +102,9 @@ class TestCrosstab:
         for _, _, cells in crosstab(a, b):
             assert sum(cells.values()) == pytest.approx(100.0, abs=0.1)
 
-    def test_exclude_turn_final(self):
-        a = ["S3+", "S3+", "S3-"]
-        b = ["S3+", "S3-", "S3-"]
-        final = [False, True, False]
-        rows = crosstab(a, b, exclude_turn_final=True, turn_final=final)
-        assert rows[0] == ("S3+", 1, {"S3+": 100.0, "S3-": 0.0})
-
     def test_errors(self):
         with pytest.raises(EvalError):
             crosstab(["a"], ["a", "b"])
-        with pytest.raises(EvalError):
-            crosstab(["a"], ["a"], exclude_turn_final=True)
 
 
 class TestRankExperiment:
@@ -223,30 +214,64 @@ def _turns(*lines):
     return loads_corpus("\n".join(lines))
 
 
-def test_bench_rejects_lost_readings_when_gold_sites_pass(grammar):
-    # the gate drops the trace site at gap 5, which no gold trace names
+def test_bench_rejects_lost_readings_when_gold_sites_pass(grammar,
+                                                          monkeypatch):
+    from prosogate import evaluation
+    # the gate drops the trace site at gap 5, and with it every reading;
+    # no gold trace is read, so a gold list that names no gap is no
+    # reason to object
     lost = ('{"id": "a", "words": ["gestern", "reparierte", "er", "den", '
             '"wagen"], "gap_scores": [0.5, 0.5, 0.5, 0.5, 0.0], '
             '"gold_traces": []}')
-    with pytest.raises(EvalError, match="turn 'a': gated reading set differs"):
-        bench(_turns(lost), grammar, ParseConfig(threshold=0.01),
-              ParseConfig(mode="off"))
-    # a gold site the gate drops excuses the difference
-    missed = lost.replace('"gold_traces": []', '"gold_traces": [5]')
-    bench(_turns(missed), grammar, ParseConfig(threshold=0.01),
-          ParseConfig(mode="off"))
-    # turns are checked in order: the mismatch is raised before a later
-    # turn's parse error
+    # the gate keeps the verb-final reading and drops the V2 one
+    v2 = ('{"id": "c", "words": ["er", "schlief"], "gap_scores": [0, 0], '
+          '"gold_traces": []}')
+    gated, ungated = ParseConfig(threshold=0.01), ParseConfig(mode="off")
+    bench(_turns(lost, v2), grammar, gated, ungated)
+    # a gated parse that keeps a reading whose trace sits at no proposed
+    # site breaks the rule; turns are checked in order, so the mismatch
+    # is raised before a later turn's parse error
+    real_parse = evaluation.parse
+
+    def keeps_a_dropped_reading(turn, grammar, config):
+        result = real_parse(turn, grammar, config)
+        if config is gated:
+            result.readings = real_parse(turn, grammar, ungated).readings
+        return result
+
+    monkeypatch.setattr(evaluation, "parse", keeps_a_dropped_reading)
     unknown = '{"id": "b", "words": ["zzz"], "gap_scores": [0.5]}'
-    with pytest.raises(EvalError, match="turn 'a'"):
-        bench(_turns(lost, unknown), grammar, ParseConfig(threshold=0.01),
-              ParseConfig(mode="off"))
+    with pytest.raises(EvalError, match="^turn 'a': gated readings are not "
+                       "the ungated ones whose traces sit at proposed sites$"):
+        bench(_turns(lost, unknown), grammar, gated, ungated)
 
 
-def test_bench_passes_edge_cap_on_with_its_stats(grammar):
+def test_bench_exempts_turns_whose_ungated_readings_reach_the_cap(
+        grammar, monkeypatch):
+    from prosogate import evaluation
+    # with the cap at 1, a turn with any ungated reading may be truncated,
+    # so a gated parse that breaks the rule is not held against it
+    lost = ('{"id": "a", "words": ["gestern", "reparierte", "er", "den", '
+            '"wagen"], "gap_scores": [0.5, 0.5, 0.5, 0.5, 0.0]}')
+    gated, ungated = ParseConfig(threshold=0.01), ParseConfig(mode="off")
+    real_parse = evaluation.parse
+
+    def keeps_a_dropped_reading(turn, grammar, config):
+        result = real_parse(turn, grammar, config)
+        if config is gated:
+            result.readings = real_parse(turn, grammar, ungated).readings
+        return result
+
+    monkeypatch.setattr(evaluation, "parse", keeps_a_dropped_reading)
+    monkeypatch.setattr(evaluation, "MAX_READINGS", 1)
+    report = bench(_turns(lost), grammar, gated, ungated)
+    assert report.turn_count == 1
+
+
+def test_bench_passes_edge_cap_on_with_its_stats(grammar, monkeypatch):
     turn = '{"id": "q2", "words": ["im", "im"], "gap_scores": [0.5, 0.5]}'
+    monkeypatch.setattr("prosogate.chart.MAX_EDGES", 1)
     with pytest.raises(EdgeCapExceeded,
                        match="^turn 'q2': edge cap 1 exceeded$") as info:
-        bench(_turns(turn), grammar, ParseConfig(max_edges=1),
-              ParseConfig(mode="off", max_edges=1))
+        bench(_turns(turn), grammar, ParseConfig(), ParseConfig(mode="off"))
     assert info.value.stats["lexical_edges"] == 2
