@@ -74,7 +74,7 @@ class EdgeCapExceeded(ParseError):
 
 
 class InputFormatError(ParseError):
-    """A turn without one gap score per word."""
+    """A turn without gap scores."""
 
 
 MAX_READINGS = 2000  # readings unpacked per turn
@@ -136,15 +136,14 @@ def propose_trace_sites(turn, config):
 
     Threshold mode returns gaps with score >= tau in ascending order;
     rank mode the top-N scores (ties broken by lower gap index first) in
-    descending-score order.
+    descending-score order. The corpus loader checks that scores, where
+    a turn has them, are one per word.
     """
     n = len(turn.words)
     scores = turn.gap_scores
-    if scores is None or len(scores) != n:
+    if scores is None:
         raise InputFormatError(
-            turn, f"need one gap score per word "
-            f"(got {0 if scores is None else len(scores)} for {n} words)"
-        )
+            turn, f"need one gap score per word (got 0 for {n} words)")
     if config.mode == "rank":
         return gaps_by_score(scores)[: config.rank_limit]
     return [g for g in range(1, n + 1) if scores[g - 1] >= config.threshold]

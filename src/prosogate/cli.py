@@ -171,7 +171,7 @@ def cmd_eval(args):
 
 
 def cmd_rank(args):
-    corpus = _load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus)
     sentences = []
     for turn in corpus:
         gold = turn.gold_traces or []
@@ -275,7 +275,9 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("rank", help="rank histogram of gold gaps by score")
-    common(p, report=True, corpus=True)
+    common(p, report=True)
+    p.add_argument("--corpus", required=True,
+                   help="corpus JSONL, one gold gap per turn")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("bench", help="time gated vs ungated parsing")

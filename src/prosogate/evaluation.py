@@ -7,6 +7,10 @@ aggregates): recall := 1 when there are no gold positions, precision :=
 empty. Percentages render at one decimal, half-up, matching the
 reporting style of the reference results; internal values stay at full
 precision.
+
+Inputs are checked where they enter, by the corpus loader, the
+parse-report reader in ``cli`` and ``prosogate rank``; code here
+assumes them (see each function).
 """
 
 from __future__ import annotations
@@ -47,25 +51,21 @@ class MetricReport:
     precision: float
     error: float
 
-    def as_pct(self, decimals=1):
-        return {k: fmt_pct(v, decimals) for k, v in asdict(self).items()}
+    def as_pct(self):
+        return {k: fmt_pct(v) for k, v in asdict(self).items()}
 
 
 def score_trace_hypotheses(gold_per_turn, proposed_per_turn, universe_per_turn):
-    """Confusion counts over parallel per-turn gap-index sets.
+    """Confusion counts over parallel per-turn gap-index sets, each
+    turn's gold and proposed gaps inside its universe.
 
     correct = gold AND proposed, false_alarm = proposed only, miss =
     gold only, reject = neither; summed over turns.
     """
-    if not len(gold_per_turn) == len(proposed_per_turn) == len(universe_per_turn):
-        raise EvalError("per-turn sequences must have equal length")
     counts = ConfusionCounts()
     for gold, proposed, universe in zip(gold_per_turn, proposed_per_turn,
                                         universe_per_turn):
         gold, proposed, universe = set(gold), set(proposed), set(universe)
-        outside = (gold | proposed) - universe
-        if outside:
-            raise EvalError(f"positions {sorted(outside)} outside the universe")
         counts.correct += len(gold & proposed)
         counts.false_alarm += len(proposed - gold)
         counts.miss += len(gold - proposed)
@@ -124,13 +124,12 @@ class RankHistogram:
 def rank_experiment(sentences):
     """Histogram of the gold trace gap's score rank per sentence.
 
-    Each sentence is (gap_scores, gold_gap); gaps are ranked by score
-    descending with ties broken by lower gap index first.
+    Each sentence is (gap_scores, gold_gap), gold_gap in
+    1..len(gap_scores); gaps are ranked by score descending with ties
+    broken by lower gap index first.
     """
     hist = RankHistogram()
     for scores, gold_gap in sentences:
-        if gold_gap is None or not 1 <= gold_gap <= len(scores):
-            raise EvalError(f"sentence without a valid gold gap: {gold_gap}")
         hist.record(gaps_by_score(scores).index(gold_gap) + 1)
     return hist
 

@@ -33,6 +33,9 @@ A gap's input vector is that of its word's final syllable
 A classifier's JSON names the one prosodic feature layout its weights
 were trained on (``LAYOUT_ID``); loading rejects any other, and any
 input size but that layout's ``FEATURE_DIM`` values.
+
+Inputs are checked where they enter, by the corpus loader (S3 labels)
+and the model loader (``from_json``); code here assumes them.
 """
 
 from __future__ import annotations
@@ -132,10 +135,6 @@ class MlpClassifier:
     def classify(self, x):
         """(p_S3+, p_S3-): the two sigmoid outputs s normalized to sum 1,
         as exp(log s - log(s_0 + s_1)) with log s = -log(1 + e^-z)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.dims[0]:
-            raise ValueError(
-                f"vector length {x.shape[-1]} != input dimension {self.dims[0]}")
         with np.errstate(over="ignore"):  # exp(-z) = inf is sigmoid 0
             hidden = self._forward(x, layers=2)[-1]
         log_s = -np.logaddexp(0.0, -(hidden @ self.params[-2] + self.params[-1]))
@@ -218,16 +217,11 @@ def train(data, config=None, seed=0):
     for vec, label in data:
         if label == "S3?":
             continue
-        if label not in LABEL_INDEX:
-            raise ValueError(f"bad training label {label!r}")
         vectors.append(np.asarray(vec, dtype=np.float64))
         labels.append(LABEL_INDEX[label])
     if not vectors:
         raise ValueError("no trainable vectors (after S3? exclusion)")
     labels = np.array(labels)
-    dims = {v.shape for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
     X = np.stack(vectors)
     idx_plus = np.flatnonzero(labels == 0)
     idx_minus = np.flatnonzero(labels == 1)
@@ -240,24 +234,25 @@ def train(data, config=None, seed=0):
     rng = np.random.default_rng(seed + 1)
     majority = max(len(idx_plus), len(idx_minus))
 
-    for epoch in range(config.epochs):
-        epoch_idx = []
-        for cls_idx in (idx_plus, idx_minus):
-            take = cls_idx
-            if len(cls_idx) < majority:
-                extra = rng.choice(cls_idx, size=majority - len(cls_idx),
-                                   replace=True)
-                take = np.concatenate([cls_idx, extra])
-            epoch_idx.append(take)
-        order = np.concatenate(epoch_idx)
-        rng.shuffle(order)
-        for i in order.tolist():
-            clf.gradients(rows[i], row_targets[i])
-            grad *= config.learning_rate
-            theta -= grad
-        plus, minus = np.bincount(labels[order], minlength=2).tolist()
-        clf.train_log.append({"epoch": epoch,
-                              "presented": {"S3+": plus, "S3-": minus}})
+    with np.errstate(over="ignore"):  # once, not per step: see classify
+        for epoch in range(config.epochs):
+            epoch_idx = []
+            for cls_idx in (idx_plus, idx_minus):
+                take = cls_idx
+                if len(cls_idx) < majority:
+                    extra = rng.choice(cls_idx, size=majority - len(cls_idx),
+                                       replace=True)
+                    take = np.concatenate([cls_idx, extra])
+                epoch_idx.append(take)
+            order = np.concatenate(epoch_idx)
+            rng.shuffle(order)
+            for i in order.tolist():
+                clf.gradients(rows[i], row_targets[i])
+                grad *= config.learning_rate
+                theta -= grad
+            plus, minus = np.bincount(labels[order], minlength=2).tolist()
+            clf.train_log.append({"epoch": epoch,
+                                  "presented": {"S3+": plus, "S3-": minus}})
     return clf
 
 

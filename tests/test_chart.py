@@ -57,9 +57,6 @@ class TestProposeTraceSites:
         t = TurnRecord(turn_id="t", words=["a", "b"])
         with pytest.raises(InputFormatError):
             propose_trace_sites(t, ParseConfig())
-        t = _turn(["a", "b"], [0.5])
-        with pytest.raises(InputFormatError):
-            propose_trace_sites(t, ParseConfig())
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

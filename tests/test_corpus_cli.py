@@ -121,6 +121,8 @@ class TestCorpusIO:
         '"words": null',
         '"words": ["x"], "syllables": 5',
         '"words": ["x", "y"], "gold_traces": [1, "x"]',
+        '"words": ["x", "y"], "gap_scores": [0.5]',
+        '"words": ["x"], "s3_labels": ["S3+", "S3-"]',
     ])
     def test_bad_field_values_rejected(self, fields):
         bad_field = list(json.loads("{" + fields + "}"))[-1]
@@ -363,7 +365,8 @@ class TestCliExitCodes:
         assert run(["parse", "--frobnicate"]) == 1
 
     def test_missing_required_flag_is_usage_error(self, capsys):
-        assert run(["train"]) == 1
+        for argv in (["train"], ["rank"]):
+            assert run(argv) == 1
 
     @pytest.mark.parametrize("argv", [["parse", "--seed", "3"],
                                       ["synth", "--format", "json"]])

@@ -59,14 +59,6 @@ class TestScoreTraceHypotheses:
         assert counts.total == 4
         assert counts.correct == 1 and counts.miss == 1
 
-    def test_position_outside_universe_rejected(self):
-        with pytest.raises(EvalError, match=r"\[4\]"):
-            score_trace_hypotheses([{4}], [set()], [{1, 2}])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(EvalError):
-            score_trace_hypotheses([{1}], [], [{1}])
-
 
 class TestFmtPct:
     def test_half_up(self):
@@ -138,12 +130,6 @@ class TestRankExperiment:
         base = rank_experiment(sentences).counts
         for perm in itertools.islice(itertools.permutations(sentences), 20):
             assert rank_experiment(list(perm)).counts == base
-
-    def test_missing_gold_gap_rejected(self):
-        with pytest.raises(EvalError):
-            rank_experiment([([0.5, 0.5], None)])
-        with pytest.raises(EvalError):
-            rank_experiment([([0.5, 0.5], 3)])
 
 
 class TestBenchReport:
