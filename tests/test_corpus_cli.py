@@ -823,6 +823,22 @@ class TestCliPipeline:
         run(["synth", "--turns", "10", "--out", str(corpus)])
         assert run(["rank", "--corpus", str(corpus)]) == 2
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"gap_scores": [0.5, 0.5]',
+         "turn 'a': rank experiment needs exactly one gold trace gap, got 0"),
+        ('"gap_scores": [0.5, 0.5], "gold_traces": [1, 2]',
+         "turn 'a': rank experiment needs exactly one gold trace gap, got 2"),
+        ('"gold_traces": [2]', "turn 'a': no gap scores")],
+        ids=["no-gold", "two-gold", "no-scores"])
+    def test_rank_rejects_sentence_it_cannot_rank(self, tmp_path, capsys,
+                                                  fields, message):
+        # rank_experiment assumes one scored gold gap per sentence; the
+        # rank command is where that rule is enforced
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "a", "words": ["x", "y"], ' + fields + "}\n")
+        assert run(["rank", "--corpus", str(corpus)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_eval_text_report(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         assert run(["parse", "--format", "json", "--out", str(report)]) == 0
