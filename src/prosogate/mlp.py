@@ -26,6 +26,18 @@ weight, because no parameter is ever -0.0: weights start as -s + 2s*u
 and biases as +0.0, theta - g is -0.0 only where theta is -0.0, and
 theta - (+/-0.0) is theta for every other theta.
 
+Each classifier also allocates, once, one activation array and one
+backward scratch array per layer. ``_forward`` writes layer k into
+activation array k; ``gradients`` runs it, then forms each delta in its
+layer's scratch array and the bias gradient's view. So each call
+overwrites the activations and the gradient the previous call returned,
+and an SGD step allocates no array but the column view of its input. The
+bits do not move: ``np.dot(a, W, out)`` gives BLAS the operands ``a @ W``
+gives it (the output array only says where the result goes; over inputs
+of 1 to 242 values and outputs of 1 to 40, ``a @ W`` and ``d @ W.T``
+matched bit for bit), and every elementwise step keeps its operands and
+their order.
+
 ``classify`` normalizes the two outputs to a proper posterior (sum 1)
 in log space, so it is defined even where both sigmoids underflow to 0.
 A gap's input vector is that of its word's final syllable
@@ -113,24 +125,40 @@ class MlpClassifier:
         self._grads = _views(self._grad, declared)
         for view, p in zip(self.params, weights):
             view[...] = p
+        # per-classifier buffers, which each _forward or gradients call
+        # overwrites: one activation and one backward scratch per layer
+        self._acts = tuple(np.empty(n) for n in self.dims[1:])
+        self._layers = tuple(zip(self.params[0::2], self.params[1::2],
+                                 self._acts))
+        a1, a2, out = self._acts
+        gw1, gb1, gw2, gb2, gw3, gb3 = self._grads
+        self._back = (a1, a2, out, a1[:, None], a2[:, None],
+                      self.params[2].T, self.params[4].T,
+                      *(np.empty(n) for n in self.dims[1:]),
+                      gw1, gb1, gb1[None, :], gw2, gb2, gb2[None, :],
+                      gw3, gb3, gb3[None, :])
 
     def _forward(self, x, layers=3):
-        """Returns the activation of the input and of the first
-        ``layers`` layers (all three by default).
+        """The activations of the first ``layers`` layers (all three by
+        default), in this classifier's activation buffers: the next
+        ``_forward`` or ``gradients`` call overwrites them.
 
-        Each layer's sigmoid 1 / (1 + e^-z) is computed in place in the
-        one array its ``x @ W`` allocates, in the same steps and so to
-        the same bits as the out-of-place expression.
+        Each layer is ``np.dot(a, W, z)`` into its buffer, then the
+        sigmoid 1 / (1 + e^-z) in place in the same five steps as the
+        out-of-place expression, so to the same bits. ``np.dot`` into an
+        output array hands BLAS the same operands as ``a @ W``; the
+        output array only says where the result goes.
         """
-        acts = [np.asarray(x, dtype=np.float64)]
-        for i in range(0, 2 * layers, 2):
-            z = acts[-1] @ self.params[i]
-            z += self.params[i + 1]
-            np.negative(z, out=z)
-            np.exp(z, out=z)
-            z += 1.0
-            acts.append(np.divide(1.0, z, out=z))
-        return acts
+        a = x
+        for W, b, z in self._layers[:layers]:
+            np.dot(a, W, z)
+            np.add(z, b, z)
+            np.negative(z, z)
+            np.exp(z, z)
+            np.add(z, 1.0, z)
+            np.divide(1.0, z, z)
+            a = z
+        return self._acts[:layers]
 
     def classify(self, x):
         """(p_S3+, p_S3-): the two sigmoid outputs s normalized to sum 1,
@@ -146,23 +174,40 @@ class MlpClassifier:
         return 0.5 * float(np.sum((out - target) ** 2))
 
     def gradients(self, x, target):
-        """Analytic squared-error gradients, aligned with self.params.
+        """Analytic squared-error gradients of a float64 vector ``x``,
+        aligned with self.params.
 
         They are views of one flat vector laid out as ``theta``, written
-        in place: the next call overwrites them.
+        in place: the next call overwrites them, and the forward pass it
+        runs overwrites the activation buffers (see ``_forward``). Each
+        delta is (d @ W.T) * a * (1 - a), d the next layer's delta (at
+        the output, out - target), formed left to right in the layer's
+        scratch array and the bias gradient's view, so each element
+        goes through the roundings of the expression written out; each
+        weight gradient is one BLAS product of a column by that row.
         """
-        acts = self._forward(x)
-        grads = self._grads
-        out = acts[-1]
-        delta = np.multiply((out - target) * out, 1.0 - out, out=grads[-1])
-        for i in range(len(grads) - 2, -1, -2):
-            layer = i // 2
-            np.dot(acts[layer][:, None], delta[None, :], out=grads[i])
-            if layer > 0:
-                a = acts[layer]
-                delta = np.multiply((delta @ self.params[i].T) * a, 1.0 - a,
-                                    out=grads[i - 1])
-        return grads
+        (a1, a2, out, col1, col2, w2t, w3t, u1, u2, u3,
+         gw1, gb1, row1, gw2, gb2, row2, gw3, gb3, row3) = self._back
+        self._forward(x)
+        # output layer: d = out - target
+        np.subtract(out, target, u3)
+        np.multiply(u3, out, u3)
+        np.subtract(1.0, out, gb3)
+        np.multiply(u3, gb3, gb3)
+        np.dot(col2, row3, gw3)
+        # second hidden layer
+        np.dot(gb3, w3t, u2)
+        np.multiply(u2, a2, u2)
+        np.subtract(1.0, a2, gb2)
+        np.multiply(u2, gb2, gb2)
+        np.dot(col1, row2, gw2)
+        # first hidden layer
+        np.dot(gb2, w2t, u1)
+        np.multiply(u1, a1, u1)
+        np.subtract(1.0, a1, gb1)
+        np.multiply(u1, gb1, gb1)
+        np.dot(x[:, None], row1, gw1)
+        return self._grads
 
     def to_json(self):
         return json.dumps({

@@ -274,21 +274,26 @@ TRAIN_CONFIGS = [
     TrainConfig(epochs=0, hidden1=4, hidden2=3),
     TrainConfig(epochs=4, learning_rate=0.05, hidden1=5, hidden2=2),
     TrainConfig(epochs=2, learning_rate=1.7, hidden1=3, hidden2=6),
+    TrainConfig(epochs=1),  # the benchmark's 40/20 hidden units
 ]
-TRAIN_CONFIG_IDS = ["hidden-1", "epochs-0", "rate-0.05", "rate-1.7"]
+TRAIN_CONFIG_IDS = ["hidden-1", "epochs-0", "rate-0.05", "rate-1.7",
+                    "hidden-40-20"]
 
 
 @pytest.mark.parametrize("config", TRAIN_CONFIGS, ids=TRAIN_CONFIG_IDS)
-@pytest.mark.parametrize("seed, n_plus, n_minus, padded", [
-    pytest.param(0, 9, 40, False, id="0-9-40"),
-    pytest.param(3, 31, 6, False, id="3-31-6"),
-    pytest.param(11, 17, 17, False, id="11-17-17"),
-    pytest.param(5, 20, 13, True, id="5-20-13-zero-padded"),
+@pytest.mark.parametrize("seed, n_plus, n_minus, padded, dim", [
+    pytest.param(0, 9, 40, False, 6, id="0-9-40"),
+    pytest.param(3, 31, 6, False, 6, id="3-31-6"),
+    pytest.param(11, 17, 17, False, 6, id="11-17-17"),
+    pytest.param(5, 20, 13, True, 6, id="5-20-13-zero-padded"),
+    # the benchmark's shape: 242 inputs, zero-padded, one S3+ in four
+    pytest.param(42, 24, 72, True, FEATURE_DIM,
+                 id="42-24-72-zero-padded-242"),
 ])
 def test_train_matches_the_per_parameter_loop(config, seed, n_plus, n_minus,
-                                              padded):
+                                              padded, dim):
     data = _imbalanced_set(np.random.default_rng(100 + seed), n_plus,
-                           n_minus, padded=padded)
+                           n_minus, dim=dim, padded=padded)
     ref_params, ref_log = _reference_train(data, config, seed)
     clf = train(data, config, seed=seed)
     assert clf.train_log == ref_log
@@ -318,6 +323,46 @@ def test_gradients_write_one_preallocated_flat_vector():
         assert np.shares_memory(g, clf._grad)
     again = clf.gradients(-x, target)
     assert all(np.shares_memory(a, b) for a, b in zip(grads, again))
+
+
+def _held_arrays(clf):
+    """Every array a classifier holds in an attribute, directly or in a
+    tuple (nested tuples included)."""
+    found, stack = [], list(vars(clf).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, tuple):
+            stack.extend(value)
+    return found
+
+
+def test_reused_buffers_are_safe():
+    x, y = np.linspace(-1.0, 1.0, 5), np.linspace(2.0, -3.0, 5)
+    other, target = np.linspace(3.0, 0.5, 5), np.array([1.0, 0.0])
+    clf, twin = MlpClassifier(5, 3, 2, seed=0), MlpClassifier(5, 3, 2, seed=0)
+    expected = [g.copy() for g in twin.gradients(y, target)]
+    # a classify or loss call between two gradients calls changes neither
+    # the first call's gradients nor the second's
+    first = clf.gradients(x, target)
+    kept = [g.copy() for g in first]
+    clf.classify(other)
+    clf.loss(other, target)
+    assert all(np.array_equal(g, k) for g, k in zip(first, kept))
+    for g, e in zip(clf.gradients(y, target), expected):
+        assert np.array_equal(g.view(np.uint64), e.view(np.uint64))
+    # two classifiers share no buffer
+    for a in _held_arrays(clf):
+        assert not any(np.shares_memory(a, b) for b in _held_arrays(twin))
+    # _forward returns the same arrays on each call, and gradients' pass
+    # writes them too
+    acts = clf._forward(x)
+    assert len(acts) == 3
+    assert all(a is b for a, b in zip(clf._forward(other), acts))
+    assert all(a is b for a, b in zip(clf._forward(other, layers=2), acts))
+    clf.gradients(y, target)
+    assert np.array_equal(acts[-1], twin._forward(y)[-1])
 
 
 def test_save_load_round_trip(tmp_path):
