@@ -31,9 +31,10 @@ A pair is offered only to the schemata whose quick check (see
 ``grammar``) the edges' summary vectors pass: a clash means unification
 would fail, so the check changes no result. The check reads the two
 vectors alone, so the grammar decides it once per vector pair
-(``Grammar.admitting``), not once per edge pair. A leaf takes its
-vector from its lexicon entry; a derived edge's is
-computed when it is added, and keys its packing bucket, so that
+(``Grammar.admitting``), not once per edge pair, and the parser reads
+each later decision from the grammar's table in one lookup. A leaf
+takes its vector from its lexicon entry; a derived edge's is computed
+when it is added, and keys its packing bucket, so that
 ``fs.canonical`` keys only categories whose span and vector collide.
 
 A mother shares the nodes of its daughters that its schema left
@@ -104,7 +105,7 @@ class ParseConfig:
             self.mode, self.threshold = "threshold", 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     """One chart edge over (start, end).
 
@@ -184,7 +185,9 @@ class Chart:
         ``shares`` passed with its first derivation."""
         if kind == "derived":
             vector = self.grammar.summaries(category)
-            table = self.seen.setdefault((start, end, vector), {})
+            table = self.seen.get((start, end, vector))
+            if table is None:
+                table = self.seen[start, end, vector] = {}
             if None in table:
                 lone = table.pop(None)
                 table[fs.canonical(lone.category)] = lone
@@ -197,8 +200,7 @@ class Chart:
         is_new = edge is None
         if is_new:
             edge = table[key] = Edge(len(self.edges), start, end, category,
-                                     kind, entry=entry, summaries=vector,
-                                     shares=shares)
+                                     kind, entry, [], vector, shares)
             self.edges.append(edge)
             self.agenda.append(edge)
         if derivation is not None:
@@ -252,7 +254,7 @@ def parse(turn, grammar, config):
         if not entries:
             raise UnknownWordError(turn, f"unknown word {word!r}")
         for entry in entries:
-            chart.add(i, i + 1, entry.category, "lexical", entry=entry)
+            chart.add(i, i + 1, entry.category, "lexical", entry)
 
     # (ii) empty edges at eligible gaps, one per (gap, V2 entry), placed
     # from the V2 lexical edges in chart order (a repeated V2 word packs)
@@ -261,23 +263,30 @@ def parse(turn, grammar, config):
         for lexical in v2_edges:
             if g >= lexical.end:  # constraint a
                 chart.add(g, g, lexical.entry.trace_template, "empty",
-                          entry=lexical.entry)
+                          lexical.entry)
     check_cap()
 
     # (iii) close under the schemata; empty edges only as right daughters.
+    admitted = grammar.admitted
+
     def combine(left, right):
+        schemata = admitted.get((left.summaries, right.summaries))
+        if schemata is None:  # a vector pair not seen before
+            schemata = grammar.admitting(left.summaries, right.summaries)
+        if not schemata:
+            return
         right_cat = right.category
         overlap = left.shares & right.shares
-        for schema in grammar.admitting(left.summaries, right.summaries):
+        for schema in schemata:
             if overlap:  # the daughters may share a leaf's nodes
                 right_cat, overlap = fs.copy_fs(right_cat), 0
             mother = schema.apply(left.category, right_cat)
             if mother is None:
                 continue
             edge, is_new = chart.add(
-                left.start, right.end, mother, "derived",
-                derivation=(schema, left.edge_id, right.edge_id),
-                shares=left.shares | right.shares)
+                left.start, right.end, mother, "derived", None,
+                (schema, left.edge_id, right.edge_id),
+                left.shares | right.shares)
             if (right.kind == "empty" and not is_new
                     and _reaches(left, edge, chart.edges)):
                 raise ParseError(turn, f"cyclic derivation: {schema.name} "

@@ -1,5 +1,5 @@
-"""Trace-detection metrics, label cross-tabulations, the rank
-experiment, and the with/without-prosody runtime benchmark.
+"""Trace-detection metrics, the rank experiment, and the
+with/without-prosody runtime benchmark.
 
 Zero-denominator conventions (degenerate turns must not poison corpus
 aggregates): recall := 1 when there are no gold positions, precision :=
@@ -80,31 +80,6 @@ def metrics(c):
                  if c.correct + c.false_alarm else 1.0)
     error = (c.miss + c.false_alarm) / c.total if c.total else 0.0
     return MetricReport(recall=recall, precision=precision, error=error)
-
-
-def crosstab(labels_a, labels_b):
-    """Row-normalized percentage table of labels_b per labels_a value.
-
-    Returns a list of rows (label_a, cases, {label_b: percentage}), rows
-    and columns ordered by first appearance.
-    """
-    if len(labels_a) != len(labels_b):
-        raise EvalError(
-            f"label sequences differ in length: {len(labels_a)} vs {len(labels_b)}")
-    row_order, col_order, cells = [], [], {}
-    for a, b in zip(labels_a, labels_b):
-        if a not in cells:
-            cells[a] = {}
-            row_order.append(a)
-        if b not in col_order:
-            col_order.append(b)
-        cells[a][b] = cells[a].get(b, 0) + 1
-    rows = []
-    for a in row_order:
-        cases = sum(cells[a].values())
-        rows.append((a, cases,
-                     {b: 100.0 * cells[a].get(b, 0) / cases for b in col_order}))
-    return rows
 
 
 MAX_RANK = 7

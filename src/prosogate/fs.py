@@ -33,10 +33,12 @@ default every node is copied; given a set of nodes it must not share,
 gained complement arcs or has a child forwarded to another node, and
 every node above one) and reuses every other input node as it is,
 since no built node is ever written (structure sharing, Tomabechi
-1992). Atoms, the commonest nodes, take no call of their own where
-that is safe: :func:`unify_mut` unifies an arc pair of two unforwarded
-atoms in its arc loop, and :func:`resolve` with ``keep`` takes an
-unforwarded atom child outside ``keep`` as itself.
+1992). Atoms, the commonest nodes, and other childless nodes take no
+call of their own where that is safe: :func:`unify_mut` unifies an arc
+pair of two unforwarded atoms in its arc loop, and :func:`resolve` with
+``keep`` takes an unforwarded childless child (an atom, a top or an
+empty list) outside ``keep`` as itself, since only an AVM with
+attributes ever gains complement arcs.
 """
 
 from __future__ import annotations
@@ -124,10 +126,12 @@ def copy_fs(node, memo=None):
     key = id(node)
     if key in memo:
         return memo[key]
-    new = FS(node.kind, atom=node.atom)
+    if node.kind == ATOM:
+        new = FS(ATOM, node.atom)
+    else:  # a built structure is acyclic, so no child reaches this node
+        new = FS(node.kind, None,
+                 {k: copy_fs(v, memo) for k, v in node.attrs.items()})
     memo[key] = new
-    if node.kind != ATOM:
-        new.attrs = {k: copy_fs(v, memo) for k, v in node.attrs.items()}
     return new
 
 
@@ -224,22 +228,24 @@ def resolve(node, memo=None, keep=None):
     kind = node.kind
     comp = node.comp if node.stamp == gen else None
     if keep is None or node in keep or comp:
-        new = FS(kind, atom=node.atom)
-        if kind != ATOM:
-            new.attrs = {k: resolve(v, memo, keep) for k, v in node.attrs.items()}
+        if kind == ATOM:
+            new = FS(ATOM, node.atom)
+        else:
+            attrs = {k: resolve(v, memo, keep) for k, v in node.attrs.items()}
             if comp:
-                new.attrs.update((k, resolve(v, memo, keep)) for k, v in comp.items())
+                attrs.update((k, resolve(v, memo, keep)) for k, v in comp.items())
+            new = FS(kind, None, attrs)
     else:  # share the node, or copy it once a child resolves to another
         new = node
         if kind != ATOM:
             for k, v in node.attrs.items():
-                if (v.kind == ATOM and v not in keep
+                if (not v.attrs and v not in keep
                         and (v.stamp != gen or v.forward is None)):
-                    continue  # an unforwarded atom is itself
+                    continue  # an unforwarded childless node is itself
                 got = resolve(v, memo, keep)
                 if got is not v:
                     if new is node:
-                        new = FS(kind, attrs=dict(node.attrs))
+                        new = FS(kind, None, dict(node.attrs))
                     new.attrs[k] = got
     memo[node] = new
     return new

@@ -21,14 +21,14 @@ from a daughter root through AVM attributes to a schema's atom or list,
 then for each topmost node a schema's daughters share, at left path lp
 and right path rp (an int steps into a list), lp+q and rp+q for q empty
 or, where the node is a daughter's root (lp or rp empty), a first path.
-An edge's summary (see :func:`summarize`) that clashes with the
-daughter's there, or with the other edge's at the paired path, means
-unification must fail, so ``RuleSchema.admits`` rejects the pair. It
-reads only the two summary vectors, so ``Grammar.admitting`` decides
-each vector pair once, for every schema, and keeps the admitting
-schemata in a table: a parse has few distinct vectors (65 in an ungated
-pass over the seed-42 benchmark corpus, in 305 pairs), and the table
-fills as pairs are first seen.
+An edge's summary at such a path (see ``Grammar.summaries``) that
+clashes with the daughter's, or with the other edge's at the paired
+path, means unification must fail, so ``RuleSchema.admits`` rejects the
+pair. It reads only the two summary vectors, so ``Grammar.admitting``
+decides each vector pair once, for every schema, and keeps the
+admitting schemata in a table: a parse has few distinct vectors (65 in
+an ungated pass over the seed-42 benchmark corpus, in 305 pairs), and
+the table fills as pairs are first seen.
 
 ``RuleSchema.apply`` unifies each daughter with the stored pattern in
 place, daughter first, in a generation of its own (see ``fs``), and
@@ -64,16 +64,6 @@ class GrammarError(ValueError):
 # The summary of a non-top AVM: unequal to every atom value (a string,
 # which may well be spelled "avm") and to every list length (an int).
 AVM_SUMMARY = object()
-
-
-def summarize(node):
-    """Quick-check summary of one node: its atom value, its list length,
-    AVM_SUMMARY for a non-top AVM, or None (no information) for top."""
-    if node.kind == fs.ATOM:
-        return node.atom
-    if node.kind == fs.LIST:
-        return len(node.attrs)
-    return AVM_SUMMARY if node.attrs else None
 
 
 @dataclass
@@ -191,13 +181,21 @@ class Grammar:
 
 
 def _summarize_into(node, trie, out):
-    """Write the summary at each path of trie below node into out."""
+    """Write the summary at each path of trie below node into out. A
+    node's quick-check summary is its atom value, its list length,
+    AVM_SUMMARY for a non-top AVM, or None (no information) for top."""
     i, steps = trie
+    attrs = node.attrs
     if i is not None:
-        out[i] = summarize(node)
-    if node.attrs:
+        if node.kind == fs.ATOM:
+            out[i] = node.atom
+        elif node.kind == fs.LIST:
+            out[i] = len(attrs)
+        else:
+            out[i] = AVM_SUMMARY if attrs else None
+    if attrs:
         for step, sub in steps.items():
-            child = node.attrs.get(step)
+            child = attrs.get(step)
             if child is not None:
                 _summarize_into(child, sub, out)
 

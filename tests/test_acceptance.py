@@ -12,8 +12,8 @@ import pytest
 from bruteforce import enumerate_readings
 from prosogate.chart import ParseConfig, extract_pred_arg, parse, \
     propose_trace_sites
-from prosogate.evaluation import (BenchReport, ConfusionCounts, bench,
-                                  crosstab, fmt_pct, metrics, rank_experiment)
+from prosogate.evaluation import (BenchReport, ConfusionCounts, EvalError,
+                                  bench, fmt_pct, metrics, rank_experiment)
 from prosogate.mlp import MlpClassifier, TrainConfig, train
 from prosogate.prosody import extract_features
 from prosogate.synth import synth_corpus
@@ -194,6 +194,31 @@ def test_criterion_10_rank_experiment_shape():
     assert counts == sorted(counts, reverse=True)
     print(f"\n  rank buckets {dict(hist.counts)} "
           f"(reference shape: 96, 22, 7, 4, ...)")
+
+
+def crosstab(labels_a, labels_b):
+    """Row-normalized percentage table of labels_b per labels_a value.
+
+    Returns a list of rows (label_a, cases, {label_b: percentage}), rows
+    and columns ordered by first appearance.
+    """
+    if len(labels_a) != len(labels_b):
+        raise EvalError(
+            f"label sequences differ in length: {len(labels_a)} vs {len(labels_b)}")
+    row_order, col_order, cells = [], [], {}
+    for a, b in zip(labels_a, labels_b):
+        if a not in cells:
+            cells[a] = {}
+            row_order.append(a)
+        if b not in col_order:
+            col_order.append(b)
+        cells[a][b] = cells[a].get(b, 0) + 1
+    rows = []
+    for a in row_order:
+        cases = sum(cells[a].values())
+        rows.append((a, cases,
+                     {b: 100.0 * cells[a].get(b, 0) / cases for b in col_order}))
+    return rows
 
 
 def test_criterion_11_crosstab_fixture():

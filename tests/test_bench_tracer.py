@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from prosogate import chart, corpus, demo_corpus_text, fs, mlp, synth, \
     grammar as grammar_module
@@ -67,3 +68,76 @@ def test_benchmark_workloads_run():
     gated = workloads.setup_parse(0, text, gated=True)
     op = workloads.parse_pass(gated, workloads.GATED[0])
     assert len(op.outputs) == 8 and None not in op.outputs
+
+
+# The counter block of one traced pass over the benchmark's seed-42
+# corpus: gate off, and threshold 0.01 on the corpus's own gap scores.
+# Every count is an operation count of the parser, so a change that
+# claims to leave the work unchanged must leave these unchanged. The
+# fs.*_nodes counts are calls: they leave out the nodes a walker handles
+# inline, so a new fast path lowers them without changing the work.
+PASS_COUNTERS = {
+    "ungated": {
+        "chart.add_calls": 2032, "chart.add_packed": 32,
+        "chart.edges_derived": 940, "chart.edges_empty": 421,
+        "chart.edges_lexical": 639, "chart.parse_calls": 104,
+        "chart.proposed_sites": 498, "chart.readings": 125,
+        "fs.canonical_calls": 84, "fs.copy_calls": 90, "fs.copy_nodes": 3444,
+        "fs.resolve_calls": 972, "fs.resolve_nodes": 17185,
+        "fs.unify_calls": 2548, "fs.unify_failures": 302,
+        "fs.unify_nodes": 23737, "grammar.apply_attempts.0.head-subject": 254,
+        "grammar.apply_attempts.1.head-complement": 521,
+        "grammar.apply_attempts.2.head-complement": 29,
+        "grammar.apply_attempts.3.head-complement": 49,
+        "grammar.apply_attempts.4.head-complement": 7,
+        "grammar.apply_attempts.5.head-adjunct": 100,
+        "grammar.apply_attempts.6.v2-selection": 297,
+        "grammar.apply_attempts.7.filler-head": 17,
+        "grammar.apply_calls": 1274,
+        "grammar.apply_successes.0.head-subject": 254,
+        "grammar.apply_successes.1.head-complement": 273,
+        "grammar.apply_successes.2.head-complement": 29,
+        "grammar.apply_successes.3.head-complement": 49,
+        "grammar.apply_successes.4.head-complement": 7,
+        "grammar.apply_successes.5.head-adjunct": 100,
+        "grammar.apply_successes.6.v2-selection": 243,
+        "grammar.apply_successes.7.filler-head": 17},
+    "gated": {
+        "chart.add_calls": 1745, "chart.add_packed": 32,
+        "chart.edges_derived": 861, "chart.edges_empty": 213,
+        "chart.edges_lexical": 639, "chart.parse_calls": 104,
+        "chart.proposed_sites": 207, "chart.readings": 125,
+        "fs.canonical_calls": 84, "fs.copy_calls": 90, "fs.copy_nodes": 3444,
+        "fs.resolve_calls": 893, "fs.resolve_nodes": 15576,
+        "fs.unify_calls": 2134, "fs.unify_failures": 174,
+        "fs.unify_nodes": 19862, "grammar.apply_attempts.0.head-subject": 245,
+        "grammar.apply_attempts.1.head-complement": 400,
+        "grammar.apply_attempts.2.head-complement": 29,
+        "grammar.apply_attempts.3.head-complement": 49,
+        "grammar.apply_attempts.4.head-complement": 7,
+        "grammar.apply_attempts.5.head-adjunct": 100,
+        "grammar.apply_attempts.6.v2-selection": 220,
+        "grammar.apply_attempts.7.filler-head": 17,
+        "grammar.apply_calls": 1067,
+        "grammar.apply_successes.0.head-subject": 245,
+        "grammar.apply_successes.1.head-complement": 273,
+        "grammar.apply_successes.2.head-complement": 29,
+        "grammar.apply_successes.3.head-complement": 49,
+        "grammar.apply_successes.4.head-complement": 7,
+        "grammar.apply_successes.5.head-adjunct": 100,
+        "grammar.apply_successes.6.v2-selection": 173,
+        "grammar.apply_successes.7.filler-head": 17},
+}
+
+
+@pytest.mark.parametrize("name", PASS_COUNTERS)
+def test_traced_pass_counters_are_pinned(name):
+    state = workloads.setup_parse(42, workloads.synth_text(42), gated=False)
+    config = {"ungated": workloads.UNGATED, "gated": workloads.GATED}[name][0]
+    tracer = tracing.Tracer()
+    tracer.name_schemata(state["grammar"].schemata)
+    with tracer.installed(), tracer.root("bench.op") as block:
+        for turn in state["corpus"]:
+            chart.parse(turn, state["grammar"], config)
+    del block["_root"]
+    assert block == PASS_COUNTERS[name]

@@ -5,8 +5,9 @@ import pytest
 
 from prosogate.chart import EdgeCapExceeded, ParseConfig
 from prosogate.evaluation import (BenchReport, ConfusionCounts, EvalError,
-                                  bench, crosstab, fmt_pct, metrics,
-                                  rank_experiment, score_trace_hypotheses)
+                                  bench, fmt_pct, metrics, rank_experiment,
+                                  score_trace_hypotheses)
+from test_acceptance import crosstab
 
 
 class TestMetrics:

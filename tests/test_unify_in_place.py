@@ -243,6 +243,47 @@ def test_unify_leaves_inputs_unchanged():
     assert _snapshot(a, good, bad, shared) == before
 
 
+CHILDLESS = {"atom": lambda: fs.atom("x"), "top": fs.top,
+             "empty list": fs.fs_list}
+
+
+def _forward(node):
+    """Forward a childless node, in this generation, to a new node it
+    unifies with; returns that node."""
+    other = fs.atom("x") if node.kind == fs.AVM else fs.copy_fs(node)
+    fs.unify_mut(other, node)
+    assert node.forward is other
+    return other
+
+
+@pytest.mark.parametrize("make", CHILDLESS.values(), ids=CHILDLESS)
+def test_resolve_shares_unforwarded_childless_children(make):
+    # resolve with keep takes an unforwarded childless child outside
+    # keep as itself: never unified, forwarded in an earlier generation,
+    # or the representative of a unification in this one
+    stale = make()
+    fs.new_generation()
+    _forward(stale)
+    fs.new_generation()
+    rep = fs.unify_mut(make(), make())
+    assert rep.forward is None
+    daughter = fs.avm(N=make(), S=stale, R=rep)
+    assert fs.resolve(daughter, keep=frozenset()) is daughter
+
+
+@pytest.mark.parametrize("make", CHILDLESS.values(), ids=CHILDLESS)
+def test_resolve_copies_kept_or_forwarded_childless_children(make):
+    kept, forwarded = make(), make()
+    daughter = fs.avm(K=kept, F=forwarded, A=fs.atom("y"))
+    fs.new_generation()
+    target = _forward(forwarded)
+    got = fs.resolve(daughter, keep=frozenset([kept, target]))
+    assert got is not daughter and got.attrs["A"] is daughter.attrs["A"]
+    for feat, want in (("K", kept), ("F", target)):
+        assert got.attrs[feat] not in (kept, forwarded, target)
+        assert fs.canonical(got.attrs[feat]) == fs.canonical(want)
+
+
 @pytest.fixture(scope="module")
 def charts(grammar, demo_corpus):
     """The chart of every demo and ``synth --seed 42`` turn, in each gate
