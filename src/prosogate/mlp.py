@@ -12,11 +12,22 @@ number of vectors from each class.
 The six parameters (weights and bias of each layer, in layer order) are
 reshaped views of one flat float64 vector, ``theta``; the gradient that
 ``gradients`` writes has the same layout in a second flat vector,
-allocated once per classifier. So an SGD step is one scaling and one
-subtraction over all parameters, ``grad *= lr; theta -= grad``, in place
-of one ``p -= lr * g`` per parameter. Each element still goes through
-the same two roundings, ``lr * g`` and then ``p - (lr * g)``, so the
-weights a seed trains are bit for bit those of the per-parameter loop.
+allocated once per classifier. So an SGD step is a scaling and a
+subtraction over slices of the two, ``g *= lr; theta -= g``, in place of
+one ``p -= lr * g`` per parameter. Each element still goes through the
+same two roundings, ``lr * g`` and then ``p - (lr * g)``, so the weights
+a seed trains are bit for bit those of the per-parameter loop.
+
+A step skips the first-layer rows where its input is zero in a long run.
+``train`` finds, once per training vector, its leading zero run and its
+longest other zero run (``_zero_runs``; in the 242-value layout, the
+zero-padded context window at a turn's start and at its end). On each
+step ``gradients`` writes the first-layer weight gradient on the other
+rows only, and the step scales and subtracts on those rows and on every
+later parameter; the rows of the two runs are neither written nor
+moved. That is exact: a zero input gives a gradient row of +/-0.0 (every
+delta is finite), lr times it is +/-0.0, and theta - (+/-0.0) is theta
+for every theta but -0.0, which no parameter is (below).
 
 Each weight gradient is one BLAS product of a column by a row
 (``np.dot``, inner dimension 1), so each element is the one rounded
@@ -27,16 +38,25 @@ and biases as +0.0, theta - g is -0.0 only where theta is -0.0, and
 theta - (+/-0.0) is theta for every other theta.
 
 Each classifier also allocates, once, one activation array and one
-backward scratch array per layer. ``_forward`` writes layer k into
-activation array k; ``gradients`` runs it, then forms each delta in its
-layer's scratch array and the bias gradient's view. So each call
+backward scratch array per hidden layer and one activation array for
+the output. ``_forward`` writes layer k into activation array k;
+``gradients`` runs it for the hidden layers, then forms each delta in
+its layer's scratch array and the bias gradient's view. So each call
 overwrites the activations and the gradient the previous call returned,
-and an SGD step allocates no array but the column view of its input. The
-bits do not move: ``np.dot(a, W, out)`` gives BLAS the operands ``a @ W``
-gives it (the output array only says where the result goes; over inputs
-of 1 to 242 values and outputs of 1 to 40, ``a @ W`` and ``d @ W.T``
-matched bit for bit), and every elementwise step keeps its operands and
-their order.
+and an SGD step allocates no array but views of its input and of the
+first-layer gradient, and the two-value lists it reads the output layer
+into. The bits do not move: ``np.dot(a, W, out)`` gives BLAS the
+operands ``a @ W`` gives it (the output array only says where the result
+goes; over inputs of 1 to 242 values and outputs of 1 to 40, ``a @ W``
+and ``d @ W.T`` matched bit for bit), and every elementwise step keeps
+its operands and their order.
+
+The output layer's two nodes are worked out in Python floats after its
+BLAS product: the bias add, negation, ``+ 1``, reciprocal and delta
+``((out - target) * out) * (1 - out)`` are the IEEE-754 double
+operations of the numpy steps they replace, in the same order, and
+``np.exp`` stays in numpy. So they give the bits the array expression
+gives, with eight numpy calls fewer a step.
 
 ``classify`` normalizes the two outputs to a proper posterior (sum 1)
 in log space, so it is defined even where both sigmoids underflow to 0.
@@ -63,6 +83,7 @@ from .prosody import FEATURE_DIM, extract_features
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
 OUTPUT_NODES = 2  # S3+ at index 0, S3- at index 1
 LABEL_INDEX = {"S3+": 0, "S3-": 1}
+_ALL_ROWS = (slice(None),)  # gradients' default: every first-layer row
 
 
 def _holds_bool(value):
@@ -126,15 +147,16 @@ class MlpClassifier:
         for view, p in zip(self.params, weights):
             view[...] = p
         # per-classifier buffers, which each _forward or gradients call
-        # overwrites: one activation and one backward scratch per layer
+        # overwrites: one activation per layer and one backward scratch
+        # per hidden layer
         self._acts = tuple(np.empty(n) for n in self.dims[1:])
         self._layers = tuple(zip(self.params[0::2], self.params[1::2],
                                  self._acts))
         a1, a2, out = self._acts
+        w2, w3, b3 = self.params[2], self.params[4], self.params[5]
         gw1, gb1, gw2, gb2, gw3, gb3 = self._grads
-        self._back = (a1, a2, out, a1[:, None], a2[:, None],
-                      self.params[2].T, self.params[4].T,
-                      *(np.empty(n) for n in self.dims[1:]),
+        self._back = (a1, a2, out, w3, b3, a1[:, None], a2[:, None],
+                      w2.T, w3.T, *(np.empty(n) for n in self.dims[1:3]),
                       gw1, gb1, gb1[None, :], gw2, gb2, gb2[None, :],
                       gw3, gb3, gb3[None, :])
 
@@ -169,13 +191,9 @@ class MlpClassifier:
         p = np.exp(log_s - np.logaddexp.reduce(log_s, axis=-1, keepdims=True))
         return float(p[..., 0]), float(p[..., 1])
 
-    def loss(self, x, target):
-        out = self._forward(x)[-1]
-        return 0.5 * float(np.sum((out - target) ** 2))
-
-    def gradients(self, x, target):
-        """Analytic squared-error gradients of a float64 vector ``x``,
-        aligned with self.params.
+    def gradients(self, x, target, rows=_ALL_ROWS):
+        """Analytic squared-error gradients of a float64 vector ``x``
+        against a ``target`` pair, aligned with self.params.
 
         They are views of one flat vector laid out as ``theta``, written
         in place: the next call overwrites them, and the forward pass it
@@ -185,15 +203,40 @@ class MlpClassifier:
         scratch array and the bias gradient's view, so each element
         goes through the roundings of the expression written out; each
         weight gradient is one BLAS product of a column by that row.
+
+        The output layer's two nodes are worked out in Python floats
+        after its BLAS product: bias add, negation, ``+ 1``, reciprocal
+        and delta are the IEEE-754 operations of the numpy steps they
+        replace, in the same order, and ``np.exp`` stays in numpy, so the
+        bits do not move. Both outputs are written to the last
+        activation buffer, as ``_forward`` writes them.
+
+        ``rows`` (slices; all rows by default) are the first layer's
+        rows whose weight gradient is written: the other rows of that
+        gradient are not written and keep whatever they held, and every
+        other gradient and activation is written in full. ``train``
+        passes the rows outside an input's leading and longest other
+        zero run (see ``_zero_runs``). Leaving the others out of a step
+        is exact: where x is zero the gradient row is +/-0.0 (the deltas
+        are finite), and theta - lr * (+/-0.0) is theta for every theta
+        but -0.0, which no parameter is.
         """
-        (a1, a2, out, col1, col2, w2t, w3t, u1, u2, u3,
+        (a1, a2, out, w3, b3, col1, col2, w2t, w3t, u1, u2,
          gw1, gb1, row1, gw2, gb2, row2, gw3, gb3, row3) = self._back
-        self._forward(x)
-        # output layer: d = out - target
-        np.subtract(out, target, u3)
-        np.multiply(u3, out, u3)
-        np.subtract(1.0, out, gb3)
-        np.multiply(u3, gb3, gb3)
+        self._forward(x, layers=2)
+        # output layer: out as 1 / (1 + e^-z), d = ((out - target) * out)
+        # * (1 - out), node by node; the buffer holds -z for np.exp
+        np.dot(a2, w3, out)
+        (z0, z1), (c0, c1) = out.tolist(), b3.tolist()
+        out[0] = -(z0 + c0)
+        out[1] = -(z1 + c1)
+        np.exp(out, out)
+        e0, e1 = out.tolist()
+        out[0] = o0 = 1.0 / (e0 + 1.0)
+        out[1] = o1 = 1.0 / (e1 + 1.0)
+        t0, t1 = target
+        gb3[0] = (o0 - t0) * o0 * (1.0 - o0)
+        gb3[1] = (o1 - t1) * o1 * (1.0 - o1)
         np.dot(col2, row3, gw3)
         # second hidden layer
         np.dot(gb3, w3t, u2)
@@ -206,7 +249,8 @@ class MlpClassifier:
         np.multiply(u1, a1, u1)
         np.subtract(1.0, a1, gb1)
         np.multiply(u1, gb1, gb1)
-        np.dot(x[:, None], row1, gw1)
+        for r in rows:
+            np.dot(x[r, None], row1, gw1[r])
         return self._grads
 
     def to_json(self):
@@ -274,8 +318,21 @@ def train(data, config=None, seed=0):
         raise ValueError("training data must contain both S3+ and S3-")
 
     clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
-    rows, row_targets = list(X), list(np.eye(OUTPUT_NODES)[labels])
     theta, grad = clf.theta, clf._grad  # grad: what gradients writes
+    lr, width = config.learning_rate, config.hidden1
+    targets = np.eye(OUTPUT_NODES).tolist()
+    # per vector: its input, its target, the first-layer rows outside its
+    # zero runs, and the (gradient, theta) slices a step on it moves:
+    # rows [lo, hi), then rows [start, n) and every later parameter
+    steps = []
+    for x, label in zip(X, labels.tolist()):
+        lo, hi, start = _zero_runs(x)
+        rows = tuple(slice(a, b) for a, b in ((lo, hi), (start, len(x)))
+                     if a < b)
+        cuts = ((lo * width, hi * width), (start * width, theta.size))
+        steps.append((x, targets[label], rows,
+                      tuple((grad[a:b], theta[a:b]) for a, b in cuts
+                            if a < b)))
     rng = np.random.default_rng(seed + 1)
     majority = max(len(idx_plus), len(idx_minus))
 
@@ -292,13 +349,29 @@ def train(data, config=None, seed=0):
             order = np.concatenate(epoch_idx)
             rng.shuffle(order)
             for i in order.tolist():
-                clf.gradients(rows[i], row_targets[i])
-                grad *= config.learning_rate
-                theta -= grad
+                x, target, rows, spans = steps[i]
+                clf.gradients(x, target, rows)
+                for g, p in spans:
+                    g *= lr
+                    p -= g
             plus, minus = np.bincount(labels[order], minlength=2).tolist()
             clf.train_log.append({"epoch": epoch,
                                   "presented": {"S3+": plus, "S3-": minus}})
     return clf
+
+
+def _zero_runs(x):
+    """(lo, hi, start): the nonzero values of ``x`` lie in [lo, hi) and
+    [start, len(x)), which leave out its leading zero run [0, lo) and its
+    longest other zero run [hi, start): the last of equal ones, so the
+    trailing run (start = len(x), maybe empty) wins a tie. All three are
+    len(x) if every value of ``x`` is zero."""
+    nonzero = np.flatnonzero(x)
+    if not nonzero.size:
+        return (len(x),) * 3
+    ends = np.append(nonzero[1:], len(x))  # where each following run ends
+    k = len(nonzero) - 1 - int(np.argmax((ends - nonzero)[::-1]))
+    return int(nonzero[0]), int(nonzero[k]) + 1, int(ends[k])
 
 
 def gap_vectors(turn):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prosogate.mlp import LABEL_INDEX, OUTPUT_NODES, MlpClassifier, \
-    TrainConfig, train, score_turn
+    TrainConfig, _zero_runs, train, score_turn
 from prosogate.corpus import CorpusError, Syllable, TurnRecord
 from prosogate.prosody import FEATURE_DIM, SyllableRecord
 
@@ -14,6 +14,13 @@ def _gaussian_set(rng, n_per_class, dim=8, separation=3.0):
             data.append((rng.normal(center, 1.0, size=dim), label))
     rng.shuffle(data)
     return data
+
+
+def squared_error(clf, x, target):
+    """The loss ``gradients`` differentiates: half the summed squared
+    error of the two outputs against ``target``."""
+    out = clf._forward(x)[-1]
+    return 0.5 * float(np.sum((out - target) ** 2))
 
 
 def _nearest_centroid(train_data, x):
@@ -40,9 +47,9 @@ def test_gradient_check_small_nets():
             for k in range(flat_p.size):
                 orig = flat_p[k]
                 flat_p[k] = orig + eps
-                up = clf.loss(x, target)
+                up = squared_error(clf, x, target)
                 flat_p[k] = orig - eps
-                down = clf.loss(x, target)
+                down = squared_error(clf, x, target)
                 flat_p[k] = orig
                 numeric = (up - down) / (2 * eps)
                 denom = max(abs(numeric), abs(flat_g[k]), 1e-8)
@@ -108,9 +115,9 @@ def test_train_log_counts_the_presented_targets(monkeypatch):
     presented = []
     gradients = MlpClassifier.gradients
 
-    def recording(self, x, target):
+    def recording(self, x, target, *args, **kwargs):
         presented.append("S3+" if target[0] == 1.0 else "S3-")
-        return gradients(self, x, target)
+        return gradients(self, x, target, *args, **kwargs)
 
     monkeypatch.setattr(MlpClassifier, "gradients", recording)
     rng = np.random.default_rng(8)
@@ -255,16 +262,25 @@ def _reference_train(data, config, seed):
 
 
 def _imbalanced_set(rng, n_plus, n_minus, dim=6, padded=False):
-    """Gaussian vectors per class, plus five S3? ones. ``padded`` zeroes
-    a leading block of 0 to dim/2 values in each, as the 242-value
-    layout pads the context window at a turn's start, so the outer
-    products meet exact zeros and form signed ones."""
+    """Gaussian vectors per class, plus five S3? ones. ``padded`` adds an
+    all-zero vector to each class and zeroes two blocks in each vector,
+    as the 242-value layout pads the context window at a turn's start
+    and end: a leading one of 0 to dim/2 values and a later one of 0 to
+    dim/3 values, inside the vector or at its end. It then writes -0.0
+    over one of the zeros. So the outer products meet exact zeros and
+    form signed ones, and training skips rows of every kind of run."""
     data = [(rng.normal(1.0, 1.0, size=dim), "S3+") for _ in range(n_plus)]
     data += [(rng.normal(-1.0, 1.0, size=dim), "S3-") for _ in range(n_minus)]
     data += [(rng.normal(size=dim), "S3?") for _ in range(5)]
     if padded:
+        data += [(np.zeros(dim), "S3+"), (np.zeros(dim), "S3-")]
         for vec, _ in data:
             vec[:rng.integers(0, dim // 2 + 1)] = 0.0
+            start = rng.integers(dim // 2, dim)
+            vec[start:start + rng.integers(0, dim // 3 + 1)] = 0.0
+            zeros = np.flatnonzero(vec == 0.0)
+            if zeros.size:
+                vec[rng.choice(zeros)] = -0.0
     rng.shuffle(data)
     return data
 
@@ -312,6 +328,39 @@ def test_no_trained_parameter_is_negative_zero(config):
         assert not (np.signbit(p) & (p == 0)).any()
 
 
+@pytest.mark.parametrize("x, runs", [
+    # runs after the leading one: [3, 5), [7, 10) and a trailing [11, 12)
+    ([0, 0, 1.5, -0.0, 0, -2, 0.5, 0, 0, 0, 3, 0], (2, 7, 10)),
+    ([0, 1, 0, 0, 1, 0, 0], (1, 5, 7)),  # the last of equal runs
+    ([1, 0, 2, 0, 0, 0], (0, 3, 6)),  # the trailing run is the longest
+    ([1, 2, 3], (0, 3, 3)),  # no zero run at all
+    ([0, -0.0, 0, 0], (4, 4, 4)),  # all zeros
+])
+def test_zero_runs_leave_out_the_leading_and_longest_other_run(x, runs):
+    assert _zero_runs(np.array(x, dtype=np.float64)) == runs
+
+
+def test_ranged_gradients_write_the_rows_they_cover():
+    x = np.array([0, 0, 1.5, -0.0, 0, -2, 0.5, 0, 0, 0, 3, 0], dtype=float)
+    target, rows = (0.0, 1.0), (slice(2, 7), slice(10, 12))
+    clf, twin = (MlpClassifier(12, 4, 3, seed=0) for _ in range(2))
+    full = [g.copy() for g in twin.gradients(x, np.array(target))]
+    clf._grad[:] = np.nan
+    grads = clf.gradients(x, target, rows)
+    covered = np.zeros(12, dtype=bool)
+    for r in rows:
+        covered[r] = True
+    # the rows it covers get the full gradient's values; no other row of
+    # the first layer's weight gradient is written
+    assert np.array_equal(grads[0][covered].view(np.uint64),
+                          full[0][covered].view(np.uint64))
+    assert np.isnan(grads[0][~covered]).all()
+    for g, f in zip(grads[1:], full[1:]):
+        assert np.array_equal(g.view(np.uint64), f.view(np.uint64))
+    for a, b in zip(clf._acts, twin._acts):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_gradients_write_one_preallocated_flat_vector():
     clf = MlpClassifier(5, 3, 2, seed=0)
     x, target = np.linspace(-1.0, 1.0, 5), np.array([0.0, 1.0])
@@ -348,7 +397,7 @@ def test_reused_buffers_are_safe():
     first = clf.gradients(x, target)
     kept = [g.copy() for g in first]
     clf.classify(other)
-    clf.loss(other, target)
+    squared_error(clf, other, target)
     assert all(np.array_equal(g, k) for g, k in zip(first, kept))
     for g, e in zip(clf.gradients(y, target), expected):
         assert np.array_equal(g.view(np.uint64), e.view(np.uint64))
