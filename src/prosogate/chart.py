@@ -127,10 +127,6 @@ class Edge:
     summaries: tuple = None  # quick-check summary vector of category
     shares: int = 0  # leaf-structure bitmask, see above
 
-    @property
-    def span(self):
-        return (self.start, self.end)
-
 
 def propose_trace_sites(turn, config):
     """Select the gap indices eligible for empty-edge introduction.
@@ -216,7 +212,6 @@ class ParseResult:
     proposed_sites: list
     stats: dict
     _chart: object = None
-    _root_trees: list = None  # tree per reading, see _unpack
 
     @property
     def forest(self):
@@ -308,12 +303,10 @@ def parse(turn, grammar, config):
     result = ParseResult(turn_id=turn.turn_id, n_words=len(turn.words),
                          readings=[], proposed_sites=sites, stats=None,
                          _chart=chart)
-    pairs = []
+    readings = result.readings
     for root in result.forest:
-        pairs.extend(_unpack(root, chart, MAX_READINGS - len(pairs)))
-    pairs.sort(key=lambda pair: pair[0])
-    result.readings = [label for label, _ in pairs]
-    result._root_trees = [tree for _, tree in pairs]
+        readings.extend(_unpack(root, chart, MAX_READINGS - len(readings)))
+    readings.sort()
     result.stats = statistics()
     return result
 
@@ -353,65 +346,19 @@ def trace_gaps(label):
 
 
 def _unpack(edge, chart, limit):
-    """The first ``limit`` (label, tree) pairs of the edge's enumeration;
-    a tree is (edge, schema, left, right), or (edge, None, None, None)."""
+    """The first ``limit`` reading labels of the edge's enumeration."""
     if limit <= 0:
         return []
     if edge.kind != "derived":
-        label = derivation_label(edge.kind, edge.entry, edge.start)
-        return [(label, (edge, None, None, None))]
+        return [derivation_label(edge.kind, edge.entry, edge.start)]
     out = []
     for schema, lid, rid in edge.derivations:
         lefts = _unpack(chart.edges[lid], chart, limit - len(out))
         rights = _unpack(chart.edges[rid], chart, limit - len(out))
-        for left_label, left in lefts:
-            for right_label, right in rights:
-                label = derivation_label("derived", None, None, schema.name,
-                                         left_label, right_label)
-                out.append((label, (edge, schema, left, right)))
+        for left in lefts:
+            for right in rights:
+                out.append(derivation_label("derived", None, None,
+                                            schema.name, left, right))
                 if len(out) >= limit:
                     return out
     return out
-
-
-def extract_pred_arg(result, reading_index):
-    """Read the flat predicate-argument record off one reading.
-
-    The derivation is replayed in one unification generation so that
-    every lexical SEM block ends up fully instantiated; records are
-    (relation, ((role, value), ...)) tuples with deterministic order.
-    Raises IndexError("no reading") on an empty forest or bad index.
-    """
-    trees = result._root_trees
-    if not trees or not 0 <= reading_index < len(trees):
-        raise IndexError("no reading")
-    sems = []
-    fs.new_generation()
-
-    def build(tree):
-        edge, schema, left, right = tree
-        if edge.kind != "derived":
-            cat = fs.copy_fs(edge.category)
-            sem = cat.get("LOC", "SEM")
-            if sem is not None:
-                sems.append(sem)
-            return cat
-        # a schema may occur twice in one derivation: unify a copy
-        return schema.mother(build(left), build(right),
-                             fs.copy_fs(schema.pattern))
-
-    build(trees[reading_index])
-    records = set()
-    for sem in sems:
-        sem = fs.resolve(sem)
-        reln = sem.get("RELN")
-        if reln is None or reln.kind != fs.ATOM:
-            continue
-        args = sem.get("ARGS")
-        roles = []
-        if args is not None and args.kind == fs.AVM:
-            for role in sorted(args.attrs):
-                val = args.attrs[role]
-                roles.append((role, val.atom if val.kind == fs.ATOM else "_"))
-        records.add((reln.atom, tuple(roles)))
-    return tuple(sorted(records))

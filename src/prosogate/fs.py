@@ -251,47 +251,6 @@ def resolve(node, memo=None, keep=None):
     return new
 
 
-def unify(a, b):
-    """Unify two feature structures; returns a fresh FS (every node a
-    copy, none shared with an input) or None on failure.
-
-    Neither input is changed. Reentrancy within and across the inputs is
-    preserved (nodes literally shared between ``a`` and ``b`` remain
-    shared in the result).
-    """
-    new_generation()
-    try:
-        return resolve(unify_mut(a, b))
-    except UnificationFailure:
-        return None
-
-
-def subsumes(a, b):
-    """True iff ``a`` is at least as general as ``b``.
-
-    Every piece of information in ``a`` (atoms, attributes, list shape,
-    sharing) must be present in ``b``; sharing in ``a`` must map to
-    identical nodes in ``b``.
-    """
-    mapping = {}
-
-    def walk(x, y):
-        if id(x) in mapping:
-            return mapping[id(x)] is y
-        mapping[id(x)] = y
-        if x.kind == AVM and not x.attrs:  # top
-            return True
-        if x.kind != y.kind:
-            return False
-        if x.kind == ATOM:
-            return x.atom == y.atom
-        if x.kind == LIST and len(x.attrs) != len(y.attrs):
-            return False
-        return all(f in y.attrs and walk(v, y.attrs[f]) for f, v in x.attrs.items())
-
-    return walk(a, b)
-
-
 def canonical(node):
     """Canonical string form; equal strings iff equivalent structures.
 

@@ -11,52 +11,12 @@ number of vectors from each class.
 
 The six parameters (weights and bias of each layer, in layer order) are
 reshaped views of one flat float64 vector, ``theta``; the gradient that
-``gradients`` writes has the same layout in a second flat vector,
-allocated once per classifier. So an SGD step is a scaling and a
-subtraction over slices of the two, ``g *= lr; theta -= g``, in place of
-one ``p -= lr * g`` per parameter. Each element still goes through the
-same two roundings, ``lr * g`` and then ``p - (lr * g)``, so the weights
-a seed trains are bit for bit those of the per-parameter loop.
-
-A step skips the first-layer rows where its input is zero in a long run.
-``train`` finds, once per training vector, its leading zero run and its
-longest other zero run (``_zero_runs``; in the 242-value layout, the
-zero-padded context window at a turn's start and at its end). On each
-step ``gradients`` writes the first-layer weight gradient on the other
-rows only, and the step scales and subtracts on those rows and on every
-later parameter; the rows of the two runs are neither written nor
-moved. That is exact: a zero input gives a gradient row of +/-0.0 (every
-delta is finite), lr times it is +/-0.0, and theta - (+/-0.0) is theta
-for every theta but -0.0, which no parameter is (below).
-
-Each weight gradient is one BLAS product of a column by a row
-(``np.dot``, inner dimension 1), so each element is the one rounded
-product a * delta, as ``np.outer`` gives it; only the sign of a zero
-may differ (BLAS writes +0.0 where the product is -0.0). That moves no
-weight, because no parameter is ever -0.0: weights start as -s + 2s*u
-and biases as +0.0, theta - g is -0.0 only where theta is -0.0, and
-theta - (+/-0.0) is theta for every other theta.
-
-Each classifier also allocates, once, one activation array and one
-backward scratch array per hidden layer and one activation array for
-the output. ``_forward`` writes layer k into activation array k;
-``gradients`` runs it for the hidden layers, then forms each delta in
-its layer's scratch array and the bias gradient's view. So each call
-overwrites the activations and the gradient the previous call returned,
-and an SGD step allocates no array but views of its input and of the
-first-layer gradient, and the two-value lists it reads the output layer
-into. The bits do not move: ``np.dot(a, W, out)`` gives BLAS the
-operands ``a @ W`` gives it (the output array only says where the result
-goes; over inputs of 1 to 242 values and outputs of 1 to 40, ``a @ W``
-and ``d @ W.T`` matched bit for bit), and every elementwise step keeps
-its operands and their order.
-
-The output layer's two nodes are worked out in Python floats after its
-BLAS product: the bias add, negation, ``+ 1``, reciprocal and delta
-``((out - target) * out) * (1 - out)`` are the IEEE-754 double
-operations of the numpy steps they replace, in the same order, and
-``np.exp`` stays in numpy. So they give the bits the array expression
-gives, with eight numpy calls fewer a step.
+``gradients`` writes has the same layout in a second flat vector. Each
+classifier allocates its buffers once, so each ``_forward`` or
+``gradients`` call overwrites the arrays the previous call returned.
+For a seed, ``train`` gives bit for bit the weights of plain
+per-parameter SGD over out-of-place numpy expressions; each step states
+beside its code the condition that keeps it so.
 
 ``classify`` normalizes the two outputs to a proper posterior (sum 1)
 in log space, so it is defined even where both sigmoids underflow to 0.
@@ -86,11 +46,18 @@ LABEL_INDEX = {"S3+": 0, "S3-": 1}
 _ALL_ROWS = (slice(None),)  # gradients' default: every first-layer row
 
 
-def _holds_bool(value):
-    """Whether a JSON value is a boolean or a list that nests one."""
-    if isinstance(value, list):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
+def _all_numbers(value):
+    """Whether a JSON value is an int or a float, or lists that nest
+    only those: no boolean, string, null or object. A loop, not a
+    recursion, so no nesting depth can overflow the stack."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is list:
+            stack.extend(value)
+        elif type(value) not in (int, float):
+            return False
+    return True
 
 
 def _views(flat, shapes):
@@ -150,7 +117,7 @@ class MlpClassifier:
         # overwrites: one activation per layer and one backward scratch
         # per hidden layer
         self._acts = tuple(np.empty(n) for n in self.dims[1:])
-        self._layers = tuple(zip(self.params[0::2], self.params[1::2],
+        self._layers = tuple(zip(self.params[0:4:2], self.params[1:4:2],
                                  self._acts))
         a1, a2, out = self._acts
         w2, w3, b3 = self.params[2], self.params[4], self.params[5]
@@ -160,19 +127,19 @@ class MlpClassifier:
                       gw1, gb1, gb1[None, :], gw2, gb2, gb2[None, :],
                       gw3, gb3, gb3[None, :])
 
-    def _forward(self, x, layers=3):
-        """The activations of the first ``layers`` layers (all three by
-        default), in this classifier's activation buffers: the next
-        ``_forward`` or ``gradients`` call overwrites them.
+    def _forward(self, x):
+        """The two hidden layers' activations, in this classifier's
+        activation buffers: the next ``_forward`` or ``gradients`` call
+        overwrites them.
 
         Each layer is ``np.dot(a, W, z)`` into its buffer, then the
-        sigmoid 1 / (1 + e^-z) in place in the same five steps as the
-        out-of-place expression, so to the same bits. ``np.dot`` into an
-        output array hands BLAS the same operands as ``a @ W``; the
-        output array only says where the result goes.
+        sigmoid 1 / (1 + e^-z) in place in the five steps of the
+        out-of-place expression, in its order, so to the same bits.
+        ``np.dot`` into an output array hands BLAS the operands ``a @ W``
+        hands it; the output array only says where the result goes.
         """
         a = x
-        for W, b, z in self._layers[:layers]:
+        for W, b, z in self._layers:
             np.dot(a, W, z)
             np.add(z, b, z)
             np.negative(z, z)
@@ -180,13 +147,13 @@ class MlpClassifier:
             np.add(z, 1.0, z)
             np.divide(1.0, z, z)
             a = z
-        return self._acts[:layers]
+        return self._acts[:2]
 
     def classify(self, x):
         """(p_S3+, p_S3-): the two sigmoid outputs s normalized to sum 1,
         as exp(log s - log(s_0 + s_1)) with log s = -log(1 + e^-z)."""
         with np.errstate(over="ignore"):  # exp(-z) = inf is sigmoid 0
-            hidden = self._forward(x, layers=2)[-1]
+            hidden = self._forward(x)[-1]
         log_s = -np.logaddexp(0.0, -(hidden @ self.params[-2] + self.params[-1]))
         p = np.exp(log_s - np.logaddexp.reduce(log_s, axis=-1, keepdims=True))
         return float(p[..., 0]), float(p[..., 1])
@@ -197,35 +164,32 @@ class MlpClassifier:
 
         They are views of one flat vector laid out as ``theta``, written
         in place: the next call overwrites them, and the forward pass it
-        runs overwrites the activation buffers (see ``_forward``). Each
-        delta is (d @ W.T) * a * (1 - a), d the next layer's delta (at
-        the output, out - target), formed left to right in the layer's
-        scratch array and the bias gradient's view, so each element
-        goes through the roundings of the expression written out; each
-        weight gradient is one BLAS product of a column by that row.
-
-        The output layer's two nodes are worked out in Python floats
-        after its BLAS product: bias add, negation, ``+ 1``, reciprocal
-        and delta are the IEEE-754 operations of the numpy steps they
-        replace, in the same order, and ``np.exp`` stays in numpy, so the
-        bits do not move. Both outputs are written to the last
-        activation buffer, as ``_forward`` writes them.
+        runs overwrites the activation buffers (see ``_forward``). Both
+        outputs are written to the output activation buffer.
 
         ``rows`` (slices; all rows by default) are the first layer's
         rows whose weight gradient is written: the other rows of that
-        gradient are not written and keep whatever they held, and every
-        other gradient and activation is written in full. ``train``
-        passes the rows outside an input's leading and longest other
-        zero run (see ``_zero_runs``). Leaving the others out of a step
-        is exact: where x is zero the gradient row is +/-0.0 (the deltas
-        are finite), and theta - lr * (+/-0.0) is theta for every theta
-        but -0.0, which no parameter is.
+        gradient keep whatever they held, and every other gradient and
+        activation is written in full.
+
+        Each delta is (d @ W.T) * a * (1 - a), d the next layer's delta
+        (at the output, out - target), formed left to right in the
+        layer's scratch array and the bias gradient's view, with
+        ``np.dot`` into a buffer as in ``_forward``, so each element
+        goes through the roundings of the expression written out. Each
+        weight gradient is one BLAS product of a column by
+        that row, so each element is the one rounded product a * delta
+        that ``np.outer`` gives, but BLAS writes +0.0 where the product
+        is -0.0; that moves no weight, because no parameter is -0.0
+        (see ``train``).
         """
         (a1, a2, out, w3, b3, col1, col2, w2t, w3t, u1, u2,
          gw1, gb1, row1, gw2, gb2, row2, gw3, gb3, row3) = self._back
-        self._forward(x, layers=2)
+        self._forward(x)
         # output layer: out as 1 / (1 + e^-z), d = ((out - target) * out)
-        # * (1 - out), node by node; the buffer holds -z for np.exp
+        # * (1 - out), node by node in Python floats, which are the
+        # IEEE-754 double operations of the array expression in its
+        # order, so give its bits; the buffer holds -z for np.exp
         np.dot(a2, w3, out)
         (z0, z1), (c0, c1) = out.tolist(), b3.tolist()
         out[0] = -(z0 + c0)
@@ -267,7 +231,9 @@ class MlpClassifier:
         try:
             d = json.loads(text)
             layout, dims, seed = d["layout_id"], d["dims"], d["seed"]
-            weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
+            numbers = _all_numbers(d["weights"])
+            if numbers:  # np.array would read "0.5" and True as numbers
+                weights = [np.array(w, dtype=np.float64) for w in d["weights"]]
         except (ValueError, OverflowError, KeyError, TypeError,
                 RecursionError) as exc:
             raise ValueError(f"malformed classifier: {exc!r}") from exc
@@ -283,8 +249,9 @@ class MlpClassifier:
         if type(seed) is not int:
             raise ValueError(f"malformed classifier: seed {seed!r} is not an "
                              f"int")
-        if _holds_bool(d["weights"]):
-            raise ValueError("malformed classifier: weights hold a boolean")
+        if not numbers:
+            raise ValueError("malformed classifier: every weight must be a "
+                             "JSON number")
         return cls(*dims[:3], seed=seed, weights=weights)
 
     @classmethod
@@ -299,6 +266,17 @@ def train(data, config=None, seed=0):
     trained on). Deterministic given the seed, which drives both weight
     initialization and the per-epoch balancing resample. The per-epoch
     presented class counts are recorded on clf.train_log.
+
+    A step is ``g *= lr; theta -= g`` over slices of the flat gradient
+    and parameter vectors: each element goes through the two roundings
+    of ``p -= lr * g``, lr * g and then p - (lr * g), in that order. The
+    step leaves out the first-layer rows of an input's leading and
+    longest other zero run (``_zero_runs``): ``gradients`` writes no
+    gradient there and no weight there moves. That is exact: a zero
+    input gives a gradient row of +/-0.0 (every delta is finite), lr
+    times it is +/-0.0, and theta - (+/-0.0) is theta for every theta
+    but -0.0. No parameter is ever -0.0: weights start as -s + 2s*u and
+    biases as +0.0, and theta - g is -0.0 only where theta is -0.0.
     """
     if config is None:
         config = TrainConfig()

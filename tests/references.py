@@ -1,0 +1,157 @@
+"""Reference operations that only the tests run.
+
+Each rebuilds from the package's own parts something the package itself
+never needs: general unification and subsumption of feature structures,
+the predicate-argument record of a reading, and the classifier's output
+layer as one out-of-place numpy expression.
+"""
+
+import re
+
+import numpy as np
+
+from prosogate import fs
+from prosogate.chart import derivation_label
+
+
+def unify(a, b):
+    """Unify two feature structures; returns a fresh FS (every node a
+    copy, none shared with an input) or None on failure.
+
+    Neither input is changed. Reentrancy within and across the inputs is
+    preserved (nodes literally shared between ``a`` and ``b`` remain
+    shared in the result).
+    """
+    fs.new_generation()
+    try:
+        return fs.resolve(fs.unify_mut(a, b))
+    except fs.UnificationFailure:
+        return None
+
+
+def subsumes(a, b):
+    """True iff ``a`` is at least as general as ``b``.
+
+    Every piece of information in ``a`` (atoms, attributes, list shape,
+    sharing) must be present in ``b``; sharing in ``a`` must map to
+    identical nodes in ``b``.
+    """
+    mapping = {}
+
+    def walk(x, y):
+        if id(x) in mapping:
+            return mapping[id(x)] is y
+        mapping[id(x)] = y
+        if x.kind == fs.AVM and not x.attrs:  # top
+            return True
+        if x.kind != y.kind:
+            return False
+        if x.kind == fs.ATOM:
+            return x.atom == y.atom
+        if x.kind == fs.LIST and len(x.attrs) != len(y.attrs):
+            return False
+        return all(f in y.attrs and walk(v, y.attrs[f])
+                   for f, v in x.attrs.items())
+
+    return walk(a, b)
+
+
+def _label_tree(label):
+    """A reading label as nested (schema name, left, right) tuples whose
+    leaves are the labels of words and traces."""
+    tokens = iter(re.findall(r"[()]|[^ ()]+", label))
+
+    def node():
+        token = next(tokens)
+        if token != "(":
+            return token
+        schema, left, right = next(tokens), node(), node()
+        if next(tokens) != ")":
+            raise ValueError(f"unbalanced reading label {label!r}")
+        return schema, left, right
+
+    tree = node()
+    if next(tokens, None) is not None:
+        raise ValueError(f"trailing text in reading label {label!r}")
+    return tree
+
+
+def _trees(edge, label, edges):
+    """Every derivation tree of ``edge`` whose label is ``label`` (a
+    ``_label_tree``): (edge, schema, left, right), or (edge, None, None,
+    None) for a word or a trace."""
+    if edge.kind != "derived":
+        if label == derivation_label(edge.kind, edge.entry, edge.start):
+            return [(edge, None, None, None)]
+        return []
+    if isinstance(label, str):
+        return []
+    name, left, right = label
+    return [(edge, schema, lt, rt)
+            for schema, lid, rid in edge.derivations if schema.name == name
+            for lt in _trees(edges[lid], left, edges)
+            for rt in _trees(edges[rid], right, edges)]
+
+
+def extract_pred_arg(result, reading_index):
+    """Read the flat predicate-argument record off one reading.
+
+    The reading's derivation is found in the chart from its label: the
+    label must match exactly one derivation of one root edge. It is
+    replayed in one unification generation so that every lexical SEM
+    block ends up fully instantiated; records are (relation, ((role,
+    value), ...)) tuples with deterministic order. Raises
+    IndexError("no reading") on an empty forest or bad index.
+    """
+    if not 0 <= reading_index < len(result.readings):
+        raise IndexError("no reading")
+    label = result.readings[reading_index]
+    tree, edges = _label_tree(label), result._chart.edges
+    found = [t for root in result.forest for t in _trees(root, tree, edges)]
+    if len(found) != 1:
+        raise ValueError(f"{len(found)} derivations match reading {label!r}")
+    sems = []
+    fs.new_generation()
+
+    def build(tree):
+        edge, schema, left, right = tree
+        if edge.kind != "derived":
+            cat = fs.copy_fs(edge.category)
+            sem = cat.get("LOC", "SEM")
+            if sem is not None:
+                sems.append(sem)
+            return cat
+        # a schema may occur twice in one derivation: unify a copy
+        return schema.mother(build(left), build(right),
+                             fs.copy_fs(schema.pattern))
+
+    build(found[0])
+    records = set()
+    for sem in sems:
+        sem = fs.resolve(sem)
+        reln = sem.get("RELN")
+        if reln is None or reln.kind != fs.ATOM:
+            continue
+        args = sem.get("ARGS")
+        roles = []
+        if args is not None and args.kind == fs.AVM:
+            for role in sorted(args.attrs):
+                val = args.attrs[role]
+                roles.append((role, val.atom if val.kind == fs.ATOM else "_"))
+        records.add((reln.atom, tuple(roles)))
+    return tuple(sorted(records))
+
+
+def sigmoid_outputs(clf, x):
+    """The classifier's two sigmoid outputs, 1 / (1 + e^-z), as one
+    out-of-place expression over its hidden activations. Overwrites the
+    activation buffers ``_forward`` writes."""
+    hidden = clf._forward(x)[-1]
+    return 1.0 / (1.0 + np.exp(-(hidden @ clf.params[-2] + clf.params[-1])))
+
+
+def squared_error(clf, x, target):
+    """The loss ``gradients`` differentiates: half the summed squared
+    error of the two outputs against ``target``."""
+    out = sigmoid_outputs(clf, x)
+    return 0.5 * float(np.sum((out - target) ** 2))

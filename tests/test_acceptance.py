@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from bruteforce import enumerate_readings
-from test_mlp import squared_error
-from prosogate.chart import ParseConfig, extract_pred_arg, parse, \
-    propose_trace_sites
+from references import extract_pred_arg, squared_error
+from prosogate.chart import ParseConfig, parse, propose_trace_sites
 from prosogate.evaluation import (BenchReport, ConfusionCounts, EvalError,
                                   bench, fmt_pct, metrics, rank_experiment)
 from prosogate.mlp import MlpClassifier, TrainConfig, train
@@ -76,7 +75,7 @@ def test_criterion_05_reference_tree_reproduction(grammar, demo_corpus):
         " (head-subject er/er (head-complement (head-complement den/den"
         " wagen/wagen) t/reparierte_f_v2@5))))"]
     empty, = [e for e in result._chart.edges if e.kind == "empty"]
-    assert empty.span == (5, 5)
+    assert (empty.start, empty.end) == (5, 5)
     loc = empty.category.get("LOC")
     assert loc is empty.category.get("DSL").attrs[0]
     from prosogate.fs import canonical

@@ -9,12 +9,12 @@ from prosogate import (demo_grammar_text, fs, load_demo_corpus,
                        load_demo_grammar)
 from prosogate.chart import (MAX_READINGS, Chart, EdgeCapExceeded,
                              InputFormatError, ParseConfig, ParseError,
-                             UnknownWordError, extract_pred_arg, parse,
-                             propose_trace_sites, trace_gaps)
+                             UnknownWordError, parse, propose_trace_sites,
+                             trace_gaps)
 from prosogate.corpus import TurnRecord
-from prosogate.fs import unify
 from prosogate.grammar import RuleSchema, load_grammar
 from prosogate.synth import synth_corpus
+from references import extract_pred_arg, unify
 
 
 def _turn(words, scores, turn_id="t"):
@@ -312,7 +312,7 @@ def test_admitted_schemata_across_corpora(demo_corpus, monkeypatch, config):
 
 
 def _chart_snapshot(turns, grammar):
-    return [[(e.edge_id, e.span, e.kind, fs.canonical(e.category),
+    return [[(e.edge_id, (e.start, e.end), e.kind, fs.canonical(e.category),
               [(s.name, l, r) for s, l, r in e.derivations])
              for e in parse(turn, grammar, config)._chart.edges]
             for config in (ParseConfig(mode="off"), ParseConfig(threshold=0.01),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from prosogate import demo_grammar_text, load_demo_corpus, load_demo_grammar
-from prosogate.chart import ParseConfig, ParseError, extract_pred_arg, parse
+from prosogate.chart import ParseConfig, ParseError, parse
 from prosogate.cli import build_parser, run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
                               load_corpus, loads_corpus)
@@ -23,6 +23,7 @@ from prosogate.mlp import MlpClassifier
 from prosogate.prosody import (FEATURE_DIM, REGRESSION_LEN, SyllableRecord,
                                extract_features)
 from prosogate.synth import synth_corpus
+from references import extract_pred_arg
 
 
 def _valid_turn(n):
@@ -509,10 +510,13 @@ class TestCliExitCodes:
          "malformed classifier: dims [3, 2, 2, 2]"),
         (json.dumps({**_MODEL, "weights": [*_MODEL["weights"][:-1],
                                            [True, False]]}),
-         "malformed classifier: weights hold a boolean"),
+         "malformed classifier: every weight must be a JSON number"),
         (json.dumps({**_MODEL, "weights": [*_MODEL["weights"][:-1],
                                            [0.5, True]]}),
-         "malformed classifier: weights hold a boolean"),
+         "malformed classifier: every weight must be a JSON number"),
+        (json.dumps({**_MODEL, "weights": [*_MODEL["weights"][:-1],
+                                           ["0.5", "1e3"]]}),
+         "malformed classifier: every weight must be a JSON number"),
         (json.dumps({**_MODEL, "seed": {"x": [1]}}),
          "malformed classifier: seed {'x': [1]} is not an int"),
         (json.dumps({**_MODEL, "seed": 1.0}),
@@ -523,8 +527,8 @@ class TestCliExitCodes:
             "nan-weight", "not-json", "deep", "ragged-weights",
             "non-numeric-weight", "overflowing-weight", "dims-not-ending-in-2",
             "long-dims", "zero-dim", "float-dim", "bool-dim", "short-input",
-            "bool-weights", "bool-among-weights", "object-seed", "float-seed",
-            "bool-seed"])
+            "bool-weights", "bool-among-weights", "numeric-string-weight",
+            "object-seed", "float-seed", "bool-seed"])
     def test_bad_model_is_data_error(self, tmp_path, capsys, model, where):
         corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
         assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0

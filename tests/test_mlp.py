@@ -5,6 +5,7 @@ from prosogate.mlp import LABEL_INDEX, OUTPUT_NODES, MlpClassifier, \
     TrainConfig, _zero_runs, train, score_turn
 from prosogate.corpus import CorpusError, Syllable, TurnRecord
 from prosogate.prosody import FEATURE_DIM, SyllableRecord
+from references import sigmoid_outputs, squared_error
 
 
 def _gaussian_set(rng, n_per_class, dim=8, separation=3.0):
@@ -14,13 +15,6 @@ def _gaussian_set(rng, n_per_class, dim=8, separation=3.0):
             data.append((rng.normal(center, 1.0, size=dim), label))
     rng.shuffle(data)
     return data
-
-
-def squared_error(clf, x, target):
-    """The loss ``gradients`` differentiates: half the summed squared
-    error of the two outputs against ``target``."""
-    out = clf._forward(x)[-1]
-    return 0.5 * float(np.sum((out - target) ** 2))
 
 
 def _nearest_centroid(train_data, x):
@@ -66,7 +60,7 @@ def test_posteriors_sum_to_one():
         assert abs(p_plus + p_minus - 1.0) <= 1e-9
         # where the outputs do not underflow, the log-space posterior is
         # the plain sum-normalization of the two sigmoid outputs
-        out = clf._forward(x)[-1]
+        out = sigmoid_outputs(clf, x)
         assert abs(p_plus - out[0] / out.sum()) <= 1e-12
 
 
@@ -76,7 +70,7 @@ def test_underflowing_outputs_still_give_a_posterior():
     clf.params[-1][:] = [-1000.0, -1001.0]
     x = np.random.default_rng(2).normal(size=10)
     with np.errstate(over="ignore"):
-        assert not clf._forward(x)[-1].any()
+        assert not sigmoid_outputs(clf, x).any()
     p_plus, p_minus = clf.classify(x)
     assert np.isfinite([p_plus, p_minus]).all()
     assert p_plus > 0.5 > p_minus
@@ -404,14 +398,16 @@ def test_reused_buffers_are_safe():
     # two classifiers share no buffer
     for a in _held_arrays(clf):
         assert not any(np.shares_memory(a, b) for b in _held_arrays(twin))
-    # _forward returns the same arrays on each call, and gradients' pass
-    # writes them too
+    # _forward returns the same two hidden arrays on each call, and
+    # gradients' pass writes them too
     acts = clf._forward(x)
-    assert len(acts) == 3
+    assert len(acts) == 2
     assert all(a is b for a, b in zip(clf._forward(other), acts))
-    assert all(a is b for a, b in zip(clf._forward(other, layers=2), acts))
     clf.gradients(y, target)
     assert np.array_equal(acts[-1], twin._forward(y)[-1])
+    # gradients' float output layer gives the numpy sigmoid's bits
+    assert np.array_equal(clf._acts[-1].view(np.uint64),
+                          sigmoid_outputs(twin, y).view(np.uint64))
 
 
 def test_save_load_round_trip(tmp_path):

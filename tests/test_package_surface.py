@@ -1,0 +1,64 @@
+"""Every package definition has a user outside the tests.
+
+For each function and class defined in ``src/prosogate/*.py`` (dunder
+methods excepted), its name must appear outside its own body somewhere
+in ``src/`` or ``perfbench/``: as a name, as an attribute, or as a
+string constant (the benchmark's tracer names what it patches by
+string). A definition that only the tests use belongs with them, in
+``tests/references.py`` or next to the test that needs it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class
+    and of each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _uses(tree):
+    """(name, line) of each name, attribute and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def unused_definitions(root=ROOT):
+    """Sorted ``module.name`` of each package definition whose name has
+    no use in ``src/`` or ``perfbench/`` outside its own body."""
+    package = root / "src" / "prosogate"
+    files = sorted(package.glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    uses = {}  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for name, line in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for qualified, node in _definitions(trees[path]):
+            if not any(where != path
+                       or not node.lineno <= line <= node.end_lineno
+                       for where, line in uses.get(node.name, ())):
+                unused.append(f"{path.stem}.{qualified}")
+    return sorted(unused)
+
+
+def test_every_definition_has_a_use_outside_the_tests():
+    unused = unused_definitions()
+    assert not unused, f"used only by the tests: {', '.join(unused)}"

