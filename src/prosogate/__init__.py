@@ -17,6 +17,15 @@ def load_file(path, loads):
         raise cls(f"{path}: {exc}") from exc
 
 
+def check_seed(seed):
+    """ValueError naming ``seed`` if it is negative: ``random.Random``
+    seeds from its absolute value, so -1 would give the output of 1, and
+    numpy's generators reject it."""
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative: a seed must be a "
+                         f"non-negative integer")
+
+
 def demo_grammar_text():
     return resources.files("prosogate.data").joinpath(
         "demo_grammar.json").read_text(encoding="utf-8")

@@ -37,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import load_file
+from . import check_seed, load_file
+from .corpus import CorpusError
 from .prosody import FEATURE_DIM, extract_features
 
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
 OUTPUT_NODES = 2  # S3+ at index 0, S3- at index 1
 LABEL_INDEX = {"S3+": 0, "S3-": 1}
-_ALL_ROWS = (slice(None),)  # gradients' default: every first-layer row
 
 
 def _all_numbers(value):
@@ -115,16 +115,19 @@ class MlpClassifier:
             view[...] = p
         # per-classifier buffers, which each _forward or gradients call
         # overwrites: one activation per layer and one backward scratch
-        # per hidden layer
+        # per hidden layer; and per hidden layer an array of ones, the
+        # 1 of its sigmoid and of its derivative's 1 - a
         self._acts = tuple(np.empty(n) for n in self.dims[1:])
+        self._hidden = self._acts[:2]
+        ones = tuple(np.ones(n) for n in self.dims[1:3])
         self._layers = tuple(zip(self.params[0:4:2], self.params[1:4:2],
-                                 self._acts))
+                                 self._hidden, ones))
         a1, a2, out = self._acts
         w2, w3, b3 = self.params[2], self.params[4], self.params[5]
         gw1, gb1, gw2, gb2, gw3, gb3 = self._grads
         self._back = (a1, a2, out, w3, b3, a1[:, None], a2[:, None],
                       w2.T, w3.T, *(np.empty(n) for n in self.dims[1:3]),
-                      gw1, gb1, gb1[None, :], gw2, gb2, gb2[None, :],
+                      *ones, gw1, gb1, gb1[None, :], gw2, gb2, gb2[None, :],
                       gw3, gb3, gb3[None, :])
 
     def _forward(self, x):
@@ -132,22 +135,28 @@ class MlpClassifier:
         activation buffers: the next ``_forward`` or ``gradients`` call
         overwrites them.
 
-        Each layer is ``np.dot(a, W, z)`` into its buffer, then the
-        sigmoid 1 / (1 + e^-z) in place in the five steps of the
-        out-of-place expression, in its order, so to the same bits.
-        ``np.dot`` into an output array hands BLAS the operands ``a @ W``
-        hands it; the output array only says where the result goes.
+        Each layer is ``a.dot(W, z)`` into its buffer, then the sigmoid
+        1 / (1 + e^-z) in place in the five steps of the out-of-place
+        expression, in its order, so to the same bits. ``a.dot(W, z)``
+        is ``np.dot(a, W, z)`` without numpy's Python-level dispatch:
+        both run the one C matrix product, which hands BLAS the operands
+        ``a @ W`` hands it; the output array only says where the result
+        goes. The 1 is the layer's array of ones: 1.0 as an array
+        element is the same double as the scalar 1.0, under the same
+        ufunc, so the same IEEE-754 addition and division; numpy only
+        skips converting a Python float on each call.
         """
+        add, negative, exp, divide = np.add, np.negative, np.exp, np.divide
         a = x
-        for W, b, z in self._layers:
-            np.dot(a, W, z)
-            np.add(z, b, z)
-            np.negative(z, z)
-            np.exp(z, z)
-            np.add(z, 1.0, z)
-            np.divide(1.0, z, z)
+        for W, b, z, one in self._layers:
+            a.dot(W, z)
+            add(z, b, z)
+            negative(z, z)
+            exp(z, z)
+            add(z, one, z)
+            divide(one, z, z)
             a = z
-        return self._acts[:2]
+        return self._hidden
 
     def classify(self, x):
         """(p_S3+, p_S3-): the two sigmoid outputs s normalized to sum 1,
@@ -158,7 +167,7 @@ class MlpClassifier:
         p = np.exp(log_s - np.logaddexp.reduce(log_s, axis=-1, keepdims=True))
         return float(p[..., 0]), float(p[..., 1])
 
-    def gradients(self, x, target, rows=_ALL_ROWS):
+    def gradients(self, x, target, pairs=None):
         """Analytic squared-error gradients of a float64 vector ``x``
         against a ``target`` pair, aligned with self.params.
 
@@ -167,30 +176,33 @@ class MlpClassifier:
         runs overwrites the activation buffers (see ``_forward``). Both
         outputs are written to the output activation buffer.
 
-        ``rows`` (slices; all rows by default) are the first layer's
-        rows whose weight gradient is written: the other rows of that
-        gradient keep whatever they held, and every other gradient and
-        activation is written in full.
+        ``pairs`` are (input column, weight-gradient rows) views of the
+        first layer's rows whose weight gradient is written, ``x[r,
+        None]`` and that gradient's rows ``r`` (by default every row):
+        the other rows of that gradient keep whatever they held, and
+        every other gradient and activation is written in full.
 
         Each delta is (d @ W.T) * a * (1 - a), d the next layer's delta
         (at the output, out - target), formed left to right in the
         layer's scratch array and the bias gradient's view, with
-        ``np.dot`` into a buffer as in ``_forward``, so each element
+        ``.dot`` into a buffer as in ``_forward``, so each element
         goes through the roundings of the expression written out. Each
         weight gradient is one BLAS product of a column by
         that row, so each element is the one rounded product a * delta
         that ``np.outer`` gives, but BLAS writes +0.0 where the product
         is -0.0; that moves no weight, because no parameter is -0.0
-        (see ``train``).
+        (see ``train``). The 1 of 1 - a is the layer's array of ones, as
+        in ``_forward``.
         """
-        (a1, a2, out, w3, b3, col1, col2, w2t, w3t, u1, u2,
+        (a1, a2, out, w3, b3, col1, col2, w2t, w3t, u1, u2, one1, one2,
          gw1, gb1, row1, gw2, gb2, row2, gw3, gb3, row3) = self._back
+        multiply, subtract = np.multiply, np.subtract
         self._forward(x)
         # output layer: out as 1 / (1 + e^-z), d = ((out - target) * out)
         # * (1 - out), node by node in Python floats, which are the
         # IEEE-754 double operations of the array expression in its
         # order, so give its bits; the buffer holds -z for np.exp
-        np.dot(a2, w3, out)
+        a2.dot(w3, out)
         (z0, z1), (c0, c1) = out.tolist(), b3.tolist()
         out[0] = -(z0 + c0)
         out[1] = -(z1 + c1)
@@ -201,20 +213,22 @@ class MlpClassifier:
         t0, t1 = target
         gb3[0] = (o0 - t0) * o0 * (1.0 - o0)
         gb3[1] = (o1 - t1) * o1 * (1.0 - o1)
-        np.dot(col2, row3, gw3)
+        col2.dot(row3, gw3)
         # second hidden layer
-        np.dot(gb3, w3t, u2)
-        np.multiply(u2, a2, u2)
-        np.subtract(1.0, a2, gb2)
-        np.multiply(u2, gb2, gb2)
-        np.dot(col1, row2, gw2)
+        gb3.dot(w3t, u2)
+        multiply(u2, a2, u2)
+        subtract(one2, a2, gb2)
+        multiply(u2, gb2, gb2)
+        col1.dot(row2, gw2)
         # first hidden layer
-        np.dot(gb2, w2t, u1)
-        np.multiply(u1, a1, u1)
-        np.subtract(1.0, a1, gb1)
-        np.multiply(u1, gb1, gb1)
-        for r in rows:
-            np.dot(x[r, None], row1, gw1[r])
+        gb2.dot(w2t, u1)
+        multiply(u1, a1, u1)
+        subtract(one1, a1, gb1)
+        multiply(u1, gb1, gb1)
+        if pairs is None:
+            pairs = ((x[:, None], gw1),)
+        for col, rows in pairs:
+            col.dot(row1, rows)
         return self._grads
 
     def to_json(self):
@@ -278,6 +292,7 @@ def train(data, config=None, seed=0):
     but -0.0. No parameter is ever -0.0: weights start as -s + 2s*u and
     biases as +0.0, and theta - g is -0.0 only where theta is -0.0.
     """
+    check_seed(seed)
     if config is None:
         config = TrainConfig()
     vectors, labels = [], []
@@ -297,20 +312,24 @@ def train(data, config=None, seed=0):
 
     clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
     theta, grad = clf.theta, clf._grad  # grad: what gradients writes
+    gw1 = clf._grads[0]
     lr, width = config.learning_rate, config.hidden1
     targets = np.eye(OUTPUT_NODES).tolist()
-    # per vector: its input, its target, the first-layer rows outside its
-    # zero runs, and the (gradient, theta) slices a step on it moves:
-    # rows [lo, hi), then rows [start, n) and every later parameter
+    # per vector: its input, its target, the (input column, gradient
+    # rows) pairs of the first-layer rows outside its zero runs, and the
+    # (gradient, theta) slices a step on it moves: rows [lo, hi), then
+    # rows [start, n) and every later parameter
     steps = []
     for x, label in zip(X, labels.tolist()):
         lo, hi, start = _zero_runs(x)
-        rows = tuple(slice(a, b) for a, b in ((lo, hi), (start, len(x)))
-                     if a < b)
+        rows = ((lo, hi), (start, len(x)))
         cuts = ((lo * width, hi * width), (start * width, theta.size))
-        steps.append((x, targets[label], rows,
+        steps.append((x, targets[label],
+                      tuple((x[a:b, None], gw1[a:b]) for a, b in rows
+                            if a < b),
                       tuple((grad[a:b], theta[a:b]) for a, b in cuts
                             if a < b)))
+    gradients = clf.gradients
     rng = np.random.default_rng(seed + 1)
     majority = max(len(idx_plus), len(idx_minus))
 
@@ -327,8 +346,8 @@ def train(data, config=None, seed=0):
             order = np.concatenate(epoch_idx)
             rng.shuffle(order)
             for i in order.tolist():
-                x, target, rows, spans = steps[i]
-                clf.gradients(x, target, rows)
+                x, target, pairs, spans = steps[i]
+                gradients(x, target, pairs)
                 for g, p in spans:
                     g *= lr
                     p -= g
@@ -353,11 +372,14 @@ def _zero_runs(x):
 
 
 def gap_vectors(turn):
-    """The feature vector of each gap, in order: that of the final
-    syllable of the word before it. A word with no final-flagged
-    syllable raises CorpusError from the turn itself."""
-    records = [s.features for s in turn.syllables or []]
-    return [extract_features(records, i) for i in turn.word_final_syllables()]
+    """The feature vector of each gap, in order, as the rows of one
+    matrix: that of the final syllable of the word before it. A turn
+    with no syllables raises CorpusError, and so does a word with no
+    final-flagged syllable, from the turn itself."""
+    if not turn.syllables:
+        raise CorpusError(f"turn {turn.turn_id!r} has no syllables")
+    records = [s.features for s in turn.syllables]
+    return extract_features(records, turn.word_final_syllables())
 
 
 def score_turn(clf, turn):

@@ -79,26 +79,33 @@ FEATURE_DIM = ((PER_SYLLABLE_VALUES + 1) * (2 * CONTEXT_RADIUS + 1)
                + 2 + 2 * REGRESSION_LEN)
 
 
-def extract_features(syllables, index):
-    """Assemble the feature vector for one syllable of a turn.
+def extract_features(syllables, indices):
+    """The feature vectors of the syllables at ``indices`` in a turn.
 
-    Out-of-range context positions contribute a zero block and a 0
-    validity flag. Returns a float64 numpy vector of length FEATURE_DIM.
+    Builds the turn's per-syllable blocks once, in a matrix zero-padded
+    by CONTEXT_RADIUS rows at each end, with one validity flag per row
+    (0 on the padding), and returns a float64 matrix with one
+    FEATURE_DIM-value row per index, in the order given (an index may
+    repeat). IndexError if an index is outside the turn.
     """
-    if not 0 <= index < len(syllables):
-        raise IndexError(f"syllable index {index} out of range")
-    values = []
-    flags = []
-    for off in range(-CONTEXT_RADIUS, CONTEXT_RADIUS + 1):
-        j = index + off
-        if 0 <= j < len(syllables):
-            values.extend(syllables[j].block())
-            flags.append(1.0)
-        else:
-            values.extend([0.0] * PER_SYLLABLE_VALUES)
-            flags.append(0.0)
-    cur = syllables[index]
-    return np.array(
-        values + flags + [cur.pause_before, cur.pause_after]
-        + list(cur.f0_regression) + list(cur.energy_regression),
-        dtype=np.float64)
+    n = len(syllables)
+    bad = [i for i in indices if not 0 <= i < n]
+    if bad:
+        raise IndexError(f"syllable index {bad[0]} out of range")
+    width, tail = 2 * CONTEXT_RADIUS + 1, 2 + 2 * REGRESSION_LEN
+    blocks = np.zeros((n + width - 1, PER_SYLLABLE_VALUES))
+    flags = np.zeros(n + width - 1)
+    if n:
+        turn = slice(CONTEXT_RADIUS, CONTEXT_RADIUS + n)
+        blocks[turn] = [s.block() for s in syllables]
+        flags[turn] = 1.0
+    # row k's window: padded rows indices[k] .. indices[k] + width - 1
+    window = np.add.outer(np.asarray(indices, dtype=np.intp),
+                          np.arange(width))
+    rows = len(window)
+    tails = [(s.pause_before, s.pause_after, *s.f0_regression,
+              *s.energy_regression) for s in (syllables[i] for i in indices)]
+    return np.concatenate(
+        (blocks[window].reshape(rows, width * PER_SYLLABLE_VALUES),
+         flags[window], np.array(tails, dtype=np.float64).reshape(rows, tail)),
+        axis=1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 
+from . import check_seed
 from .corpus import Corpus, Syllable, TurnRecord
 from .prosody import MEASUREMENTS, REGRESSION_LEN, SyllableRecord
 
@@ -96,6 +97,7 @@ def synth_corpus(seed=42, turns=104, separation=2.0, v2_only=False):
     v2_only restricts to V2 templates, so each turn has exactly one gold
     gap, as the rank experiment needs.
     """
+    check_seed(seed)
     if turns <= 0:
         raise ValueError("need at least one turn")
     if not math.isfinite(separation):

@@ -2,8 +2,9 @@
 
 Each rebuilds from the package's own parts something the package itself
 never needs: general unification and subsumption of feature structures,
-the predicate-argument record of a reading, and the classifier's output
-layer as one out-of-place numpy expression.
+the predicate-argument record of a reading, the classifier's output
+layer as one out-of-place numpy expression, and one syllable's feature
+vector built from its context window's records one by one.
 """
 
 import re
@@ -12,6 +13,7 @@ import numpy as np
 
 from prosogate import fs
 from prosogate.chart import derivation_label
+from prosogate.prosody import CONTEXT_RADIUS, PER_SYLLABLE_VALUES
 
 
 def unify(a, b):
@@ -155,3 +157,26 @@ def squared_error(clf, x, target):
     error of the two outputs against ``target``."""
     out = sigmoid_outputs(clf, x)
     return 0.5 * float(np.sum((out - target) ** 2))
+
+
+def syllable_features(syllables, index):
+    """The feature vector of the syllable at ``index``, assembled for it
+    alone: each context position's block or a zero block, the validity
+    flags, then its pauses and regression blocks."""
+    if not 0 <= index < len(syllables):
+        raise IndexError(f"syllable index {index} out of range")
+    values = []
+    flags = []
+    for off in range(-CONTEXT_RADIUS, CONTEXT_RADIUS + 1):
+        j = index + off
+        if 0 <= j < len(syllables):
+            values.extend(syllables[j].block())
+            flags.append(1.0)
+        else:
+            values.extend([0.0] * PER_SYLLABLE_VALUES)
+            flags.append(0.0)
+    cur = syllables[index]
+    return np.array(
+        values + flags + [cur.pause_before, cur.pause_after]
+        + list(cur.f0_regression) + list(cur.energy_regression),
+        dtype=np.float64)

@@ -175,7 +175,7 @@ def test_criterion_09_classifier_property_suite(synth_104):
         for w, syl in enumerate(turn.word_final_syllables(), start=1):
             if turn.s3_labels[w - 1] == "S3?":
                 continue
-            pairs[part].append((extract_features(records, syl),
+            pairs[part].append((extract_features(records, [syl])[0],
                                 turn.s3_labels[w - 1]))
     boundary = train(pairs["train"], TrainConfig(epochs=5), seed=0)
     rate = np.mean([(boundary.classify(v)[0] >= 0.5) == (l == "S3+")

@@ -201,7 +201,7 @@ def _check_loads(text):
     for turn in corpus:
         records = [s.features for s in turn.syllables or []]
         for i in range(len(records)):
-            vec = extract_features(records, i)
+            vec = extract_features(records, [i])[0]
             assert vec.shape == (FEATURE_DIM,) and np.isfinite(vec).all()
 
 
@@ -344,6 +344,9 @@ class TestSynth:
     def test_degenerate_params_rejected(self):
         with pytest.raises(ValueError):
             synth_corpus(turns=0)
+        # random.Random seeds from |seed|: -1 would write the turns of 1
+        with pytest.raises(ValueError, match="seed -1 is negative"):
+            synth_corpus(seed=-1)
         for separation in (math.nan, math.inf):
             with pytest.raises(ValueError, match="separation"):
                 synth_corpus(separation=separation)
@@ -578,6 +581,16 @@ class TestCliExitCodes:
                     *flags]) == 2
         assert not model.exists()
         assert "prosogate train: error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_is_data_error(self, tmp_path, capsys, command):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "out"
+        assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0
+        read = ["--corpus", str(corpus)] if command == "train" else []
+        assert run([command, *read, "--seed", "-5", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"prosogate {command}: error: seed -5 is negative: a seed "
+                f"must be a non-negative integer") in capsys.readouterr().err
 
     @pytest.mark.parametrize("report, message", [
         ("{}", "not a parse report"), ("[]", "not a parse report"),

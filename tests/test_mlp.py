@@ -340,7 +340,8 @@ def test_ranged_gradients_write_the_rows_they_cover():
     clf, twin = (MlpClassifier(12, 4, 3, seed=0) for _ in range(2))
     full = [g.copy() for g in twin.gradients(x, np.array(target))]
     clf._grad[:] = np.nan
-    grads = clf.gradients(x, target, rows)
+    grads = clf.gradients(x, target,
+                          tuple((x[r, None], clf._grads[0][r]) for r in rows))
     covered = np.zeros(12, dtype=bool)
     for r in rows:
         covered[r] = True
@@ -440,7 +441,7 @@ def test_zero_separation_is_chance_level():
         for w, syl in enumerate(turn.word_final_syllables(), start=1):
             if turn.s3_labels[w - 1] == "S3?":
                 continue
-            pairs[part].append((extract_features(records, syl)[mask],
+            pairs[part].append((extract_features(records, [syl])[0][mask],
                                 turn.s3_labels[w - 1]))
     clf = train(pairs["train"], TrainConfig(epochs=3, hidden1=8, hidden2=4),
                 seed=0)
@@ -472,6 +473,15 @@ def test_score_turn_writes_one_score_per_word():
     assert len(scores) == 2
     assert turn.gap_scores == scores
     assert all(0.0 <= s <= 1.0 for s in scores)
+
+
+def test_score_turn_rejects_a_turn_without_syllables():
+    clf = MlpClassifier(242, 4, 3, seed=0)
+    for syllables in (None, []):
+        turn = _mini_turn()
+        turn.syllables = syllables
+        with pytest.raises(CorpusError, match="turn 'm1' has no syllables"):
+            score_turn(clf, turn)
 
 
 def test_score_turn_rejects_missing_final_syllable():

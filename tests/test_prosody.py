@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prosogate.prosody import (FEATURE_DIM, PER_SYLLABLE_VALUES,
-                               SyllableRecord, extract_features)
+from prosogate.prosody import (FEATURE_DIM, MEASUREMENTS, PER_SYLLABLE_VALUES,
+                               REGRESSION_LEN, SyllableRecord,
+                               extract_features)
+from references import syllable_features
 
 
 def _rec(seed, **kw):
@@ -21,20 +24,20 @@ def test_default_layout_dimension_is_242():
 
 def test_vector_length_matches_layout():
     syllables = [_rec(i) for i in range(13)]
-    vec = extract_features(syllables, 6)
+    vec = extract_features(syllables, [6])[0]
     assert vec.shape == (242,)
     assert vec.dtype == np.float64
 
 
 def test_full_context_has_all_flags_set():
     syllables = [_rec(i) for i in range(13)]
-    vec = extract_features(syllables, 6)
+    vec = extract_features(syllables, [6])[0]
     flags = vec[PER_SYLLABLE_VALUES * 13: PER_SYLLABLE_VALUES * 13 + 13]
     assert list(flags) == [1.0] * 13
 
 
 def test_single_syllable_pads_everything_but_center():
-    vec = extract_features([_rec(0)], 0)
+    vec = extract_features([_rec(0)], [0])[0]
     flags = vec[PER_SYLLABLE_VALUES * 13: PER_SYLLABLE_VALUES * 13 + 13]
     assert list(flags) == [0.0] * 6 + [1.0] + [0.0] * 6
     # context blocks are zero where the flag is zero
@@ -47,14 +50,14 @@ def test_single_syllable_pads_everything_but_center():
 def test_translation_consistency():
     tail = [_rec(100 + i) for i in range(13)]
     prefix = [_rec(200 + i) for i in range(7)]
-    base = extract_features(tail, 6)
-    shifted = extract_features(prefix + tail, 6 + 7)
+    base = extract_features(tail, [6])[0]
+    shifted = extract_features(prefix + tail, [6 + 7])[0]
     # index 6 of the tail already sees a full window, so prepending
     # syllables beyond the context radius changes nothing
     assert np.array_equal(base, shifted)
     # an index whose window straddles the old start gains real context
-    edge = extract_features(tail, 2)
-    edge_shifted = extract_features(prefix + tail, 2 + 7)
+    edge = extract_features(tail, [2])[0]
+    edge_shifted = extract_features(prefix + tail, [2 + 7])[0]
     flags = slice(PER_SYLLABLE_VALUES * 13, PER_SYLLABLE_VALUES * 13 + 13)
     assert list(edge[flags]) != list(edge_shifted[flags])
     assert list(edge_shifted[flags]) == [1.0] * 13
@@ -62,9 +65,55 @@ def test_translation_consistency():
 
 def test_index_out_of_range():
     with pytest.raises(IndexError):
-        extract_features([_rec(0)], 1)
+        extract_features([_rec(0)], [1])
     with pytest.raises(IndexError):
-        extract_features([_rec(0)], -1)
+        extract_features([_rec(0)], [-1])
+
+
+def _values(rng, size):
+    """Normal values over a wide range of magnitudes, with signed zeros."""
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size=size)
+    values[rng.random(size) < 0.1] = 0.0
+    values[rng.random(size) < 0.1] = -0.0
+    return values.tolist()
+
+
+@st.composite
+def _turn(draw):
+    """1-20 syllable records, so turns shorter than the context radius
+    too, and row indices into them in any order and with repeats."""
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for _ in range(n):
+        flags = rng.random(2) < 0.5
+        records.append(SyllableRecord(
+            **dict(zip(MEASUREMENTS, _values(rng, len(MEASUREMENTS)))),
+            accent=bool(flags[0]), word_final=bool(flags[1]),
+            pause_before=abs(_values(rng, 1)[0]),
+            pause_after=abs(_values(rng, 1)[0]),
+            f0_regression=_values(rng, REGRESSION_LEN),
+            energy_regression=_values(rng, REGRESSION_LEN)))
+    return records, draw(st.lists(st.integers(0, n - 1), max_size=30))
+
+
+@settings(max_examples=200)
+@given(turn=_turn(), data=st.data())
+def test_turn_matrix_rows_equal_the_per_syllable_reference(turn, data):
+    records, indices = turn
+    rows = extract_features(records, indices)
+    assert rows.shape == (len(indices), FEATURE_DIM)
+    assert rows.dtype == np.float64
+    for row, i in zip(rows, indices):
+        assert row.tobytes() == syllable_features(records, i).tobytes()
+    n = len(records)
+    bad = data.draw(st.one_of(st.integers(max_value=-1),
+                              st.integers(min_value=n)))
+    at = data.draw(st.integers(0, len(indices)))
+    with pytest.raises(IndexError):
+        extract_features(records, indices[:at] + [bad] + indices[at:])
+    with pytest.raises(IndexError):
+        syllable_features(records, bad)
 
 
 def test_record_round_trip():
