@@ -11,14 +11,20 @@ of gap i. Exact line schema:
 An optional leading line ``{"_meta": {...}}``, with no other key,
 carries provenance (generator seed or source description); a ``_meta``
 key anywhere else is a data error.
+
+A syllable is checked where it is read, by ``_syllable_from_dict``: an
+integer word, and features that are an object with no unknown field,
+finite numbers, pauses >= 0, true/false flags and both regression
+blocks; a missing scalar field takes its default (0 or false).
+``TurnRecord.validate`` then checks that the word is one of the turn's.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter, itemgetter
 
 from . import load_file
 from .prosody import MEASUREMENTS, REGRESSION_LEN, SyllableRecord
@@ -41,20 +47,35 @@ def _finite(values):
 
 _scalar_features = attrgetter(*MEASUREMENTS, "pause_before", "pause_after")
 
+# Each record field, in order, with the value an omitted feature takes:
+# its default, or None for a regression block (a default_factory).
+_FEATURE_DEFAULTS = {f.name: None if f.default is MISSING else f.default
+                     for f in fields(SyllableRecord)}
+_in_field_order = itemgetter(*_FEATURE_DEFAULTS)
+
 
 def _syllable_from_dict(i, s):
     """Syllable ``i`` of a turn from its JSON object, with its word,
-    feature types and pauses checked: the one check a record gets. Both
-    regression blocks are required."""
+    feature types and pauses checked: the one check a record gets.
+
+    The features merge over ``_FEATURE_DEFAULTS`` (a TypeError if they
+    are not an object) and the record is built from the merged values in
+    field order. So a missing scalar field takes its default, a missing
+    regression block is None and fails the list check, and a key beyond
+    the record's fields, an unknown field, makes the merge too long. A
+    missing ``word`` or ``features`` key is a KeyError for the caller.
+    """
     try:
-        rec = SyllableRecord.from_dict(s["features"])
+        merged = {**_FEATURE_DEFAULTS, **s["features"]}
+        rec = SyllableRecord(*_in_field_order(merged))
         f0, energy = rec.f0_regression, rec.energy_regression
-        ok = (type(s["word"]) is int and type(f0) is type(energy) is list
+        ok = (len(merged) == len(_FEATURE_DEFAULTS)
+              and type(s["word"]) is int and type(f0) is type(energy) is list
               and len(f0) == len(energy) == REGRESSION_LEN
               and type(rec.accent) is type(rec.word_final) is bool
               and _finite((*_scalar_features(rec), *f0, *energy))
               and rec.pause_before >= 0 <= rec.pause_after)
-    except TypeError:  # not a mapping, or an unknown field
+    except TypeError:  # not a mapping
         ok = False
     if not ok:
         raise CorpusError(
@@ -88,18 +109,26 @@ class TurnRecord:
         if not self.words:
             raise CorpusError(f"{where}: empty word list")
         n = len(self.words)
+        # Each rule holds of a whole list; the bad values are listed only
+        # to word the error.
         for name, ok, what in (
-                ("words", lambda w: isinstance(w, str), "strings"),
-                ("gap_scores", lambda x: _finite((x,)) and x >= 0,
+                ("words", lambda ws: all(isinstance(w, str) for w in ws),
+                 "strings"),
+                ("gap_scores",
+                 lambda xs: _finite(xs) and min(xs, default=0) >= 0,
                  "finite numbers >= 0"),
-                ("gold_traces", lambda g: type(g) is int and 1 <= g <= n,
+                ("gold_traces",
+                 lambda gs: all(type(g) is int and 1 <= g <= n for g in gs),
                  f"gaps 1..{n}"),
-                ("s3_labels", lambda label: label in S3_LABELS, "S3 labels")):
+                ("s3_labels", lambda ls: all(x in S3_LABELS for x in ls),
+                 "S3 labels")):
             values = getattr(self, name)
-            if values is not None and not isinstance(values, list):
+            if values is None:
+                continue
+            if not isinstance(values, list):
                 raise CorpusError(f"{where}: {name} is not a list")
-            bad = [v for v in values or [] if not ok(v)]
-            if bad:
+            if not ok(values):
+                bad = [v for v in values if not ok([v])]
                 raise CorpusError(f"{where}: {name} {bad} are not {what}")
         gold = self.gold_traces or []
         if len(set(gold)) < len(gold):

@@ -263,6 +263,7 @@ class MlpClassifier:
         if type(seed) is not int:
             raise ValueError(f"malformed classifier: seed {seed!r} is not an "
                              f"int")
+        check_seed(seed)
         if not numbers:
             raise ValueError("malformed classifier: every weight must be a "
                              "JSON number")

@@ -64,10 +64,6 @@ class SyllableRecord:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 # The measured fields of a record: those declared before its accent flag.
 _FIELDS = [f.name for f in fields(SyllableRecord)]

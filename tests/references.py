@@ -3,8 +3,9 @@
 Each rebuilds from the package's own parts something the package itself
 never needs: general unification and subsumption of feature structures,
 the predicate-argument record of a reading, the classifier's output
-layer as one out-of-place numpy expression, and one syllable's feature
-vector built from its context window's records one by one.
+layer as one out-of-place numpy expression, one syllable's feature
+vector built from its context window's records one by one, and the
+corpus loader's keyword-call syllable reader.
 """
 
 import re
@@ -13,7 +14,9 @@ import numpy as np
 
 from prosogate import fs
 from prosogate.chart import derivation_label
-from prosogate.prosody import CONTEXT_RADIUS, PER_SYLLABLE_VALUES
+from prosogate.corpus import CorpusError, Syllable, _finite, _scalar_features
+from prosogate.prosody import (CONTEXT_RADIUS, PER_SYLLABLE_VALUES,
+                               REGRESSION_LEN, SyllableRecord)
 
 
 def unify(a, b):
@@ -180,3 +183,31 @@ def syllable_features(syllables, index):
         values + flags + [cur.pause_before, cur.pause_after]
         + list(cur.f0_regression) + list(cur.energy_regression),
         dtype=np.float64)
+
+
+def syllable_record_from_dict(d):
+    """A record from its fields by keyword: TypeError for an unknown
+    field, the dataclass default for a missing one."""
+    return SyllableRecord(**d)
+
+
+def syllable_from_dict(i, s):
+    """Syllable ``i`` of a turn from its JSON object, with its word,
+    feature types and pauses checked: the one check a record gets. Both
+    regression blocks are required."""
+    try:
+        rec = syllable_record_from_dict(s["features"])
+        f0, energy = rec.f0_regression, rec.energy_regression
+        ok = (type(s["word"]) is int and type(f0) is type(energy) is list
+              and len(f0) == len(energy) == REGRESSION_LEN
+              and type(rec.accent) is type(rec.word_final) is bool
+              and _finite((*_scalar_features(rec), *f0, *energy))
+              and rec.pause_before >= 0 <= rec.pause_after)
+    except TypeError:  # not a mapping, or an unknown field
+        ok = False
+    if not ok:
+        raise CorpusError(
+            f"syllables[{i}]: needs an integer word, and features that are "
+            f"finite numbers (pauses >= 0), true/false flags and two lists "
+            f"of {REGRESSION_LEN} finite numbers")
+    return Syllable(s["word"], rec)

