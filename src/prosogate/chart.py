@@ -30,21 +30,23 @@ entry; only derived edges are packed by category, with distinct derivations.
 A pair is offered only to the schemata whose quick check (see
 ``grammar``) the edges' summary vectors pass: a clash means unification
 would fail, so the check changes no result. The check reads the two
-vectors alone, so the grammar decides it once per vector pair
-(``Grammar.admitting``), not once per edge pair, and the parser reads
-each later decision from the grammar's table in one lookup. A leaf
-takes its vector from its lexicon entry; a derived edge's is computed
-when it is added, and keys its packing bucket, so that
-``fs.canonical`` keys only categories whose span and vector collide.
+vectors alone, so it is decided once per vector pair, not once per
+edge pair: ``parse`` reads and fills the grammar's ``admitted``
+table in one place. A leaf takes its vector from its lexicon entry; a
+derived edge's is computed when it is added, and keys its packing
+bucket, so that ``fs.canonical`` keys only categories whose span and
+vector collide.
 
 A mother shares the nodes of its daughters that its schema left
 unchanged (see ``grammar``), so a category may share nodes with the
 lexicon structures below it, and two occurrences of one lexicon entry
-are one structure. Adjacent daughters must share no node, so each edge
-carries a bitmask of the leaf structures, one bit per (kind, lexicon
-entry) in the turn, whose nodes its category may share; a derived edge
-takes its first derivation's daughters' bits. When an admitted pair's
-masks meet, the right category is copied once for that pair.
+are one structure. Adjacent daughters must share no node, and
+``apply`` does not check, so each edge carries a bitmask of the leaf
+structures, one bit per (kind, lexicon entry) in the turn, whose nodes
+its category may share; a derived edge takes its first derivation's
+daughters' bits. When an admitted pair's masks meet (as they do for two
+occurrences of one word), the right category is copied once for that
+pair; nothing else keeps daughters disjoint.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def parse(turn, grammar, config):
 
     # (i) lexical edges
     for i, word in enumerate(turn.words):
-        entries = grammar.entries(word)
+        entries = grammar.lexicon.get(word)
         if not entries:
             raise UnknownWordError(turn, f"unknown word {word!r}")
         for entry in entries:
@@ -265,9 +267,11 @@ def parse(turn, grammar, config):
     admitted = grammar.admitted
 
     def combine(left, right):
-        schemata = admitted.get((left.summaries, right.summaries))
+        key = (left.summaries, right.summaries)
+        schemata = admitted.get(key)
         if schemata is None:  # a vector pair not seen before
-            schemata = grammar.admitting(left.summaries, right.summaries)
+            schemata = admitted[key] = tuple(
+                s for s in grammar.schemata if s.admits(*key))
         if not schemata:
             return
         right_cat = right.category

@@ -27,18 +27,18 @@ it). Both slots are valid only while the node's stamp equals
 the current generation, so starting a new generation (see
 :func:`new_generation`) discards every scratch write at once. The
 result is read out of the current generation's view by :func:`resolve`
-as a forward-free graph; a failing unification copies nothing. By
-default every node is copied; given a set of nodes it must not share,
-``resolve`` copies only what the unification changed (a node that
-gained complement arcs or has a child forwarded to another node, and
-every node above one) and reuses every other input node as it is,
-since no built node is ever written (structure sharing, Tomabechi
-1992). Atoms, the commonest nodes, and other childless nodes take no
-call of their own where that is safe: :func:`unify_mut` unifies an arc
-pair of two unforwarded atoms in its arc loop, and :func:`resolve` with
-``keep`` takes an unforwarded childless child (an atom, a top or an
-empty list) outside ``keep`` as itself, since only an AVM with
-attributes ever gains complement arcs.
+as a forward-free graph; a failing unification copies nothing.
+``resolve`` copies the nodes of a given set it must not share, and
+otherwise only what the unification changed (a node that gained
+complement arcs or has a child forwarded to another node, and every
+node above one); it reuses every other input node as it is, since no
+built node is ever written (structure sharing, Tomabechi 1992).
+Atoms, the commonest nodes, and other childless nodes take no call of
+their own where that is safe: :func:`unify_mut` unifies an arc pair of
+two unforwarded atoms in its arc loop, and :func:`resolve` takes an
+unforwarded childless child (an atom, a top or an empty list) outside
+``keep`` as itself, since only an AVM with attributes ever gains
+complement arcs.
 """
 
 from __future__ import annotations
@@ -203,11 +203,11 @@ def unify_mut(x, y):
     return x
 
 
-def resolve(node, memo=None, keep=None):
+def resolve(node, keep, memo=None):
     """Read the current generation's view of a graph out as a forward-free FS.
 
-    Without ``keep`` every node is copied. With ``keep`` (a set of
-    nodes), a node outside it that has no complement arcs in this
+    Every node in ``keep`` (a set of nodes the result must not share)
+    is copied. A node outside it that has no complement arcs in this
     generation and whose children all resolve to themselves is returned
     as it is: the result shares what the unification left unchanged,
     which is safe because built nodes are never written.
@@ -227,13 +227,13 @@ def resolve(node, memo=None, keep=None):
     memo[node] = None
     kind = node.kind
     comp = node.comp if node.stamp == gen else None
-    if keep is None or node in keep or comp:
+    if node in keep or comp:
         if kind == ATOM:
             new = FS(ATOM, node.atom)
         else:
-            attrs = {k: resolve(v, memo, keep) for k, v in node.attrs.items()}
+            attrs = {k: resolve(v, keep, memo) for k, v in node.attrs.items()}
             if comp:
-                attrs.update((k, resolve(v, memo, keep)) for k, v in comp.items())
+                attrs.update((k, resolve(v, keep, memo)) for k, v in comp.items())
             new = FS(kind, None, attrs)
     else:  # share the node, or copy it once a child resolves to another
         new = node
@@ -242,7 +242,7 @@ def resolve(node, memo=None, keep=None):
                 if (not v.attrs and v not in keep
                         and (v.stamp != gen or v.forward is None)):
                     continue  # an unforwarded childless node is itself
-                got = resolve(v, memo, keep)
+                got = resolve(v, keep, memo)
                 if got is not v:
                     if new is node:
                         new = FS(kind, None, dict(node.attrs))
@@ -326,7 +326,7 @@ def parse_avm(obj):
             return node
         raise AvmFormatError(f"bad AVM value of type {type(o).__name__}")
 
-    try:
-        return resolve(build(obj))
+    try:  # every node is new, so the result may share them all
+        return resolve(build(obj), frozenset())
     except UnificationFailure as exc:
         raise AvmFormatError("inconsistent tag definitions in AVM") from exc

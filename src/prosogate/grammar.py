@@ -24,11 +24,11 @@ or, where the node is a daughter's root (lp or rp empty), a first path.
 An edge's summary at such a path (see ``Grammar.summaries``) that
 clashes with the daughter's, or with the other edge's at the paired
 path, means unification must fail, so ``RuleSchema.admits`` rejects the
-pair. It reads only the two summary vectors, so ``Grammar.admitting``
-decides each vector pair once, for every schema, and keeps the
-admitting schemata in a table: a parse has few distinct vectors (65 in
-an ungated pass over the seed-42 benchmark corpus, in 305 pairs), and
-the table fills as pairs are first seen.
+pair. It reads only the two summary vectors, so the parser decides
+each vector pair once, for every schema, and keeps the schemata that
+pass in the grammar's ``admitted`` table: a parse has few distinct
+vectors (65 in an ungated pass over the seed-42 benchmark corpus, in
+305 pairs), and the table fills as pairs are first seen.
 
 ``RuleSchema.apply`` unifies each daughter with the stored pattern in
 place, daughter first, in a generation of its own (see ``fs``), and
@@ -37,9 +37,9 @@ reuses every daughter node the unification left unchanged and copies
 the rest, and every node of the pattern. Its result equals unifying
 private copies of the pattern and of each daughter: the daughters must
 share no node, so the lexicon keeps every structure disjoint from every
-other (a V2 entry's trace template is stored as a copy), ``apply``
-copies a right daughter that is the left one, and the chart copies a
-right daughter that may share a lexicon structure with the left one.
+other (a V2 entry's trace template is stored as a copy), and the chart
+copies a right daughter that may share a lexicon structure with the
+left one, such as a second occurrence of one entry.
 
 Sharing stays exact because of two facts. A mother shares nodes only
 with its own sub-derivation (the daughters' categories, themselves
@@ -137,8 +137,6 @@ class RuleSchema:
         the pattern. Neither the daughters nor the pattern change, and a
         failing application copies nothing.
         """
-        if right_cat is left_cat:
-            right_cat = copy_fs(right_cat)
         fs.new_generation()
         try:
             return fs.resolve(self.mother(left_cat, right_cat, self.pattern),
@@ -155,23 +153,10 @@ class Grammar:
     quick_paths: tuple = ()  # paths the quick check compares
     # the same paths as a trie: [position or None, {step: subtrie}]
     quick_trie: list = field(default_factory=lambda: [None, {}])
-    # (left vector, right vector) -> the schemata admitting them, filled
-    # as pairs are first seen; a cache, so not part of the grammar's value
+    # (left vector, right vector) -> the schemata that admit them, filled
+    # by the parser as pairs are first seen; a cache, so not part of the
+    # grammar's value
     admitted: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def entries(self, orth):
-        return self.lexicon.get(orth, [])
-
-    def admitting(self, left_summaries, right_summaries):
-        """The schemata whose quick check admits two daughter summary
-        vectors, in schema order. ``admits`` reads nothing else, so each
-        vector pair is decided once per grammar."""
-        key = (left_summaries, right_summaries)
-        schemata = self.admitted.get(key)
-        if schemata is None:
-            schemata = self.admitted[key] = tuple(
-                s for s in self.schemata if s.admits(*key))
-        return schemata
 
     def summaries(self, cat):
         """A category's summary at each of quick_paths, in one walk."""
@@ -259,6 +244,15 @@ def _tree_paths(node, path=(), seen=None):
     for step, child in (node.attrs or {}).items():
         if id(child) not in seen:
             yield from _tree_paths(child, path + (step,), seen)
+
+
+def _check_label_text(text, what, where, delimiters=" ()"):
+    """GrammarError at where for a name that contains one of delimiters:
+    a reading label writes names between spaces and parentheses, and
+    ``chart.trace_gaps`` reads ``t/<id>@<gap>`` as a trace."""
+    bad = [c for c in delimiters if c in text]
+    if bad:
+        raise GrammarError(f"{where}: {what} {text!r} contains {bad[0]!r}")
 
 
 def _check_features(node, declared, where):
@@ -352,6 +346,8 @@ def load_grammar(text):
         entry = LexEntry(item["id"], item["orth"], cat)
         if not isinstance(entry.entry_id, str) or not isinstance(entry.orth, str):
             raise GrammarError(f"{where}: id and orth must be strings")
+        _check_label_text(entry.entry_id, "id", where, " ()@")
+        _check_label_text(entry.orth, "orth", where)
         register(entry, where)
         v2 = apply_v2_lexical_rule(entry)
         if v2 is not None:
@@ -363,6 +359,7 @@ def load_grammar(text):
     def add_schema(item, where):
         if not isinstance(item["name"], str):
             raise GrammarError(f"{where}: name must be a string")
+        _check_label_text(item["name"], "name", where)
         daughters = item["daughters"]
         if not isinstance(daughters, list) or len(daughters) != 2:
             raise GrammarError(f"{where}: schemata are binary")

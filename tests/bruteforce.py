@@ -24,13 +24,19 @@ from prosogate.chart import (derivation_label, is_root_category,
 
 
 def _leaf_options(item, grammar):
+    """The (category, label) options of one item occurrence. Each is a
+    copy of its own: apply's daughters must share no node, and a word or
+    a trace may occur twice in a sequence. A mother shares nodes only
+    with the leaves below it, so two adjacent spans' categories never
+    share one."""
     kind = item[0]
     if kind == "word":
         _, orth = item
-        return [(e.category, derivation_label("lexical", e, None))
-                for e in grammar.entries(orth)]
+        return [(fs.copy_fs(e.category), derivation_label("lexical", e, None))
+                for e in grammar.lexicon.get(orth, [])]
     _, gap, entry = item
-    return [(entry.trace_template, derivation_label("empty", entry, gap))]
+    return [(fs.copy_fs(entry.trace_template),
+             derivation_label("empty", entry, gap))]
 
 
 def _derive(seq, grammar):
@@ -55,9 +61,6 @@ def _derive(seq, grammar):
                             mother = schema.apply(lcat, rcat)
                             if mother is None:
                                 continue
-                            # a mother shares its daughters' nodes; keep
-                            # it private, as apply's daughters must be
-                            mother = fs.copy_fs(mother)
                             lab = derivation_label("derived", None, None,
                                                    schema.name, llab, rlab)
                             dkey = (fs.canonical(mother), lab)
@@ -79,7 +82,7 @@ def item_sequences(turn, grammar, config):
     # the gap, each of which may leave a trace there
     bounds, v2_tokens = {}, 0
     for i, word in enumerate(turn.words, start=1):
-        for entry in grammar.entries(word):
+        for entry in grammar.lexicon.get(word, []):
             if not entry.is_v2:
                 continue
             v2_tokens += 1

@@ -29,7 +29,7 @@ def unify(a, b):
     """
     fs.new_generation()
     try:
-        return fs.resolve(fs.unify_mut(a, b))
+        return fs.copy_fs(fs.resolve(fs.unify_mut(a, b), frozenset()))
     except fs.UnificationFailure:
         return None
 
@@ -133,7 +133,7 @@ def extract_pred_arg(result, reading_index):
     build(found[0])
     records = set()
     for sem in sems:
-        sem = fs.resolve(sem)
+        sem = fs.resolve(sem, frozenset())
         reln = sem.get("RELN")
         if reln is None or reln.kind != fs.ATOM:
             continue

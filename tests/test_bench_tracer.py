@@ -60,14 +60,23 @@ def test_traced_training_counts_one_gradients_call_per_step():
 
 
 def test_benchmark_workloads_run():
+    """Both workloads set up, run a pass, and pass the benchmark's own
+    check: every reading set against the oracle and, gated, the
+    ``evaluation.bench`` agreement check."""
     ungated = workloads.setup_parse(0, demo_corpus_text(), gated=False)
     op = workloads.parse_pass(ungated, workloads.UNGATED[0])
     assert None not in op.outputs
     # the gated set-up trains and scores: it needs syllables and labels
     text = corpus.dumps_corpus(synth.synth_corpus(seed=0, turns=8))
     gated = workloads.setup_parse(0, text, gated=True)
-    op = workloads.parse_pass(gated, workloads.GATED[0])
-    assert len(op.outputs) == 8 and None not in op.outputs
+    gated_op = workloads.parse_pass(gated, workloads.GATED[0])
+    assert len(gated_op.outputs) == 8 and None not in gated_op.outputs
+    for state, ops, configs in ((ungated, [op], workloads.UNGATED),
+                                (gated, [gated_op], workloads.GATED)):
+        result, info = workloads.Result(), {}
+        workloads.check_parse(state, ops, configs, result, info)
+        assert result.attempted > 0
+        assert result.failed == 0, result.problems
 
 
 # The counter block of one traced pass over the benchmark's seed-42

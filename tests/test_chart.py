@@ -14,7 +14,7 @@ from prosogate.chart import (MAX_READINGS, Chart, EdgeCapExceeded,
 from prosogate.corpus import TurnRecord
 from prosogate.grammar import RuleSchema, load_grammar
 from prosogate.synth import synth_corpus
-from references import extract_pred_arg, unify
+from references import _label_tree, _trees, extract_pred_arg, unify
 
 
 def _turn(words, scores, turn_id="t"):
@@ -418,7 +418,7 @@ def test_edge_cap_counts_leaves(grammar, monkeypatch):
 def test_packing_keys_only_collisions(grammar, monkeypatch):
     """fs.canonical keys a derived category only when an edge of the same
     span and summary vector is already in the chart."""
-    er, sie, im = (grammar.entries(w)[0].category for w in ("er", "sie", "im"))
+    er, sie, im = (grammar.lexicon[w][0].category for w in ("er", "sie", "im"))
     assert grammar.summaries(er) == grammar.summaries(sie)
     assert grammar.summaries(er) != grammar.summaries(im)
     assert fs.canonical(er) != fs.canonical(sie)  # SEM INDEX differs
@@ -474,6 +474,22 @@ class TestPredArg:
         (reading,) = capped.readings
         assert extract_pred_arg(capped, 0) == \
             extract_pred_arg(full, full.readings.index(reading))
+
+    def test_reading_cap_reached_before_the_last_root(self, grammar,
+                                                      monkeypatch):
+        # ungated, "er schlief" has two root edges, the verb-final and
+        # the V2 clause, with one reading each: a cap of 1 is reached on
+        # the first, and the second contributes nothing
+        turn = _turn(["er", "schlief"], [0.5, 0.5])
+        full = parse(turn, grammar, ParseConfig(mode="off"))
+        first = [r for r in full.readings
+                 if _trees(full.forest[0], _label_tree(r), full._chart.edges)]
+        assert len(full.forest) == len(full.readings) == 2
+        assert len(first) == 1
+        monkeypatch.setattr("prosogate.chart.MAX_READINGS", 1)
+        capped = parse(turn, grammar, ParseConfig(mode="off"))
+        assert len(capped.forest) == 2
+        assert capped.readings == first
 
 
 def test_readings_are_sorted_and_deterministic(grammar, demo_corpus):

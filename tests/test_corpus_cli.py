@@ -677,6 +677,51 @@ class TestCliExitCodes:
         assert (f"prosogate {command}: error: seed -5 is negative: a seed "
                 f"must be a non-negative integer") in capsys.readouterr().err
 
+    def test_syllable_outside_turn_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text('{"id": "a", ' + _with_syllable(word=2) + '}\n')
+        assert run(["parse", "--corpus", str(bad)]) == 2
+        assert (f"{bad}: line 1: turn 'a': syllables reference words [2] "
+                f"outside 1..1") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["syllables", "s3_labels"])
+    def test_training_turn_without_syllables_or_labels_is_data_error(
+            self, tmp_path, capsys, missing):
+        corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
+        turns = [_valid_turn(2), {**_valid_turn(1), "id": "u"}]
+        del turns[1][missing]
+        corpus.write_text("".join(json.dumps(t) + "\n" for t in turns))
+        assert run(["train", "--corpus", str(corpus), "--out",
+                    str(model)]) == 2
+        assert not model.exists()
+        assert ("prosogate train: error: turn 'u': training needs syllables "
+                "and s3_labels") in capsys.readouterr().err
+
+    def test_training_corpus_of_ambiguous_gaps_is_data_error(self, tmp_path,
+                                                             capsys):
+        corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
+        turn = {**_valid_turn(2), "s3_labels": ["S3?", "S3?"]}
+        corpus.write_text(json.dumps(turn) + "\n")
+        assert run(["train", "--corpus", str(corpus), "--out",
+                    str(model)]) == 2
+        assert not model.exists()
+        assert ("prosogate train: error: no trainable vectors (after S3? "
+                "exclusion)") in capsys.readouterr().err
+
+    def test_report_without_a_gold_turn_is_data_error(self, tmp_path, capsys):
+        from prosogate import demo_corpus_text
+        gold, report = tmp_path / "gold.jsonl", tmp_path / "r.json"
+        gold.write_text(demo_corpus_text())
+        assert run(["parse", "--corpus", str(gold), "--format", "json",
+                    "--out", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        dropped = doc["turns"].pop(1)["id"]
+        report.write_text(json.dumps(doc))
+        assert run(["eval", "--gold", str(gold), "--proposed",
+                    str(report)]) == 2
+        assert f"{report}: turn {dropped!r} missing from the report" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("report, message", [
         ("{}", "not a parse report"), ("[]", "not a parse report"),
         ('{"turns": [{"id": "d01"}]}', "not a parse report"),

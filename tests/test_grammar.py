@@ -117,7 +117,7 @@ def _doc(**overrides):
 
 def test_finite_verb_yields_two_entries():
     grammar = load_grammar(json.dumps(_doc()))
-    assert {e.entry_id for e in grammar.entries("reparierte")} == {
+    assert {e.entry_id for e in grammar.lexicon["reparierte"]} == {
         "reparierte_f", "reparierte_f_v2"}
 
 
@@ -146,6 +146,29 @@ def test_duplicate_entry_id_rejected():
     bad["lexicon"] = bad["lexicon"] * 2
     with pytest.raises(GrammarError, match="reparierte_f"):
         load_grammar(json.dumps(bad))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # the word label t/x@1 would read as a trace at gap 1
+    ({"lexicon": [{"id": "x@1", "orth": "t", "avm": {}}]},
+     "lexicon[0]: id 'x@1' contains '@'"),
+    ({"lexicon": [{"id": "a b", "orth": "x", "avm": {}}]},
+     "lexicon[0]: id 'a b' contains ' '"),
+    ({"lexicon": [{"id": "x", "orth": "(x", "avm": {}}]},
+     "lexicon[0]: orth '(x' contains '('"),
+    ({"schemata": [{"name": "s)", "daughters": [{}, {}], "mother": {}}]},
+     "schemata[0]: name 's)' contains ')'"),
+], ids=["id-at", "id-space", "orth-paren", "schema-paren"])
+def test_label_delimiters_in_names_rejected(tmp_path, capsys, overrides,
+                                            message):
+    text = json.dumps(_doc(**overrides))
+    with pytest.raises(GrammarError) as exc:
+        load_grammar(text)
+    assert str(exc.value) == message
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert run(["parse", "--grammar", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_malformed_json_rejected():

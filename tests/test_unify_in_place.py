@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from prosogate import fs
 from prosogate.chart import ParseConfig, parse
+from prosogate.corpus import TurnRecord
 from prosogate.grammar import LexEntry, apply_v2_lexical_rule, load_grammar
 from prosogate.synth import synth_corpus
 from references import unify
@@ -216,7 +217,8 @@ def test_apply_leaves_inputs_unchanged(grammar, structures):
 
 def test_identical_daughters_stay_disjoint():
     # A word that occurs twice puts one category object on two edges;
-    # each daughter must still be unified as a copy of its own.
+    # the chart's leaf masks must still unify each daughter as a copy of
+    # its own.
     g = load_grammar(json.dumps({
         "features": ["PHON", "LOC", "SEM"],
         "lexicon": [{"id": "ja", "orth": "ja",
@@ -224,11 +226,16 @@ def test_identical_daughters_stay_disjoint():
         "schemata": [{"name": "pair",
                       "daughters": [{"LOC": "#l"}, {"LOC": "#r"}],
                       "mother": {"PHON": ["#l", "#r"]}}]}))
-    (schema,), cat = g.schemata, g.entries("ja")[0].category
-    got = schema.apply(cat, cat)
+    turn = TurnRecord(turn_id="t", words=["ja", "ja"], gap_scores=[0.0, 0.0])
+    edges = parse(turn, g, ParseConfig(mode="off"))._chart.edges
+    (mother,) = [e for e in edges if e.kind == "derived"]
+    left, right = edges[0], edges[1]
+    assert left.category is right.category
+    got = mother.category
     first, second = got.get("PHON").attrs.values()
     assert first is not second
-    assert fs.canonical(got) == fs.canonical(reference_apply(schema, cat, cat))
+    want = reference_apply(g.schemata[0], left.category, right.category)
+    assert fs.canonical(got) == fs.canonical(want)
 
 
 def test_unify_leaves_inputs_unchanged():
