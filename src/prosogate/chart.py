@@ -1,7 +1,9 @@
 """Bottom-up chart parser with prosody-gated empty verbal heads.
 
 A parse has four phases: lexical edges, empty edges, closure under the
-schemata, then unpacking; its edge statistics are counted from the chart.
+schemata, then unpacking, which makes the root edges' reading labels one
+at a time (``_unpack``) and keeps the first ``MAX_READINGS``; its edge
+statistics are counted from the chart.
 
 Positions are inter-word gaps: word i (1-based) spans (i-1, i); gap i is
 the position after word i, so a zero-width empty edge hypothesized at
@@ -22,10 +24,12 @@ empty edge keeps its left daughter's span, so a grammar can make an edge
 derive itself: a ParseError, checked only where such a mother packs.
 
 Each edge is queued once, when created, and indexed only once popped
-and combined with the edges indexed before it. So each adjacent pair
-(non-empty left edge, any right edge) is combined exactly once. A leaf
-(lexical or empty) edge, one lexicon entry at one span, is keyed by its
-entry; only derived edges are packed by category, with distinct derivations.
+and combined with the edges indexed before it; an empty edge is never
+indexed by its end (``by_end``), as a left daughter. So each adjacent
+pair (non-empty left edge, any right edge) is combined exactly once. A
+leaf (lexical or empty) edge, one lexicon entry at one span, is keyed
+by its entry; only derived edges are packed by category, with distinct
+derivations.
 
 A pair is offered only to the schemata whose quick check (see
 ``grammar``) the edges' summary vectors pass: a clash means unification
@@ -55,6 +59,7 @@ import re
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from . import fs
 
@@ -169,7 +174,7 @@ class Chart:
         self.edges = []
         self.agenda = deque()  # new edges, each queued once
         self.by_start = {}  # start -> [popped edge]
-        self.by_end = {}
+        self.by_end = {}  # end -> [popped non-empty edge]
         # (start, end, kind, entry id) -> leaf; (start, end, summary
         # vector) -> {canonical category, None while alone -> derived}
         self.seen = {}
@@ -294,23 +299,21 @@ def parse(turn, grammar, config):
 
     while chart.agenda:
         edge = chart.agenda.popleft()
-        if edge.kind != "empty":
+        if edge.kind != "empty":  # a left daughter, so indexed by its end
             for right in chart.by_start.get(edge.end, []):
                 combine(edge, right)
+            chart.by_end.setdefault(edge.end, []).append(edge)
         for left in chart.by_end.get(edge.start, []):
-            if left.kind != "empty":
-                combine(left, edge)
+            combine(left, edge)
         chart.by_start.setdefault(edge.start, []).append(edge)
-        chart.by_end.setdefault(edge.end, []).append(edge)
 
-    # (iv) unpack the readings of the root edges
+    # (iv) unpack the first MAX_READINGS readings of the root edges
     result = ParseResult(turn_id=turn.turn_id, n_words=len(turn.words),
-                         readings=[], proposed_sites=sites, stats=None,
+                         readings=None, proposed_sites=sites, stats=None,
                          _chart=chart)
-    readings = result.readings
-    for root in result.forest:
-        readings.extend(_unpack(root, chart, MAX_READINGS - len(readings)))
-    readings.sort()
+    labels = chain.from_iterable(_unpack(root, chart.edges)
+                                 for root in result.forest)
+    result.readings = sorted(islice(labels, MAX_READINGS))
     result.stats = statistics()
     return result
 
@@ -349,20 +352,13 @@ def trace_gaps(label):
     return {int(gap) for gap in _TRACE_LABEL.findall(label)}
 
 
-def _unpack(edge, chart, limit):
-    """The first ``limit`` reading labels of the edge's enumeration."""
-    if limit <= 0:
-        return []
-    if edge.kind != "derived":
-        return [derivation_label(edge.kind, edge.entry, edge.start)]
-    out = []
+def _unpack(edge, edges):
+    """The edge's reading labels, made one at a time: by derivation,
+    then by left daughter reading, then by right daughter reading."""
+    if edge.kind != "derived":  # a leaf, which has no derivations
+        yield derivation_label(edge.kind, edge.entry, edge.start)
     for schema, lid, rid in edge.derivations:
-        lefts = _unpack(chart.edges[lid], chart, limit - len(out))
-        rights = _unpack(chart.edges[rid], chart, limit - len(out))
-        for left in lefts:
-            for right in rights:
-                out.append(derivation_label("derived", None, None,
-                                            schema.name, left, right))
-                if len(out) >= limit:
-                    return out
-    return out
+        for left in _unpack(edges[lid], edges):
+            for right in _unpack(edges[rid], edges):
+                yield derivation_label("derived", None, None, schema.name,
+                                       left, right)

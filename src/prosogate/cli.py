@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 from . import __version__, load_demo_corpus, load_demo_grammar, load_file
 from .chart import ParseConfig, parse
-from .corpus import CorpusError, load_corpus, dumps_corpus
+from .corpus import CorpusError, dumps_corpus, load_corpus, loads_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
     score_trace_hypotheses
 from .grammar import load_grammar_file
@@ -63,21 +63,27 @@ def cmd_synth(args):
 
 
 def _training_pairs(corpus):
+    """(gap vector, S3 label) pairs; the one check that S3+ and S3- occur."""
     pairs = []
     for turn in corpus:
-        if turn.syllables is None or turn.s3_labels is None:
-            raise CorpusError(
-                f"turn {turn.turn_id!r}: training needs syllables and "
-                f"s3_labels")
+        if turn.s3_labels is None:
+            raise CorpusError(f"turn {turn.turn_id!r}: training needs "
+                              f"s3_labels")
         pairs.extend(zip(gap_vectors(turn), turn.s3_labels))
+    missing = {"S3+", "S3-"}.difference(label for _, label in pairs)
+    if missing:
+        raise CorpusError(f"training needs both an S3+ gap and an S3- gap "
+                          f"(S3? gaps are held out); there is no "
+                          f"{' and no '.join(sorted(missing))} gap")
     return pairs
 
 
 def cmd_train(args):
-    corpus = load_corpus(args.corpus)
+    pairs = load_file(args.corpus,
+                      lambda text: _training_pairs(loads_corpus(text)))
     config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                          hidden1=args.hidden1, hidden2=args.hidden2)
-    clf = train(_training_pairs(corpus), config, seed=args.seed)
+    clf = train(pairs, config, seed=args.seed)
     _write(clf.to_json() + "\n", args.out)
     return 0
 

@@ -16,7 +16,8 @@ A syllable is checked where it is read, by ``_syllable_from_dict``: an
 integer word, and features that are an object with no unknown field,
 finite numbers, pauses >= 0, true/false flags and both regression
 blocks; a missing scalar field takes its default (0 or false).
-``TurnRecord.validate`` then checks that the word is one of the turn's.
+``TurnRecord.validate`` then checks that the word is one of the turn's,
+and ``word_final_syllables`` that a turn has syllables where they are read.
 """
 
 from __future__ import annotations
@@ -145,10 +146,12 @@ class TurnRecord:
 
     def word_final_syllables(self):
         """Per word (1-based), the index into self.syllables of its final
-        syllable. Raises CorpusError for a word with no final-flagged
-        syllable."""
+        syllable. CorpusError for a turn with no syllables (the one check
+        of that) and for a word with no final-flagged syllable."""
+        if not self.syllables:
+            raise CorpusError(f"turn {self.turn_id!r} has no syllables")
         final = {}
-        for i, s in enumerate(self.syllables or []):
+        for i, s in enumerate(self.syllables):
             if s.features.word_final:
                 final[s.word] = i
         missing = [w for w in range(1, len(self.words) + 1) if w not in final]

@@ -28,7 +28,7 @@ class EvalError(ValueError):
 
 def fmt_pct(fraction, decimals=1):
     """Format a fraction as a percentage string, half-up rounding."""
-    q = Decimal(1).scaleb(-decimals) if decimals else Decimal(1)
+    q = Decimal(1).scaleb(-decimals)
     return str((Decimal(repr(float(fraction))) * 100).quantize(
         q, rounding=ROUND_HALF_UP))
 

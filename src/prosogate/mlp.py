@@ -26,8 +26,9 @@ A classifier's JSON names the one prosodic feature layout its weights
 were trained on (``LAYOUT_ID``); loading rejects any other, and any
 input size but that layout's ``FEATURE_DIM`` values.
 
-Inputs are checked where they enter, by the corpus loader (S3 labels)
-and the model loader (``from_json``); code here assumes them.
+Inputs are checked where they enter: by the corpus loader (S3 labels,
+and syllables in ``word_final_syllables``), ``cli._training_pairs`` (an
+S3+ and an S3- pair) and the model loader; code here assumes them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import check_seed, load_file
-from .corpus import CorpusError
 from .prosody import FEATURE_DIM, extract_features
 
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
@@ -164,8 +164,8 @@ class MlpClassifier:
         with np.errstate(over="ignore"):  # exp(-z) = inf is sigmoid 0
             hidden = self._forward(x)[-1]
         log_s = -np.logaddexp(0.0, -(hidden @ self.params[-2] + self.params[-1]))
-        p = np.exp(log_s - np.logaddexp.reduce(log_s, axis=-1, keepdims=True))
-        return float(p[..., 0]), float(p[..., 1])
+        p = np.exp(log_s - np.logaddexp.reduce(log_s))
+        return float(p[0]), float(p[1])
 
     def gradients(self, x, target, pairs=None):
         """Analytic squared-error gradients of a float64 vector ``x``
@@ -302,14 +302,10 @@ def train(data, config=None, seed=0):
             continue
         vectors.append(np.asarray(vec, dtype=np.float64))
         labels.append(LABEL_INDEX[label])
-    if not vectors:
-        raise ValueError("no trainable vectors (after S3? exclusion)")
     labels = np.array(labels)
     X = np.stack(vectors)
     idx_plus = np.flatnonzero(labels == 0)
     idx_minus = np.flatnonzero(labels == 1)
-    if len(idx_plus) == 0 or len(idx_minus) == 0:
-        raise ValueError("training data must contain both S3+ and S3-")
 
     clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
     theta, grad = clf.theta, clf._grad  # grad: what gradients writes
@@ -375,12 +371,10 @@ def _zero_runs(x):
 def gap_vectors(turn):
     """The feature vector of each gap, in order, as the rows of one
     matrix: that of the final syllable of the word before it. A turn
-    with no syllables raises CorpusError, and so does a word with no
-    final-flagged syllable, from the turn itself."""
-    if not turn.syllables:
-        raise CorpusError(f"turn {turn.turn_id!r} has no syllables")
-    records = [s.features for s in turn.syllables]
-    return extract_features(records, turn.word_final_syllables())
+    with no syllables, or a word with no final-flagged syllable, raises
+    CorpusError from ``TurnRecord.word_final_syllables``."""
+    finals = turn.word_final_syllables()
+    return extract_features([s.features for s in turn.syllables], finals)
 
 
 def score_turn(clf, turn):

@@ -150,3 +150,28 @@ def test_traced_pass_counters_are_pinned(name):
             chart.parse(turn, state["grammar"], config)
     del block["_root"]
     assert block == PASS_COUNTERS[name]
+
+
+# The counter block of one traced set-up on the same corpus: grammar and
+# corpus load and, gated, classifier training, re-scoring and scoring
+# the gate against gold.
+_UNGATED_SETUP = {
+    "corpus.bytes": 902745, "corpus.loads_calls": 1, "fs.copy_calls": 12,
+    "fs.copy_nodes": 404, "fs.resolve_calls": 29, "fs.resolve_nodes": 272,
+    "fs.unify_calls": 11, "fs.unify_nodes": 11}
+SETUP_COUNTERS = {
+    "ungated": _UNGATED_SETUP,
+    "gated": {**_UNGATED_SETUP, "evaluation.score_calls": 1,
+              "mlp.classify_calls": 498, "mlp.gradients_calls": 14880,
+              "mlp.train_calls": 1, "prosody.extract_calls": 208},
+}
+
+
+@pytest.mark.parametrize("name", SETUP_COUNTERS)
+def test_traced_setup_counters_are_pinned(name):
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.root("bench.setup") as block:
+        workloads.setup_parse(42, workloads.synth_text(42),
+                              gated=name == "gated")
+    del block["_root"]
+    assert block == SETUP_COUNTERS[name]

@@ -491,6 +491,29 @@ class TestPredArg:
         assert len(capped.forest) == 2
         assert capped.readings == first
 
+    def test_capped_readings_nest(self, grammar, demo_corpus, monkeypatch):
+        # every cap N up to a turn's reading count keeps N of its
+        # readings, and a larger cap keeps those and more
+        off = ParseConfig(mode="off")
+        for turn in [*demo_corpus, *synth_corpus(seed=42)]:
+            full = set(parse(turn, grammar, off).readings)
+            kept = set()
+            for cap in range(1, len(full) + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr("prosogate.chart.MAX_READINGS", cap)
+                    capped = parse(turn, grammar, off).readings
+                assert len(capped) == len(set(capped)) == cap
+                assert kept < set(capped) <= full
+                kept = set(capped)
+        # d04's one root derivation has a daughter with two readings, so
+        # a cap of 1 is reached inside that derivation's product
+        monkeypatch.setattr("prosogate.chart.MAX_READINGS", 1)
+        assert parse(_by_id(demo_corpus)["d04"], grammar, off).readings == [
+            "(head-subject ich/ich (v2-selection glaube/glaube_f_v2 "
+            "(head-complement (head-subject du/du (v2-selection "
+            "sollst/sollst_f_v2 (head-complement (head-adjunct nicht/nicht "
+            "töten/toeten) t/sollst_f_v2@6))) t/glaube_f_v2@6)))"]
+
 
 def test_readings_are_sorted_and_deterministic(grammar, demo_corpus):
     for turn in demo_corpus:

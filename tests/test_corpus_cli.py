@@ -684,9 +684,12 @@ class TestCliExitCodes:
         assert (f"{bad}: line 1: turn 'a': syllables reference words [2] "
                 f"outside 1..1") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("missing", ["syllables", "s3_labels"])
+    @pytest.mark.parametrize("missing, message", [
+        ("syllables", "turn 'u' has no syllables"),
+        ("s3_labels", "turn 'u': training needs s3_labels"),
+    ], ids=["syllables", "s3_labels"])
     def test_training_turn_without_syllables_or_labels_is_data_error(
-            self, tmp_path, capsys, missing):
+            self, tmp_path, capsys, missing, message):
         corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
         turns = [_valid_turn(2), {**_valid_turn(1), "id": "u"}]
         del turns[1][missing]
@@ -694,19 +697,24 @@ class TestCliExitCodes:
         assert run(["train", "--corpus", str(corpus), "--out",
                     str(model)]) == 2
         assert not model.exists()
-        assert ("prosogate train: error: turn 'u': training needs syllables "
-                "and s3_labels") in capsys.readouterr().err
+        assert (f"prosogate train: error: {corpus}: {message}\n"
+                == capsys.readouterr().err)
 
-    def test_training_corpus_of_ambiguous_gaps_is_data_error(self, tmp_path,
-                                                             capsys):
+    @pytest.mark.parametrize("labels, absent", [
+        (["S3?", "S3?"], "S3+ and no S3-"),
+        (["S3+", "S3?"], "S3-"),
+    ], ids=["all-S3?", "all-labelled-S3+"])
+    def test_training_corpus_without_both_classes_is_data_error(
+            self, tmp_path, capsys, labels, absent):
         corpus, model = tmp_path / "c.jsonl", tmp_path / "m.json"
-        turn = {**_valid_turn(2), "s3_labels": ["S3?", "S3?"]}
+        turn = {**_valid_turn(2), "s3_labels": labels}
         corpus.write_text(json.dumps(turn) + "\n")
         assert run(["train", "--corpus", str(corpus), "--out",
                     str(model)]) == 2
         assert not model.exists()
-        assert ("prosogate train: error: no trainable vectors (after S3? "
-                "exclusion)") in capsys.readouterr().err
+        assert (f"prosogate train: error: {corpus}: training needs both an "
+                f"S3+ gap and an S3- gap (S3? gaps are held out); there is "
+                f"no {absent} gap\n") == capsys.readouterr().err
 
     def test_report_without_a_gold_turn_is_data_error(self, tmp_path, capsys):
         from prosogate import demo_corpus_text

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from prosogate.cli import _training_pairs
 from prosogate.mlp import LABEL_INDEX, OUTPUT_NODES, MlpClassifier, \
     TrainConfig, _zero_runs, train, score_turn
 from prosogate.corpus import CorpusError, Syllable, TurnRecord
@@ -178,12 +181,6 @@ def test_s3_question_items_excluded():
     n_minus = sum(1 for _, l in data if l == "S3-")
     assert clf.train_log[0]["presented"]["S3-"] == max(
         n_minus, len(data) - n_minus)
-
-
-def test_single_class_rejected():
-    data = [(np.zeros(3), "S3+")] * 10
-    with pytest.raises(ValueError):
-        train(data, TrainConfig(epochs=1, hidden1=2, hidden2=2))
 
 
 def test_inconsistent_dimensions_rejected():
@@ -464,6 +461,18 @@ def _mini_turn():
         turn_id="m1", words=["a", "b"],
         syllables=[Syllable(1, rec(False, 0.1)), Syllable(1, rec(True, 0.2)),
                    Syllable(2, rec(True, 0.9))])
+
+
+def test_single_class_rejected():
+    # ``train`` assumes both classes; the training pairs are checked
+    turn = _mini_turn()
+    for labels, absent in ((["S3+", "S3+"], "S3-"), (["S3-", "S3?"], "S3+")):
+        turn.s3_labels = labels
+        with pytest.raises(CorpusError,
+                           match=re.escape(f"there is no {absent} gap")):
+            _training_pairs([turn])
+    turn.s3_labels = ["S3+", "S3-"]
+    assert [label for _, label in _training_pairs([turn])] == ["S3+", "S3-"]
 
 
 def test_score_turn_writes_one_score_per_word():
