@@ -3,7 +3,11 @@
 A parse has four phases: lexical edges, empty edges, closure under the
 schemata, then unpacking, which makes the root edges' reading labels one
 at a time (``_unpack``) and keeps the first ``MAX_READINGS``; its edge
-statistics are counted from the chart.
+statistics are counted from the chart. The result keeps the packed
+forest (the edge list and its root edges) and nothing else of the chart.
+This module alone states the reading-label syntax: ``derivation_label``
+writes it, ``trace_gaps`` reads traces back, and ``label_breaker`` is
+the rule the grammar loader applies to every id, orth and schema name.
 
 Positions are inter-word gaps: word i (1-based) spans (i-1, i); gap i is
 the position after word i, so a zero-width empty edge hypothesized at
@@ -213,18 +217,14 @@ class Chart:
 
 @dataclass
 class ParseResult:
-    turn_id: str
-    n_words: int
+    """A parse's readings and the packed forest they come from: the
+    chart's edges (``edges[i].edge_id == i``) and its root edges."""
+
     readings: list  # bracketed derivation strings, sorted
     proposed_sites: list
     stats: dict
-    _chart: object = None
-
-    @property
-    def forest(self):
-        return [e for e in self._chart.edges
-                if e.start == 0 and e.end == self.n_words
-                and is_root_category(e.category)]
+    edges: list = field(repr=False, compare=False)
+    roots: list = field(repr=False, compare=False)
 
 
 def parse(turn, grammar, config):
@@ -308,14 +308,12 @@ def parse(turn, grammar, config):
         chart.by_start.setdefault(edge.start, []).append(edge)
 
     # (iv) unpack the first MAX_READINGS readings of the root edges
-    result = ParseResult(turn_id=turn.turn_id, n_words=len(turn.words),
-                         readings=None, proposed_sites=sites, stats=None,
-                         _chart=chart)
-    labels = chain.from_iterable(_unpack(root, chart.edges)
-                                 for root in result.forest)
-    result.readings = sorted(islice(labels, MAX_READINGS))
-    result.stats = statistics()
-    return result
+    n = len(turn.words)
+    roots = [e for e in chart.edges
+             if e.start == 0 and e.end == n and is_root_category(e.category)]
+    labels = chain.from_iterable(_unpack(root, chart.edges) for root in roots)
+    readings = sorted(islice(labels, MAX_READINGS))
+    return ParseResult(readings, sites, statistics(), chart.edges, roots)
 
 
 def _reaches(edge, target, edges):
@@ -350,6 +348,15 @@ def trace_gaps(label):
     """The gaps of the traces (``t/<entry>@<gap>``) in a derivation
     label, as a set."""
     return {int(gap) for gap in _TRACE_LABEL.findall(label)}
+
+
+def label_breaker(name, ends_token):
+    """The first character of ``name`` that a label cannot hold, or
+    None: a space or parenthesis, which delimit label tokens, or, in a
+    name that ends a token (an entry id, a schema name), "@", which
+    would let the token read as a trace ``t/<entry>@<gap>``."""
+    breakers = " ()@" if ends_token else " ()"
+    return next((c for c in breakers if c in name), None)
 
 
 def _unpack(edge, edges):

@@ -88,8 +88,17 @@ def cmd_train(args):
     return 0
 
 
+def _scorable_corpus(text):
+    """The corpus of ``text``, each turn checked to have the syllables
+    its gap vectors are read from."""
+    corpus = loads_corpus(text)
+    for turn in corpus:
+        turn.word_final_syllables()
+    return corpus
+
+
 def cmd_score(args):
-    corpus = load_corpus(args.corpus)
+    corpus = load_file(args.corpus, _scorable_corpus)
     clf = MlpClassifier.load(args.model)
     for turn in corpus:
         score_turn(clf, turn)
@@ -105,7 +114,7 @@ def cmd_parse(args):
     turns = []
     for turn in sorted(corpus, key=lambda t: t.turn_id):
         result = parse(turn, grammar, config)
-        turns.append({"id": result.turn_id, "readings": result.readings,
+        turns.append({"id": turn.turn_id, "readings": result.readings,
                       "proposed_sites": result.proposed_sites,
                       "statistics": result.stats})
     if args.format == "json":
@@ -176,10 +185,11 @@ def cmd_eval(args):
     return 0
 
 
-def cmd_rank(args):
-    corpus = load_corpus(args.corpus)
+def _rank_sentences(text):
+    """(gap scores, gold gap) of each turn of the corpus of ``text``;
+    the one check that each turn has scores and one gold gap."""
     sentences = []
-    for turn in corpus:
+    for turn in loads_corpus(text):
         gold = turn.gold_traces or []
         if len(gold) != 1:
             raise EvalError(
@@ -188,7 +198,11 @@ def cmd_rank(args):
         if turn.gap_scores is None:
             raise EvalError(f"turn {turn.turn_id!r}: no gap scores")
         sentences.append((turn.gap_scores, gold[0]))
-    hist = rank_experiment(sentences)
+    return sentences
+
+
+def cmd_rank(args):
+    hist = rank_experiment(load_file(args.corpus, _rank_sentences))
     if args.format == "json":
         _write(_report_json({
             "counts": {str(k): v for k, v in hist.counts.items()},

@@ -8,6 +8,11 @@ of gap i. Exact line schema:
      "gold_traces": [int]?, "s3_labels": [str]?,
      "syllables": [{"word": int, "features": {...}}]?}
 
+Lines are split on "\n" alone, as JSON Lines defines: a JSON string
+may hold a raw U+2028, U+2029 or U+0085, at which ``str.splitlines``
+would split it. A file is read with universal newlines, so "\r\n"
+arrives as "\n", and a "\r" left before one is JSON whitespace.
+
 An optional leading line ``{"_meta": {...}}``, with no other key,
 carries provenance (generator seed or source description); a ``_meta``
 key anywhere else is a data error.
@@ -216,7 +221,7 @@ def loads_corpus(text):
     corpus = Corpus()
     seen = set()
     leading = True  # no non-blank line read yet
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:  # ValueError: a JSONDecodeError or an int over the digit limit

@@ -54,6 +54,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import fs, load_file
+from .chart import label_breaker
 from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm
 
 
@@ -246,13 +247,12 @@ def _tree_paths(node, path=(), seen=None):
             yield from _tree_paths(child, path + (step,), seen)
 
 
-def _check_label_text(text, what, where, delimiters=" ()"):
-    """GrammarError at where for a name that contains one of delimiters:
-    a reading label writes names between spaces and parentheses, and
-    ``chart.trace_gaps`` reads ``t/<id>@<gap>`` as a trace."""
-    bad = [c for c in delimiters if c in text]
-    if bad:
-        raise GrammarError(f"{where}: {what} {text!r} contains {bad[0]!r}")
+def _check_name(text, what, where, ends_token=False):
+    """GrammarError at where for a name that a reading label cannot
+    hold (``chart.label_breaker``)."""
+    bad = label_breaker(text, ends_token)
+    if bad is not None:
+        raise GrammarError(f"{where}: {what} {text!r} contains {bad!r}")
 
 
 def _check_features(node, declared, where):
@@ -312,7 +312,8 @@ def load_grammar(text):
     The V2 lexical rule is run eagerly over every finite verb-final
     entry, so second-position entries and their trace templates exist at
     load ("compile") time, and so does the quick check of the schemata.
-    Feature names are validated against the declared set; violations,
+    Feature names are validated against the declared set, and ids,
+    orths and schema names against ``chart.label_breaker``; violations,
     and values nested too deeply to build, raise GrammarError with a
     location.
     """
@@ -346,8 +347,8 @@ def load_grammar(text):
         entry = LexEntry(item["id"], item["orth"], cat)
         if not isinstance(entry.entry_id, str) or not isinstance(entry.orth, str):
             raise GrammarError(f"{where}: id and orth must be strings")
-        _check_label_text(entry.entry_id, "id", where, " ()@")
-        _check_label_text(entry.orth, "orth", where)
+        _check_name(entry.entry_id, "id", where, ends_token=True)
+        _check_name(entry.orth, "orth", where)
         register(entry, where)
         v2 = apply_v2_lexical_rule(entry)
         if v2 is not None:
@@ -359,7 +360,7 @@ def load_grammar(text):
     def add_schema(item, where):
         if not isinstance(item["name"], str):
             raise GrammarError(f"{where}: name must be a string")
-        _check_label_text(item["name"], "name", where)
+        _check_name(item["name"], "name", where, ends_token=True)
         daughters = item["daughters"]
         if not isinstance(daughters, list) or len(daughters) != 2:
             raise GrammarError(f"{where}: schemata are binary")

@@ -101,9 +101,9 @@ def _trees(edge, label, edges):
 def extract_pred_arg(result, reading_index):
     """Read the flat predicate-argument record off one reading.
 
-    The reading's derivation is found in the chart from its label: the
-    label must match exactly one derivation of one root edge. It is
-    replayed in one unification generation so that every lexical SEM
+    The reading's derivation is found in the result's forest from its
+    label: the label must match exactly one derivation of one root edge.
+    It is replayed in one unification generation so that every lexical SEM
     block ends up fully instantiated; records are (relation, ((role,
     value), ...)) tuples with deterministic order. Raises
     IndexError("no reading") on an empty forest or bad index.
@@ -111,8 +111,9 @@ def extract_pred_arg(result, reading_index):
     if not 0 <= reading_index < len(result.readings):
         raise IndexError("no reading")
     label = result.readings[reading_index]
-    tree, edges = _label_tree(label), result._chart.edges
-    found = [t for root in result.forest for t in _trees(root, tree, edges)]
+    tree = _label_tree(label)
+    found = [t for root in result.roots
+             for t in _trees(root, tree, result.edges)]
     if len(found) != 1:
         raise ValueError(f"{len(found)} derivations match reading {label!r}")
     sems = []

@@ -50,7 +50,7 @@ def test_criterion_03_gate_off_equivalence(grammar, demo_corpus):
         off = parse(turn, grammar, ParseConfig(mode="off"))
         zero = parse(turn, grammar, ParseConfig(threshold=0.0))
         assert off.readings == zero.readings
-        assert len(off.forest) == len(zero.forest)
+        assert len(off.roots) == len(zero.roots)
         for key in ("lexical_edges", "empty_edges", "derived_edges",
                     "proposed_sites"):
             assert off.stats[key] == zero.stats[key]
@@ -74,7 +74,7 @@ def test_criterion_05_reference_tree_reproduction(grammar, demo_corpus):
         "(filler-head gestern/gestern (v2-selection reparierte/reparierte_f_v2"
         " (head-subject er/er (head-complement (head-complement den/den"
         " wagen/wagen) t/reparierte_f_v2@5))))"]
-    empty, = [e for e in result._chart.edges if e.kind == "empty"]
+    empty, = [e for e in result.edges if e.kind == "empty"]
     assert (empty.start, empty.end) == (5, 5)
     loc = empty.category.get("LOC")
     assert loc is empty.category.get("DSL").attrs[0]

@@ -77,7 +77,7 @@ def test_v2_tree_bracketing(grammar, demo_corpus):
 
 def test_trace_edge_loc_shared_with_dsl(grammar, demo_corpus):
     result = parse(_by_id(demo_corpus)["d01"], grammar, ParseConfig())
-    empties = [e for e in result._chart.edges if e.kind == "empty"]
+    empties = [e for e in result.edges if e.kind == "empty"]
     assert len(empties) == 1
     edge = empties[0]
     assert edge.start == edge.end == 5
@@ -99,7 +99,7 @@ def test_list_children_keyed_by_position(grammar, demo_corpus):
     roots += [s.pattern for s in grammar.schemata]
     for turn in demo_corpus:
         roots += [e.category for e in
-                  parse(turn, grammar, ParseConfig(mode="off"))._chart.edges]
+                  parse(turn, grammar, ParseConfig(mode="off")).edges]
     seen, todo, lists = set(), roots, 0
     while todo:
         node = todo.pop()
@@ -120,7 +120,7 @@ def test_list_children_keyed_by_position(grammar, demo_corpus):
 
 def test_licenser_ordering_and_fidelity(grammar, demo_corpus):
     for turn in demo_corpus:
-        edges = parse(turn, grammar, ParseConfig(mode="off"))._chart.edges
+        edges = parse(turn, grammar, ParseConfig(mode="off")).edges
         for edge in edges:
             if edge.kind != "empty":
                 continue
@@ -268,7 +268,7 @@ def _check_applications(turns, grammar, config, monkeypatch):
     monkeypatch.setattr(RuleSchema, "apply", logging_apply)
     for turn in turns:
         log.clear()
-        edges = parse(turn, grammar, config)._chart.edges
+        edges = parse(turn, grammar, config).edges
         pairs = list(_combination_order(edges))
         assert len({(l.edge_id, r.edge_id) for l, r in pairs}) == len(pairs)
         expected = [(schema, left, right) for left, right in pairs
@@ -314,7 +314,7 @@ def test_admitted_schemata_across_corpora(demo_corpus, monkeypatch, config):
 def _chart_snapshot(turns, grammar):
     return [[(e.edge_id, (e.start, e.end), e.kind, fs.canonical(e.category),
               [(s.name, l, r) for s, l, r in e.derivations])
-             for e in parse(turn, grammar, config)._chart.edges]
+             for e in parse(turn, grammar, config).edges]
             for config in (ParseConfig(mode="off"), ParseConfig(threshold=0.01),
                            ParseConfig(mode="rank"))
             for turn in turns]
@@ -360,7 +360,7 @@ def test_quick_check_rejects_only_failing_applications(grammar, demo_corpus,
                                                        config):
     rejected = 0
     for turn in demo_corpus:
-        edges = parse(turn, grammar, config)._chart.edges
+        edges = parse(turn, grammar, config).edges
         for left in edges:
             if left.kind == "empty":
                 continue
@@ -483,12 +483,12 @@ class TestPredArg:
         turn = _turn(["er", "schlief"], [0.5, 0.5])
         full = parse(turn, grammar, ParseConfig(mode="off"))
         first = [r for r in full.readings
-                 if _trees(full.forest[0], _label_tree(r), full._chart.edges)]
-        assert len(full.forest) == len(full.readings) == 2
+                 if _trees(full.roots[0], _label_tree(r), full.edges)]
+        assert len(full.roots) == len(full.readings) == 2
         assert len(first) == 1
         monkeypatch.setattr("prosogate.chart.MAX_READINGS", 1)
         capped = parse(turn, grammar, ParseConfig(mode="off"))
-        assert len(capped.forest) == 2
+        assert len(capped.roots) == 2
         assert capped.readings == first
 
     def test_capped_readings_nest(self, grammar, demo_corpus, monkeypatch):

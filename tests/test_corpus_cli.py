@@ -64,6 +64,19 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="line 2: malformed JSON"):
             loads_corpus(text)
 
+    @pytest.mark.parametrize("end, char", [
+        ("\n", "\u2028"), ("\n", "\u2029"), ("\n", "\x85"), ("\r\n", "")],
+        ids=["U+2028", "U+2029", "U+0085", "CRLF"])
+    def test_lines_end_only_at_newline(self, tmp_path, end, char):
+        # JSON Lines ends a line at "\n" only; str.splitlines would also
+        # split at U+2028, U+2029 and U+0085, inside a valid JSON string
+        text = ('{"id": "a' + char + 'b", "words": ["x"]}' + end
+                + '{"id": "c", "words": ["y"]}' + end)
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        for corpus in (loads_corpus(text), load_corpus(path)):
+            assert [t.turn_id for t in corpus] == ["a" + char + "b", "c"]
+
     def test_bad_record_reports_line(self):
         text = '{"id": "a", "words": ["x"], "gap_scores": [0.1, 0.2]}\n'
         with pytest.raises(CorpusError, match="line 1"):
@@ -700,6 +713,23 @@ class TestCliExitCodes:
         assert (f"prosogate train: error: {corpus}: {message}\n"
                 == capsys.readouterr().err)
 
+    @pytest.mark.parametrize("model", ["valid", "missing"])
+    def test_score_turn_without_syllables_names_corpus(self, tmp_path,
+                                                       capsys, model):
+        # the corpus is checked in full before the model is read
+        corpus, path = tmp_path / "c.jsonl", tmp_path / "m.json"
+        out = tmp_path / "s.jsonl"
+        turns = [_valid_turn(2), {**_valid_turn(1), "id": "u"}]
+        del turns[1]["syllables"]
+        corpus.write_text("".join(json.dumps(t) + "\n" for t in turns))
+        if model == "valid":
+            path.write_text(json.dumps(_MODEL))
+        assert run(["score", "--corpus", str(corpus), "--model", str(path),
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+        assert (f"prosogate score: error: {corpus}: turn 'u' has no "
+                f"syllables\n" == capsys.readouterr().err)
+
     @pytest.mark.parametrize("labels, absent", [
         (["S3?", "S3?"], "S3+ and no S3-"),
         (["S3+", "S3?"], "S3-"),
@@ -931,10 +961,11 @@ class TestCliPipeline:
                                                           sort_keys=True))
             turns = load_corpus(path) if path else load_demo_corpus()
             grammar = load_demo_grammar()
-            results = (parse(turn, grammar, ParseConfig(mode="off"))
+            results = ((turn.turn_id,
+                        parse(turn, grammar, ParseConfig(mode="off")))
                        for turn in turns)
-            records = [(result.turn_id, i, extract_pred_arg(result, i))
-                       for result in results
+            records = [(turn_id, i, extract_pred_arg(result, i))
+                       for turn_id, result in results
                        for i in range(len(result.readings))]
             digests[f"pred-arg {name}"] = _sha256(repr(records))
         assert run(["score", "--corpus", str(corpus_42), "--model", str(model),
@@ -993,6 +1024,21 @@ class TestCliPipeline:
         corpus.write_text('{"id": "a", "words": ["x", "y"], ' + fields + "}\n")
         assert run(["rank", "--corpus", str(corpus)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, message", [
+        ('"gap_scores": [0.5, 0.5]',
+         "turn 'a': rank experiment needs exactly one gold trace gap, got 0"),
+        ('"gold_traces": [2]', "turn 'a': no gap scores")],
+        ids=["no-gold", "no-scores"])
+    def test_rank_error_names_corpus(self, tmp_path, capsys, fields,
+                                     message):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "b", "words": ["x"], "gap_scores": [0.5], '
+                          '"gold_traces": [1]}\n'
+                          '{"id": "a", "words": ["x", "y"], ' + fields + "}\n")
+        assert run(["rank", "--corpus", str(corpus)]) == 2
+        assert (f"prosogate rank: error: {corpus}: {message}\n"
+                == capsys.readouterr().err)
 
     def test_eval_text_report(self, tmp_path, capsys):
         report = tmp_path / "r.json"

@@ -183,7 +183,7 @@ def test_bench_keeps_each_sides_fastest_parse_per_turn(monkeypatch):
         side = "on" if config is gated else "off"
         stats = {**counts[side],
                  "elapsed_ms": times[turn.turn_id, side].pop(0)}
-        return ParseResult(turn.turn_id, 1, ["r"], [], stats)
+        return ParseResult(["r"], [], stats, [], [])
 
     monkeypatch.setattr(evaluation, "parse", scripted_parse)
     corpus = [SimpleNamespace(turn_id=t, gold_traces=[]) for t in "ab"]

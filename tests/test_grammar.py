@@ -2,8 +2,10 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from prosogate import demo_grammar_text, fs
+from prosogate.chart import derivation_label, trace_gaps
 from prosogate.cli import run
 from prosogate.grammar import (GrammarError, LexEntry, apply_v2_lexical_rule,
                                load_grammar)
@@ -158,7 +160,10 @@ def test_duplicate_entry_id_rejected():
      "lexicon[0]: orth '(x' contains '('"),
     ({"schemata": [{"name": "s)", "daughters": [{}, {}], "mother": {}}]},
      "schemata[0]: name 's)' contains ')'"),
-], ids=["id-at", "id-space", "orth-paren", "schema-paren"])
+    # the schema label (t/x@1 ...) would read as a trace at gap 1
+    ({"schemata": [{"name": "t/x@1", "daughters": [{}, {}], "mother": {}}]},
+     "schemata[0]: name 't/x@1' contains '@'"),
+], ids=["id-at", "id-space", "orth-paren", "schema-paren", "schema-at"])
 def test_label_delimiters_in_names_rejected(tmp_path, capsys, overrides,
                                             message):
     text = json.dumps(_doc(**overrides))
@@ -167,8 +172,43 @@ def test_label_delimiters_in_names_rejected(tmp_path, capsys, overrides,
     assert str(exc.value) == message
     path = tmp_path / "g.json"
     path.write_text(text)
-    assert run(["parse", "--grammar", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    for command in ("parse", "bench"):
+        assert run([command, "--grammar", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+# a name is two runs of text a label can hold with, one time in four, a
+# delimiter or "@" between them: most documents load, and names such as
+# t/x@1 are trace-shaped
+_SAFE = st.lists(st.sampled_from(["t/", "x", "1"]), min_size=1,
+                 max_size=3).map("".join)
+_NAME = st.builds("{}{}{}".format, _SAFE,
+                  st.sampled_from([""] * 12 + list("@ ()")), _SAFE)
+
+
+@given(entry_id=_NAME, orth=_NAME, name=_NAME, gap=st.integers(0, 99))
+@example(entry_id="x", orth="t", name="t/x@1", gap=1)
+@example(entry_id="x@1", orth="t", name="s", gap=1)
+@example(entry_id="x", orth="t/x@1", name="s", gap=1)
+def test_accepted_names_keep_labels_readable(entry_id, orth, name, gap):
+    doc = _doc(lexicon=[{"id": entry_id, "orth": orth, "avm": FINAL_TRANS}],
+               schemata=[{"name": name, "daughters": [{}, {}],
+                          "mother": {}}])
+    try:
+        grammar = load_grammar(json.dumps(doc))
+    except GrammarError as exc:  # only the name rule rejects this document
+        assert " contains " in str(exc)
+        return
+    entry, v2 = grammar.lexicon[orth]
+    words = [derivation_label("lexical", e, None) for e in (entry, v2)]
+    trace = derivation_label("empty", v2, gap)
+    for word in words:
+        assert trace_gaps(word) == set()
+        assert trace_gaps(derivation_label("derived", None, None, name,
+                                           word, word)) == set()
+        assert trace_gaps(derivation_label("derived", None, None, name,
+                                           word, trace)) == {gap}
+    assert trace_gaps(trace) == {gap}
 
 
 def test_malformed_json_rejected():

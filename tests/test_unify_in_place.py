@@ -162,7 +162,7 @@ def structures(grammar, demo_corpus):
             cats.append(entry.trace_template)
     derived = {}
     for turn in demo_corpus:
-        for edge in parse(turn, grammar, ParseConfig(mode="off"))._chart.edges:
+        for edge in parse(turn, grammar, ParseConfig(mode="off")).edges:
             if edge.kind == "derived":
                 derived.setdefault(fs.canonical(edge.category),
                                    fs.copy_fs(edge.category))
@@ -235,7 +235,7 @@ def test_identical_daughters_stay_disjoint():
                       "daughters": [{"LOC": "#l"}, {"LOC": "#r"}],
                       "mother": {"PHON": ["#l", "#r"]}}]}))
     turn = TurnRecord(turn_id="t", words=["ja", "ja"], gap_scores=[0.0, 0.0])
-    edges = parse(turn, g, ParseConfig(mode="off"))._chart.edges
+    edges = parse(turn, g, ParseConfig(mode="off")).edges
     (mother,) = [e for e in edges if e.kind == "derived"]
     left, right = edges[0], edges[1]
     assert left.category is right.category
@@ -302,21 +302,21 @@ def test_resolve_copies_kept_or_forwarded_childless_children(make):
 
 @pytest.fixture(scope="module")
 def charts(grammar, demo_corpus):
-    """The chart of every demo and ``synth --seed 42`` turn, in each gate
-    mode."""
+    """The chart edges of every demo and ``synth --seed 42`` turn, one
+    list per turn, in each gate mode."""
     turns = [*demo_corpus, *synth_corpus(seed=42)]
-    return [parse(turn, grammar, ParseConfig(mode=mode))._chart
+    return [parse(turn, grammar, ParseConfig(mode=mode)).edges
             for mode in ("off", "threshold", "rank") for turn in turns]
 
 
 def _derived(charts):
     """(edge, schema, left edge, right edge) of each derived edge's
     first derivation, whose daughters gave it its category."""
-    for chart in charts:
-        for edge in chart.edges:
+    for edges in charts:
+        for edge in edges:
             if edge.kind == "derived":
                 schema, left, right = edge.derivations[0]
-                yield edge, schema, chart.edges[left], chart.edges[right]
+                yield edge, schema, edges[left], edges[right]
 
 
 def test_chart_categories_match_copy_then_unify(charts):
