@@ -1,8 +1,48 @@
 """Prosody-gated head-trace hypothesization for a German V2 chart parser."""
 
+import json
 from importlib import resources
 
+import orjson
+
 __version__ = "0.1.0"
+
+# orjson 3.8 reads some texts to other values than json.loads does, and
+# the guard in ``loads_json`` sends each of them to json.loads:
+# - It reads an integer outside the 64-bit range as a float, and 2**63
+#   has 19 digits. ``_DIGIT_RUNS`` maps each digit to "0", "." to itself
+#   and every other byte to " ", so a run of 19 digits that does not
+#   follow a "." (a fraction's digits do) shows as ``_LONG_INT``.
+# - It decodes any depth, where json.loads raises RecursionError near the
+#   interpreter's recursion limit (1000 by default). A text with fewer
+#   than ``_MAX_OPENERS`` "[" and "{" is nested less deeply than that,
+#   with room for the caller's own frames.
+# - It rejects a lone surrogate, which json.loads keeps in the string:
+#   encoded with "surrogatepass", one is not UTF-8, so orjson raises.
+# NaN, Infinity, a float beyond the double range and every syntax error
+# also make orjson raise.
+_DIGIT_RUNS = bytes(ord("0") if chr(c) in "0123456789" else
+                    ord(".") if chr(c) == "." else ord(" ")
+                    for c in range(256))
+_LONG_INT = b" " + b"0" * 19
+_MAX_OPENERS = 500
+
+
+def loads_json(text):
+    """What ``json.loads(text)`` returns, or the exception it raises.
+
+    orjson decodes the text when the guard above shows that it reads the
+    text as json.loads does; any other text, and any text orjson rejects,
+    goes to json.loads, so every error is json.loads's own.
+    """
+    data = text.encode("utf-8", "surrogatepass")
+    if (data.count(b"[") + data.count(b"{") < _MAX_OPENERS
+            and _LONG_INT not in (b" " + data).translate(_DIGIT_RUNS)):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
 
 
 def load_file(path, loads):

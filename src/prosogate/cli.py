@@ -14,7 +14,8 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import __version__, load_demo_corpus, load_demo_grammar, load_file
+from . import (__version__, load_demo_corpus, load_demo_grammar, load_file,
+               loads_json)
 from .chart import ParseConfig, parse
 from .corpus import CorpusError, dumps_corpus, load_corpus, loads_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
@@ -137,7 +138,7 @@ def _proposed_sites(gold_corpus, text):
     """Each gold turn's proposed sites, in corpus order, read from the
     text of a parse report."""
     try:
-        report = json.loads(text)["turns"]
+        report = loads_json(text)["turns"]
         by_id = {t["id"]: set(t["proposed_sites"]) for t in report}
     except (ValueError, RecursionError, KeyError, TypeError) as exc:
         raise EvalError(f"not a parse report: {exc!r}") from exc

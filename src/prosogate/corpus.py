@@ -11,7 +11,10 @@ of gap i. Exact line schema:
 Lines are split on "\n" alone, as JSON Lines defines: a JSON string
 may hold a raw U+2028, U+2029 or U+0085, at which ``str.splitlines``
 would split it. A file is read with universal newlines, so "\r\n"
-arrives as "\n", and a "\r" left before one is JSON whitespace.
+arrives as "\n", and a "\r" left before one is JSON whitespace. A line
+of only JSON whitespace (spaces, tabs, carriage returns) is blank and
+skipped; any other line, even one ``str.strip`` would empty, is decoded
+as JSON, exactly as ``json.loads`` decodes it (``loads_json``).
 
 An optional leading line ``{"_meta": {...}}``, with no other key,
 carries provenance (generator seed or source description); a ``_meta``
@@ -32,7 +35,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, itemgetter
 
-from . import load_file
+from . import load_file, loads_json
 from .prosody import MEASUREMENTS, REGRESSION_LEN, SyllableRecord
 
 S3_LABELS = ("S3+", "S3-", "S3?")
@@ -222,10 +225,10 @@ def loads_corpus(text):
     seen = set()
     leading = True  # no non-blank line read yet
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         try:  # ValueError: a JSONDecodeError or an int over the digit limit
-            obj = json.loads(line)
+            obj = loads_json(line)
         except (ValueError, RecursionError) as exc:
             raise CorpusError(f"line {lineno}: malformed JSON: {exc}") from exc
         if not isinstance(obj, dict):

@@ -50,10 +50,9 @@ slots, so a node shared by many categories means the same in each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from . import fs, load_file
+from . import fs, load_file, loads_json
 from .chart import label_breaker
 from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm
 
@@ -318,7 +317,7 @@ def load_grammar(text):
     location.
     """
     try:  # ValueError: a JSONDecodeError or an int over the digit limit
-        doc = json.loads(text)
+        doc = loads_json(text)
     except ValueError as exc:
         raise GrammarError(f"grammar is not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import check_seed, load_file
+from . import check_seed, load_file, loads_json
 from .prosody import FEATURE_DIM, extract_features
 
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
@@ -243,7 +243,7 @@ class MlpClassifier:
     def from_json(cls, text):
         """Rebuild a classifier from ``to_json`` text; ValueError if not."""
         try:
-            d = json.loads(text)
+            d = loads_json(text)
             layout, dims, seed = d["layout_id"], d["dims"], d["seed"]
             numbers = _all_numbers(d["weights"])
             if numbers:  # np.array would read "0.5" and True as numbers

@@ -7,12 +7,14 @@ import io
 import json
 import math
 import platform
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prosogate import demo_grammar_text, load_demo_corpus, load_demo_grammar
+from prosogate import (demo_grammar_text, load_demo_corpus, load_demo_grammar,
+                       loads_json)
 from prosogate.chart import ParseConfig, ParseError, parse
 from prosogate.cli import build_parser, run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
@@ -58,11 +60,19 @@ class TestCorpusIO:
     @pytest.mark.parametrize("line", [
         "{oops", "[" * 100000,
         pytest.param('{"id": "b", "words": ["x"], "gap_scores": ['
-                     + "1" * 5000 + "]}", id="5000-digit-int")])
+                     + "1" * 5000 + "]}", id="5000-digit-int"),
+        # str.strip removes these, but JSON does not count them as
+        # whitespace: a line of one is not blank
+        pytest.param("\xa0", id="U+00A0"), pytest.param("\u2028", id="U+2028"),
+        pytest.param("\x0c", id="form-feed")])
     def test_malformed_json_reports_line(self, line):
         text = '{"id": "a", "words": ["x"]}\n' + line + '\n'
         with pytest.raises(CorpusError, match="line 2: malformed JSON"):
             loads_corpus(text)
+
+    def test_blank_lines_are_skipped(self):
+        text = ' \t\r\n\n{"id": "a", "words": ["x"]}\n\t\n'
+        assert [t.turn_id for t in loads_corpus(text)] == ["a"]
 
     @pytest.mark.parametrize("end, char", [
         ("\n", "\u2028"), ("\n", "\u2029"), ("\n", "\x85"), ("\r\n", "")],
@@ -312,6 +322,84 @@ class TestCorpusFuzz:
                           syllable_from_dict)
             expected = _loaded(text)
         assert _loaded(text) == expected
+
+
+def _decoded(loads, text):
+    """What ``loads`` returns for ``text``, or the class and message of
+    the exception it raises."""
+    try:
+        return loads(text)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _alike(a, b):
+    """The same type at every level, the same float bits, the same dict
+    key order and the same values."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if type(a) is dict:
+        return list(a) == list(b) and all(_alike(a[k], b[k]) for k in a)
+    if type(a) in (list, tuple):
+        return len(a) == len(b) and all(map(_alike, a, b))
+    return a == b
+
+
+_CORPUS_LINE = dumps_corpus(synth_corpus(seed=42, turns=1)).splitlines()[-1]
+_digits = st.text(alphabet="0123456789", min_size=1, max_size=25)
+
+
+@st.composite
+def _mutated_corpus_line(draw):
+    """A seed-42 corpus line with up to 4 characters replaced by a run of
+    digits or by characters that start numbers, nesting, escapes and
+    surrogates."""
+    start = draw(st.integers(0, len(_CORPUS_LINE)))
+    end = draw(st.integers(start, start + 4))
+    insert = draw(_digits | st.text(
+        alphabet='0123456789.-eE[]{}",:\\u \ud800\xa0\x0c', max_size=6))
+    return _CORPUS_LINE[:start] + insert + _CORPUS_LINE[end:]
+
+
+def _nested(depth, opener):
+    return opener * depth + "0" + ("]" if opener == "[" else "}") * depth
+
+
+# Texts on each side of each rule by which loads_json chooses a decoder.
+_json_texts = st.one_of(
+    st.builds(json.dumps, _json_values),
+    st.builds("{}{}{}e{}".format, st.sampled_from(["", "-"]),
+              st.integers(0, 10 ** 19),
+              st.just("") | _digits.map(".{}".format),
+              st.integers(-350, 330)),
+    st.builds(str, st.integers(-2 ** 63 - 1000, -2 ** 63 + 1000)
+              | st.integers(2 ** 63 - 1000, 2 ** 63 + 1000)
+              | st.integers(2 ** 64 - 1000, 2 ** 64 + 1000)),
+    st.builds(lambda a, lone, b, ascii_only: json.dumps(
+                  [a + lone + b], ensure_ascii=ascii_only),
+              st.text(max_size=3), st.characters(min_codepoint=0xD800,
+                                                 max_codepoint=0xDFFF),
+              st.text(max_size=3), st.booleans()),
+    st.builds(_nested, st.integers(1, 499) | st.integers(499, 520)
+              | st.integers(2000, 3000), st.sampled_from(["[", '{"k": '])),
+    _mutated_corpus_line())
+
+
+class TestLoadsJson:
+    @settings(max_examples=1000)
+    @given(_json_texts)
+    @example("-9223372036854775809")
+    @example("18446744073709551616")
+    @example('"\ud800"')
+    @example('["\\udc00"]')
+    @example("[" * 2000 + "]" * 2000)
+    @example("NaN")
+    @example("1e400")
+    @example(_CORPUS_LINE)
+    def test_decodes_as_json_loads(self, text):
+        assert _alike(_decoded(loads_json, text), _decoded(json.loads, text))
 
 
 def _paths(node, path=()):

@@ -6,6 +6,9 @@ in ``src/`` or ``perfbench/``: as a name, as an attribute, or as a
 string constant (the benchmark's tracer names what it patches by
 string). A definition that only the tests use belongs with them, in
 ``tests/references.py`` or next to the test that needs it.
+
+Every data file is decoded by ``prosogate.loads_json``, so only that
+function may name ``json.loads``.
 """
 
 import ast
@@ -62,3 +65,32 @@ def unused_definitions(root=ROOT):
 def test_every_definition_has_a_use_outside_the_tests():
     unused = unused_definitions()
     assert not unused, f"used only by the tests: {', '.join(unused)}"
+
+
+def _names_json_loads(node):
+    """``json.loads``, or ``from json import loads``."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "loads" and isinstance(node.value, ast.Name)
+                and node.value.id == "json")
+    return (isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(alias.name == "loads" for alias in node.names))
+
+
+def json_loads_users(root=ROOT):
+    """Sorted ``module.name`` of each package function or method that
+    names ``json.loads`` (``module`` alone outside any)."""
+    users = set()
+    for path in sorted((root / "src" / "prosogate").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # module-level functions and methods: no two overlap
+        functions = [(name, node) for name, node in _definitions(tree)
+                     if isinstance(node, ast.FunctionDef)]
+        for use in filter(_names_json_loads, ast.walk(tree)):
+            users.add(next((f"{path.stem}.{name}" for name, node in functions
+                            if node.lineno <= use.lineno <= node.end_lineno),
+                           path.stem))
+    return sorted(users)
+
+
+def test_only_loads_json_calls_json_loads():
+    assert json_loads_users() == ["__init__.loads_json"]
