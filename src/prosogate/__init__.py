@@ -1,6 +1,7 @@
 """Prosody-gated head-trace hypothesization for a German V2 chart parser."""
 
 import json
+import sys
 from importlib import resources
 
 import orjson
@@ -14,9 +15,10 @@ __version__ = "0.1.0"
 #   and every other byte to " ", so a run of 19 digits that does not
 #   follow a "." (a fraction's digits do) shows as ``_LONG_INT``.
 # - It decodes any depth, where json.loads raises RecursionError near the
-#   interpreter's recursion limit (1000 by default). A text with fewer
-#   than ``_MAX_OPENERS`` "[" and "{" is nested less deeply than that,
-#   with room for the caller's own frames.
+#   interpreter's recursion limit (1000 by default). The limit is read at
+#   each call, and a text with fewer "[" and "{" than half of it (500 by
+#   default) is nested less deeply than json.loads can go, as long as
+#   the caller's own stack is less than half the limit deep.
 # - It rejects a lone surrogate, which json.loads keeps in the string:
 #   encoded with "surrogatepass", one is not UTF-8, so orjson raises.
 # NaN, Infinity, a float beyond the double range and every syntax error
@@ -25,7 +27,6 @@ _DIGIT_RUNS = bytes(ord("0") if chr(c) in "0123456789" else
                     ord(".") if chr(c) == "." else ord(" ")
                     for c in range(256))
 _LONG_INT = b" " + b"0" * 19
-_MAX_OPENERS = 500
 
 
 def loads_json(text):
@@ -36,7 +37,7 @@ def loads_json(text):
     goes to json.loads, so every error is json.loads's own.
     """
     data = text.encode("utf-8", "surrogatepass")
-    if (data.count(b"[") + data.count(b"{") < _MAX_OPENERS
+    if (data.count(b"[") + data.count(b"{") < sys.getrecursionlimit() // 2
             and _LONG_INT not in (b" " + data).translate(_DIGIT_RUNS)):
         try:
             return orjson.loads(data)
@@ -74,13 +75,3 @@ def demo_grammar_text():
 def demo_corpus_text():
     return resources.files("prosogate.data").joinpath(
         "demo_corpus.jsonl").read_text(encoding="utf-8")
-
-
-def load_demo_grammar():
-    from .grammar import load_grammar
-    return load_grammar(demo_grammar_text())
-
-
-def load_demo_corpus():
-    from .corpus import loads_corpus
-    return loads_corpus(demo_corpus_text())

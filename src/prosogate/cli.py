@@ -14,14 +14,15 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import (__version__, load_demo_corpus, load_demo_grammar, load_file,
+from . import (__version__, demo_corpus_text, demo_grammar_text, load_file,
                loads_json)
 from .chart import ParseConfig, parse
-from .corpus import CorpusError, dumps_corpus, load_corpus, loads_corpus
+from .corpus import CorpusError, dumps_corpus, loads_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
     score_trace_hypotheses
-from .grammar import load_grammar_file
-from .mlp import MlpClassifier, TrainConfig, gap_vectors, score_turn, train
+from .grammar import load_grammar
+from .mlp import LABEL_INDEX, MlpClassifier, TrainConfig, gap_vectors, \
+    score_turn, train
 from .synth import synth_corpus
 
 # CorpusError, GrammarError, ParseError and EvalError are ValueErrors
@@ -42,12 +43,14 @@ def _write(text, out_path):
         sys.stdout.write(text)
 
 
-def _load_grammar(path):
-    return load_grammar_file(path) if path else load_demo_grammar()
-
-
-def _load_corpus(path):
-    return load_corpus(path) if path else load_demo_corpus()
+def _grammar_and_corpus(args):
+    """The grammar and corpus of ``parse`` and ``bench``: each read from
+    its file if given, else the packaged demo."""
+    grammar = (load_file(args.grammar, load_grammar) if args.grammar
+               else load_grammar(demo_grammar_text()))
+    corpus = (load_file(args.corpus, loads_corpus) if args.corpus
+              else loads_corpus(demo_corpus_text()))
+    return grammar, corpus
 
 
 def _report_json(payload):
@@ -71,7 +74,7 @@ def _training_pairs(corpus):
             raise CorpusError(f"turn {turn.turn_id!r}: training needs "
                               f"s3_labels")
         pairs.extend(zip(gap_vectors(turn), turn.s3_labels))
-    missing = {"S3+", "S3-"}.difference(label for _, label in pairs)
+    missing = set(LABEL_INDEX).difference(label for _, label in pairs)
     if missing:
         raise CorpusError(f"training needs both an S3+ gap and an S3- gap "
                           f"(S3? gaps are held out); there is no "
@@ -100,7 +103,7 @@ def _scorable_corpus(text):
 
 def cmd_score(args):
     corpus = load_file(args.corpus, _scorable_corpus)
-    clf = MlpClassifier.load(args.model)
+    clf = load_file(args.model, MlpClassifier.from_json)
     for turn in corpus:
         score_turn(clf, turn)
     _write(dumps_corpus(corpus), args.out)
@@ -108,8 +111,7 @@ def cmd_score(args):
 
 
 def cmd_parse(args):
-    grammar = _load_grammar(args.grammar)
-    corpus = _load_corpus(args.corpus)
+    grammar, corpus = _grammar_and_corpus(args)
     config = ParseConfig(mode=args.mode, threshold=args.threshold,
                          rank_limit=args.rank_limit)
     turns = []
@@ -163,7 +165,7 @@ def _proposed_sites(gold_corpus, text):
 
 
 def cmd_eval(args):
-    gold_corpus = load_corpus(args.gold)
+    gold_corpus = load_file(args.gold, loads_corpus)
     proposed = load_file(args.proposed,
                          lambda text: _proposed_sites(gold_corpus, text))
     gold = [set(turn.gold_traces or []) for turn in gold_corpus]
@@ -203,23 +205,23 @@ def _rank_sentences(text):
 
 
 def cmd_rank(args):
-    hist = rank_experiment(load_file(args.corpus, _rank_sentences))
+    counts = rank_experiment(load_file(args.corpus, _rank_sentences))
+    total = sum(counts.values())
     if args.format == "json":
         _write(_report_json({
-            "counts": {str(k): v for k, v in hist.counts.items()},
-            "total": hist.total}), args.out)
+            "counts": {str(k): v for k, v in counts.items()},
+            "total": total}), args.out)
     else:
         lines = ["rank  sentences"]
-        for k, v in hist.counts.items():
+        for k, v in counts.items():
             lines.append(f"{k!s:>4}  {v}")
-        lines.append(f"total {hist.total}")
+        lines.append(f"total {total}")
         _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_bench(args):
-    grammar = _load_grammar(args.grammar)
-    corpus = _load_corpus(args.corpus)
+    grammar, corpus = _grammar_and_corpus(args)
     config_on = ParseConfig(mode="threshold", threshold=args.threshold)
     config_off = ParseConfig(mode="off")
     report = bench(corpus, grammar, config_on, config_off)

@@ -35,7 +35,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter, itemgetter
 
-from . import load_file, loads_json
+from . import loads_json
 from .prosody import MEASUREMENTS, REGRESSION_LEN, SyllableRecord
 
 S3_LABELS = ("S3+", "S3-", "S3?")
@@ -250,10 +250,6 @@ def loads_corpus(text):
             corpus.turns.append(turn)
         leading = False
     return corpus
-
-
-def load_corpus(path):
-    return load_file(path, loads_corpus)
 
 
 def dumps_corpus(corpus):

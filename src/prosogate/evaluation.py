@@ -85,28 +85,20 @@ def metrics(c):
 MAX_RANK = 7
 
 
-@dataclass
-class RankHistogram:
-    counts: dict = field(default_factory=lambda: {r: 0 for r in
-                                                  list(range(1, MAX_RANK + 1)) + [">7"]})
-    total: int = 0
-
-    def record(self, rank):
-        self.counts[rank if rank <= MAX_RANK else ">7"] += 1
-        self.total += 1
-
-
 def rank_experiment(sentences):
-    """Histogram of the gold trace gap's score rank per sentence.
+    """Histogram of the gold trace gap's score rank per sentence: the
+    number of sentences at each rank 1..MAX_RANK, then at ">7", in that
+    order.
 
     Each sentence is (gap_scores, gold_gap), gold_gap in
     1..len(gap_scores); gaps are ranked by score descending with ties
     broken by lower gap index first.
     """
-    hist = RankHistogram()
+    counts = dict.fromkeys([*range(1, MAX_RANK + 1), ">7"], 0)
     for scores, gold_gap in sentences:
-        hist.record(gaps_by_score(scores).index(gold_gap) + 1)
-    return hist
+        rank = gaps_by_score(scores).index(gold_gap) + 1
+        counts[rank if rank <= MAX_RANK else ">7"] += 1
+    return counts
 
 
 @dataclass

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import fs, load_file, loads_json
+from . import fs, loads_json
 from .chart import label_breaker
 from .fs import FS, atom, avm, fs_list, copy_fs, parse_avm
 
@@ -388,7 +388,3 @@ def load_grammar(text):
         if entry.is_v2:
             entry.trace_summaries = grammar.summaries(entry.trace_template)
     return grammar
-
-
-def load_grammar_file(path):
-    return load_file(path, load_grammar)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import check_seed, load_file, loads_json
+from . import check_seed, loads_json
 from .prosody import FEATURE_DIM, extract_features
 
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
@@ -268,10 +268,6 @@ class MlpClassifier:
             raise ValueError("malformed classifier: every weight must be a "
                              "JSON number")
         return cls(*dims[:3], seed=seed, weights=weights)
-
-    @classmethod
-    def load(cls, path):
-        return load_file(path, cls.from_json)
 
 
 def train(data, config=None, seed=0):

@@ -188,11 +188,11 @@ def test_criterion_09_classifier_property_suite(synth_104):
 def test_criterion_10_rank_experiment_shape():
     corpus = synth_corpus(seed=7, turns=134, v2_only=True)
     hist = rank_experiment([(t.gap_scores, t.gold_traces[0]) for t in corpus])
-    assert hist.total == 134
-    counts = [hist.counts[r] for r in range(1, 5)]
-    assert counts[0] > max(list(hist.counts.values())[1:])
+    assert sum(hist.values()) == 134
+    counts = [hist[r] for r in range(1, 5)]
+    assert counts[0] > max(list(hist.values())[1:])
     assert counts == sorted(counts, reverse=True)
-    print(f"\n  rank buckets {dict(hist.counts)} "
+    print(f"\n  rank buckets {hist} "
           f"(reference shape: 96, 22, 7, 4, ...)")
 
 

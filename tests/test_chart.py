@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import enumerate_readings
-from prosogate import (demo_grammar_text, fs, load_demo_corpus,
-                       load_demo_grammar)
+from prosogate import demo_corpus_text, demo_grammar_text, fs
 from prosogate.chart import (MAX_READINGS, Chart, EdgeCapExceeded,
                              InputFormatError, ParseConfig, ParseError,
                              UnknownWordError, parse, propose_trace_sites,
                              trace_gaps)
-from prosogate.corpus import TurnRecord
+from prosogate.corpus import TurnRecord, loads_corpus
 from prosogate.grammar import RuleSchema, load_grammar
 from prosogate.synth import synth_corpus
 from references import _label_tree, _trees, extract_pred_arg, unify
@@ -181,8 +180,9 @@ def test_gated_readings_are_the_ungated_ones_with_proposed_traces(
             if _gating_rule_holds(t, grammar) is not True] == []
 
 
-DEMO_WORDS = sorted(load_demo_grammar().lexicon)
-SHORT_DEMO_WORDS = [t.words for t in load_demo_corpus() if len(t.words) <= 6]
+DEMO_WORDS = sorted(load_grammar(demo_grammar_text()).lexicon)
+SHORT_DEMO_WORDS = [t.words for t in loads_corpus(demo_corpus_text())
+                    if len(t.words) <= 6]
 
 
 @st.composite
@@ -305,7 +305,7 @@ def test_admitted_schemata_across_corpora(demo_corpus, monkeypatch, config):
     """One fresh grammar parses the demo corpus, then synth seeds 42 and
     7: schemata decided for a vector pair in an earlier turn or corpus
     are still exactly those whose quick check admits the pair."""
-    grammar = load_demo_grammar()
+    grammar = load_grammar(demo_grammar_text())
     for turns in (demo_corpus, synth_corpus(seed=42), synth_corpus(seed=7)):
         _check_applications(turns, grammar, config, monkeypatch)
     assert grammar.admitted
@@ -323,10 +323,10 @@ def _chart_snapshot(turns, grammar):
 def test_warmed_grammar_gives_fresh_charts(demo_corpus):
     """A grammar that has parsed another corpus builds the same demo
     charts as a fresh one, and its table is no part of its value."""
-    warmed = load_demo_grammar()
+    warmed = load_grammar(demo_grammar_text())
     for turn in synth_corpus(seed=7):
         parse(turn, warmed, ParseConfig(mode="off"))
-    fresh = load_demo_grammar()
+    fresh = load_grammar(demo_grammar_text())
     assert len(warmed.admitted) > len(fresh.admitted) == 0
     assert repr(warmed) == repr(fresh)
     assert dataclasses.replace(warmed, admitted={}) == warmed
@@ -347,7 +347,7 @@ def test_quick_check_runs_once_per_vector_pair(demo_corpus, monkeypatch):
         return admits(schema, left, right)
 
     monkeypatch.setattr(RuleSchema, "admits", counting_admits)
-    grammar = load_demo_grammar()
+    grammar = load_grammar(demo_grammar_text())
     for turn in demo_corpus:
         parse(turn, grammar, ParseConfig(mode="off"))
     assert len(calls) == 8 * len(grammar.admitted) == 2296

@@ -8,17 +8,17 @@ import json
 import math
 import platform
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prosogate import (demo_grammar_text, load_demo_corpus, load_demo_grammar,
-                       loads_json)
+from prosogate import demo_grammar_text, load_file, loads_json
 from prosogate.chart import ParseConfig, ParseError, parse
 from prosogate.cli import build_parser, run
 from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
-                              load_corpus, loads_corpus)
+                              loads_corpus)
 from prosogate.evaluation import BenchReport
 from prosogate.grammar import GrammarError, load_grammar
 from prosogate.mlp import MlpClassifier
@@ -84,7 +84,7 @@ class TestCorpusIO:
                 + '{"id": "c", "words": ["y"]}' + end)
         path = tmp_path / "c.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        for corpus in (loads_corpus(text), load_corpus(path)):
+        for corpus in (loads_corpus(text), load_file(path, loads_corpus)):
             assert [t.turn_id for t in corpus] == ["a" + char + "b", "c"]
 
     def test_bad_record_reports_line(self):
@@ -401,6 +401,20 @@ class TestLoadsJson:
     def test_decodes_as_json_loads(self, text):
         assert _alike(_decoded(loads_json, text), _decoded(json.loads, text))
 
+    def test_depth_rule_follows_the_recursion_limit(self):
+        # under a lowered limit json.loads raises at a depth orjson
+        # decodes, so the depth rule must read the limit of the moment
+        text = "[" * 400 + "]" * 400
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            expected = _decoded(json.loads, text)
+            decoded = _decoded(loads_json, text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert expected[0] is RecursionError
+        assert decoded == expected
+
 
 def _paths(node, path=()):
     """The path of every value below a JSON value, the value excluded."""
@@ -438,11 +452,11 @@ def _cyclic_grammar():
 
 
 @pytest.fixture(scope="module")
-def eval_files(tmp_path_factory):
+def eval_files(tmp_path_factory, demo_corpus):
     """A gold corpus of the fuzzed demo turns and its parse report."""
     gold = tmp_path_factory.mktemp("eval") / "gold.jsonl"
     gold.write_text(dumps_corpus(Corpus([
-        turn for turn in load_demo_corpus() if turn.turn_id in _FUZZ_TURNS])))
+        turn for turn in demo_corpus if turn.turn_id in _FUZZ_TURNS])))
     report = gold.with_name("report.json")
     assert run(["parse", "--format", "json", "--mode", "off", "--corpus",
                 str(gold), "--out", str(report)]) == 0
@@ -921,10 +935,11 @@ def seed_42(tmp_path_factory):
 # `elapsed_ms`, `bench --format json` without its timings and `speedup`,
 # every `extract_pred_arg` record of every gate-off reading, the seed-42
 # and seed-7 models, the turn lines of three `synth` corpora (their
-# `_meta` line, which records the settings, dropped), and the seed-42
-# corpus after `score` (which rounds scores, so the models' own digests
-# are what pin each weight). A change that moves one of them on purpose
-# updates its digest and says why.
+# `_meta` line, which records the settings, dropped), the seed-42 corpus
+# after `score` (which rounds scores, so the models' own digests are what
+# pin each weight), and `rank --format json` of the seed-3 corpus. A
+# change that moves one of them on purpose updates its digest and says
+# why.
 BEHAVIOUR_DIGESTS = {
     "model seed-42":
         "ad7921ea6c2fb68854d2920fd6cb560f1dc376f262bd96356b115420a0d3af69",
@@ -968,6 +983,8 @@ BEHAVIOUR_DIGESTS = {
         "2588a2076fa8f6a7b39036bb55b512a4487b64ff230d54d8ba87e4ca0022c2c4",
     "synth seed-3":
         "b0a1c5587f14051764fbbb3486d7fe9eca09b3c3657c62079d113973f597b0a4",
+    "rank seed-3":
+        "4c0059b02a1d01bb343053b155c66b64226af3a4f8e164b40bbe7c13650243fa",
 }
 
 
@@ -1016,10 +1033,11 @@ class TestCliPipeline:
         # the invariant that keeps a BLAS outer product's +0.0 (where
         # np.outer gives -0.0) from moving a weight; JSON keeps the sign
         _, model = seed_42
-        for p in MlpClassifier.load(model).params:
+        for p in load_file(model, MlpClassifier.from_json).params:
             assert not (np.signbit(p) & (p == 0)).any()
 
-    def test_behaviour_digests(self, seed_42, tmp_path):
+    def test_behaviour_digests(self, seed_42, tmp_path, grammar,
+                               demo_corpus):
         corpus_42, model = seed_42
         corpus_7, out = tmp_path / "c7-300.jsonl", tmp_path / "out"
         corpus_3 = tmp_path / "c3-500.jsonl"
@@ -1047,8 +1065,7 @@ class TestCliPipeline:
                       if not k.startswith(("overall_", "average_", "speedup"))}
             digests[f"bench {name}"] = _sha256(json.dumps(report,
                                                           sort_keys=True))
-            turns = load_corpus(path) if path else load_demo_corpus()
-            grammar = load_demo_grammar()
+            turns = load_file(path, loads_corpus) if path else demo_corpus
             results = ((turn.turn_id,
                         parse(turn, grammar, ParseConfig(mode="off")))
                        for turn in turns)
@@ -1059,6 +1076,9 @@ class TestCliPipeline:
         assert run(["score", "--corpus", str(corpus_42), "--model", str(model),
                     "--out", str(out)]) == 0
         digests["score seed-42"] = _sha256(out.read_bytes())
+        assert run(["rank", "--format", "json", "--corpus", str(corpus_3),
+                    "--out", str(out)]) == 0
+        digests["rank seed-3"] = _sha256(out.read_bytes())
         for name, path in (("seed-42", corpus_42), ("seed-7", corpus_7),
                            ("seed-3", corpus_3)):
             _meta, turns = path.read_text().split("\n", 1)

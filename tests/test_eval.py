@@ -102,17 +102,17 @@ class TestCrosstab:
 
 class TestRankExperiment:
     def test_clear_winner(self):
-        hist = rank_experiment([([0.1, 0.9, 0.3], 2)])
-        assert hist.counts[1] == 1 and hist.total == 1
+        counts = rank_experiment([([0.1, 0.9, 0.3], 2)])
+        assert counts[1] == 1 and sum(counts.values()) == 1
 
     def test_tie_break_by_index(self):
-        hist = rank_experiment([([0.5, 0.5, 0.5], 3)])
-        assert hist.counts[3] == 1
+        counts = rank_experiment([([0.5, 0.5, 0.5], 3)])
+        assert counts[3] == 1
 
     def test_overflow_bucket(self):
         scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]
-        hist = rank_experiment([(scores, 8)])
-        assert hist.counts[">7"] == 1
+        counts = rank_experiment([(scores, 8)])
+        assert counts[">7"] == 1
 
     def test_bucket_sum_equals_total(self):
         rng = random.Random(2)
@@ -121,16 +121,17 @@ class TestRankExperiment:
             n = rng.randint(1, 10)
             sentences.append(([rng.random() for _ in range(n)],
                               rng.randint(1, n)))
-        hist = rank_experiment(sentences)
-        assert sum(hist.counts.values()) == hist.total == 50
+        counts = rank_experiment(sentences)
+        assert list(counts) == [1, 2, 3, 4, 5, 6, 7, ">7"]
+        assert sum(counts.values()) == 50
 
     def test_permutation_safe(self):
         rng = random.Random(3)
         sentences = [([rng.random() for _ in range(5)], rng.randint(1, 5))
                      for _ in range(8)]
-        base = rank_experiment(sentences).counts
+        base = rank_experiment(sentences)
         for perm in itertools.islice(itertools.permutations(sentences), 20):
-            assert rank_experiment(list(perm)).counts == base
+            assert rank_experiment(list(perm)) == base
 
 
 class TestBenchReport:

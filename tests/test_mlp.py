@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from prosogate import load_file
 from prosogate.cli import _training_pairs
 from prosogate.mlp import LABEL_INDEX, OUTPUT_NODES, MlpClassifier, \
     TrainConfig, _zero_runs, train, score_turn
@@ -414,7 +415,7 @@ def test_save_load_round_trip(tmp_path):
                 TrainConfig(epochs=1, hidden1=4, hidden2=3), seed=2)
     path = tmp_path / "clf.json"
     path.write_text(clf.to_json())
-    loaded = MlpClassifier.load(path)
+    loaded = load_file(path, MlpClassifier.from_json)
     assert loaded.dims == clf.dims
     x = rng.normal(size=FEATURE_DIM)
     assert loaded.classify(x) == clf.classify(x)

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import enumerate_readings, item_sequences
-from prosogate import load_demo_corpus, load_demo_grammar
+from prosogate import demo_corpus_text, demo_grammar_text
 from prosogate.chart import ParseConfig, parse
-from prosogate.corpus import TurnRecord
+from prosogate.corpus import TurnRecord, loads_corpus
+from prosogate.grammar import load_grammar
 
-SHORT_TURNS = [t for t in load_demo_corpus() if len(t.words) <= 6]
-DEMO_LEXICON = load_demo_grammar().lexicon
+SHORT_TURNS = [t for t in loads_corpus(demo_corpus_text())
+               if len(t.words) <= 6]
+DEMO_LEXICON = load_grammar(demo_grammar_text()).lexicon
 DEMO_WORDS = sorted(DEMO_LEXICON)
 V2_WORDS = [w for w in DEMO_WORDS if any(e.is_v2 for e in DEMO_LEXICON[w])]
 

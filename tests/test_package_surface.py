@@ -8,7 +8,8 @@ string). A definition that only the tests use belongs with them, in
 ``tests/references.py`` or next to the test that needs it.
 
 Every data file is decoded by ``prosogate.loads_json``, so only that
-function may name ``json.loads``.
+function may name ``json.loads``. A command reads each of its files with
+one ``load_file`` call, so only ``cli`` may name ``load_file``.
 """
 
 import ast
@@ -76,21 +77,36 @@ def _names_json_loads(node):
             and any(alias.name == "loads" for alias in node.names))
 
 
-def json_loads_users(root=ROOT):
-    """Sorted ``module.name`` of each package function or method that
-    names ``json.loads`` (``module`` alone outside any)."""
-    users = set()
+def _names_load_file(node):
+    """``load_file``, ``prosogate.load_file``, or an import of it."""
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "load_file" for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id == "load_file"
+            or isinstance(node, ast.Attribute) and node.attr == "load_file")
+
+
+def users(names, root=ROOT):
+    """Sorted ``module.name`` of each package function or method with a
+    node for which ``names`` holds (``module`` alone outside any)."""
+    found = set()
     for path in sorted((root / "src" / "prosogate").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         # module-level functions and methods: no two overlap
         functions = [(name, node) for name, node in _definitions(tree)
                      if isinstance(node, ast.FunctionDef)]
-        for use in filter(_names_json_loads, ast.walk(tree)):
-            users.add(next((f"{path.stem}.{name}" for name, node in functions
+        for use in filter(names, ast.walk(tree)):
+            found.add(next((f"{path.stem}.{name}" for name, node in functions
                             if node.lineno <= use.lineno <= node.end_lineno),
                            path.stem))
-    return sorted(users)
+    return sorted(found)
 
 
 def test_only_loads_json_calls_json_loads():
-    assert json_loads_users() == ["__init__.loads_json"]
+    assert users(_names_json_loads) == ["__init__.loads_json"]
+
+
+def test_only_cli_calls_load_file():
+    # a command reads each file with one load_file call of its own
+    outside = [user for user in users(_names_load_file)
+               if user.split(".")[0] != "cli"]
+    assert outside == []
