@@ -27,8 +27,9 @@ zero-width, so empty edges cannot feed each other. But a mother over an
 empty edge keeps its left daughter's span, so a grammar can make an edge
 derive itself: a ParseError, checked only where such a mother packs.
 
-Each edge is queued once, when created, and indexed only once popped
-and combined with the edges indexed before it; an empty edge is never
+The closure is one walk over the edge list in id order, and combining
+appends new edges to the list being walked. Each edge is combined with
+the edges walked before it, then indexed; an empty edge is never
 indexed by its end (``by_end``), as a left daughter. So each adjacent
 pair (non-empty left edge, any right edge) is combined exactly once. A
 leaf (lexical or empty) edge, one lexicon entry at one span, is keyed
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import re
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -176,9 +177,6 @@ class Chart:
     def __init__(self, grammar):
         self.grammar = grammar
         self.edges = []
-        self.agenda = deque()  # new edges, each queued once
-        self.by_start = {}  # start -> [popped edge]
-        self.by_end = {}  # end -> [popped non-empty edge]
         # (start, end, kind, entry id) -> leaf; (start, end, summary
         # vector) -> {canonical category, None while alone -> derived}
         self.seen = {}
@@ -209,7 +207,6 @@ class Chart:
             edge = table[key] = Edge(len(self.edges), start, end, category,
                                      kind, entry, [], vector, shares)
             self.edges.append(edge)
-            self.agenda.append(edge)
         if derivation is not None:
             edge.derivations.append(derivation)
         return edge, is_new
@@ -297,15 +294,15 @@ def parse(turn, grammar, config):
                                  f"derives edge {edge.edge_id} from itself")
             check_cap()
 
-    while chart.agenda:
-        edge = chart.agenda.popleft()
+    by_start, by_end = {}, {}  # start -> [edge]; end -> [non-empty edge]
+    for edge in chart.edges:  # combine appends to the list walked here
         if edge.kind != "empty":  # a left daughter, so indexed by its end
-            for right in chart.by_start.get(edge.end, []):
+            for right in by_start.get(edge.end, []):
                 combine(edge, right)
-            chart.by_end.setdefault(edge.end, []).append(edge)
-        for left in chart.by_end.get(edge.start, []):
+            by_end.setdefault(edge.end, []).append(edge)
+        for left in by_end.get(edge.start, []):
             combine(left, edge)
-        chart.by_start.setdefault(edge.start, []).append(edge)
+        by_start.setdefault(edge.start, []).append(edge)
 
     # (iv) unpack the first MAX_READINGS readings of the root edges
     n = len(turn.words)

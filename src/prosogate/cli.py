@@ -271,10 +271,11 @@ def build_parser():
     common(p, seed=True)
     p.add_argument("--corpus", required=True,
                    help="corpus JSONL with syllables and s3_labels")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--learning-rate", type=float, default=0.2)
-    p.add_argument("--hidden1", type=int, default=40)
-    p.add_argument("--hidden2", type=int, default=20)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--hidden1", type=int, default=TrainConfig.hidden1)
+    p.add_argument("--hidden2", type=int, default=TrainConfig.hidden2)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="write classifier gap scores into a corpus")
@@ -286,9 +287,9 @@ def build_parser():
     p = sub.add_parser("parse", help="parse a corpus, emit a reading report")
     common(p, report=True, grammar=True, corpus=True)
     p.add_argument("--mode", choices=("threshold", "rank", "off"),
-                   default="threshold")
-    p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--rank-limit", type=int, default=2)
+                   default=ParseConfig.mode)
+    p.add_argument("--threshold", type=float, default=ParseConfig.threshold)
+    p.add_argument("--rank-limit", type=int, default=ParseConfig.rank_limit)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score a parse report against gold traces")
@@ -305,7 +306,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="time gated vs ungated parsing")
     common(p, report=True, grammar=True, corpus=True)
-    p.add_argument("--threshold", type=float, default=0.01)
+    p.add_argument("--threshold", type=float, default=ParseConfig.threshold)
     p.set_defaults(func=cmd_bench)
     return top
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from operator import attrgetter, itemgetter
 
 from . import loads_json
@@ -179,7 +179,7 @@ class TurnRecord:
         if self.s3_labels is not None:
             d["s3_labels"] = list(self.s3_labels)
         if self.syllables is not None:
-            d["syllables"] = [{"word": s.word, "features": s.features.to_dict()}
+            d["syllables"] = [{"word": s.word, "features": asdict(s.features)}
                               for s in self.syllables]
         return d
 

@@ -87,17 +87,18 @@ MAX_RANK = 7
 
 def rank_experiment(sentences):
     """Histogram of the gold trace gap's score rank per sentence: the
-    number of sentences at each rank 1..MAX_RANK, then at ">7", in that
-    order.
+    number of sentences at each rank 1..MAX_RANK, then at f">{MAX_RANK}",
+    in that order.
 
     Each sentence is (gap_scores, gold_gap), gold_gap in
     1..len(gap_scores); gaps are ranked by score descending with ties
     broken by lower gap index first.
     """
-    counts = dict.fromkeys([*range(1, MAX_RANK + 1), ">7"], 0)
+    beyond = f">{MAX_RANK}"
+    counts = dict.fromkeys([*range(1, MAX_RANK + 1), beyond], 0)
     for scores, gold_gap in sentences:
         rank = gaps_by_score(scores).index(gold_gap) + 1
-        counts[rank if rank <= MAX_RANK else ">7"] += 1
+        counts[rank if rank <= MAX_RANK else beyond] += 1
     return counts
 
 

@@ -25,7 +25,7 @@ flags, two blocks of REGRESSION_LEN numbers); code here assumes it fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -60,9 +60,6 @@ class SyllableRecord:
         """The measurements, then the accent and word-final flags."""
         return [*_measured(self), 1.0 if self.accent else 0.0,
                 1.0 if self.word_final else 0.0]
-
-    def to_dict(self):
-        return asdict(self)
 
 
 # The measured fields of a record: those declared before its accent flag.

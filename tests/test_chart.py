@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -242,8 +243,8 @@ def test_parse_names_failing_turn(grammar, demo_corpus, monkeypatch):
 
 def _combination_order(edges):
     """The adjacent pairs (non-empty left edge, any right edge) in the
-    order the closure combines them: edges are popped in id order, and
-    each is combined as a left daughter with the edges popped before it,
+    order the closure combines them: it walks the edges in id order, and
+    combines each as a left daughter with the edges walked before it,
     then as a right daughter."""
     for edge in edges:
         earlier = edges[:edge.edge_id]
@@ -392,6 +393,72 @@ def test_schema_applications_over_demo_corpus(grammar, demo_corpus,
         parse(turn, grammar, ParseConfig(mode="off"))
     assert len(outcomes) == 215
     assert sum(outcomes) == 169
+
+
+def _thetas(edges, scores):
+    """Each edge's survival threshold θ, the largest τ at which a gated
+    parse still builds it (the bottleneck semiring over the packed
+    forest): +∞ for a lexical edge, its gap's score for an empty one,
+    and for a derived edge the max over its derivations of the min of
+    its daughters' θ. Memoized, since a packed derivation may name
+    daughters created after its edge."""
+    theta = {}
+
+    def of(edge):
+        if edge.edge_id not in theta:
+            if edge.kind == "lexical":
+                theta[edge.edge_id] = math.inf
+            elif edge.kind == "empty":
+                theta[edge.edge_id] = scores[edge.start - 1]
+            else:
+                theta[edge.edge_id] = max(min(of(edges[lid]), of(edges[rid]))
+                                          for _, lid, rid in edge.derivations)
+        return theta[edge.edge_id]
+
+    return [of(edge) for edge in edges]
+
+
+def _predicted_work(turn, ungated, grammar, tau):
+    """(derived edges, schema applications) of the parse gated at tau,
+    read from the ungated parse alone: the gated chart holds exactly the
+    edges with θ >= tau, and closure offers each adjacent pair of them
+    (left not empty) to the schemata the grammar admits for its vectors,
+    a table the ungated parse has filled."""
+    live = [edge for edge, theta in
+            zip(ungated.edges, _thetas(ungated.edges, turn.gap_scores))
+            if theta >= tau]
+    applications = sum(
+        len(grammar.admitted[left.summaries, right.summaries])
+        for left in live if left.kind != "empty"
+        for right in live if right.start == left.end)
+    return sum(edge.kind == "derived" for edge in live), applications
+
+
+SYNTH_TURNS = [*synth_corpus(seed=42), *synth_corpus(seed=7)]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(range(len(SYNTH_TURNS))), st.data())
+def test_one_ungated_parse_predicts_the_gated_work_load(grammar, index, data):
+    """At any τ, the derived edges and schema applications of a gated
+    parse are those that θ, read from one ungated parse, predicts. A
+    turn is drawn by index, so a failure's report stays short."""
+    turn = SYNTH_TURNS[index]
+    tau = data.draw(st.one_of(st.floats(0.0, 1.0),
+                              st.sampled_from(turn.gap_scores)), label="tau")
+    ungated = parse(turn, grammar, ParseConfig(mode="off"))
+    applications = []
+    apply = RuleSchema.apply
+
+    def counting_apply(schema, left, right):
+        applications.append(schema)
+        return apply(schema, left, right)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RuleSchema, "apply", counting_apply)
+        gated = parse(turn, grammar, ParseConfig(threshold=tau))
+    assert _predicted_work(turn, ungated, grammar, tau) == \
+        (gated.stats["derived_edges"], len(applications))
 
 
 def test_edge_cap(grammar, demo_corpus, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,4 +120,4 @@ def test_turn_matrix_rows_equal_the_per_syllable_reference(turn, data):
 
 def test_record_round_trip():
     rec = _rec(3, accent=True, word_final=True, pause_after=0.2)
-    assert syllable_record_from_dict(rec.to_dict()) == rec
+    assert syllable_record_from_dict(asdict(rec)) == rec
