@@ -92,27 +92,27 @@ class InputFormatError(ParseError):
 
 MAX_READINGS = 2000  # readings unpacked per turn
 MAX_EDGES = 20000  # chart edges per turn, leaves included
+RANK_LIMIT = 2  # gaps a rank gate keeps
 
 
 @dataclass
 class ParseConfig:
     """Gating configuration for empty-edge introduction.
 
+    mode "threshold" keeps the gaps scoring at least ``threshold``, mode
+    "rank" the ``RANK_LIMIT`` best-scoring gaps (``threshold`` unused).
     mode "off" is stored as threshold mode with tau = 0 (every gap
     passes, since scores are non-negative), so the two are one config.
     """
 
     mode: str = "threshold"  # threshold | rank | off (-> threshold 0)
     threshold: float = 0.01
-    rank_limit: int = 2
 
     def __post_init__(self):
         if self.mode not in ("threshold", "rank", "off"):
             raise ValueError(f"bad gate mode {self.mode!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
-        if self.rank_limit < 1:
-            raise ValueError("rank limit must be positive")
         if self.mode == "off":
             self.mode, self.threshold = "threshold", 0.0
 
@@ -144,9 +144,9 @@ def propose_trace_sites(turn, config):
     """Select the gap indices eligible for empty-edge introduction.
 
     Threshold mode returns gaps with score >= tau in ascending order;
-    rank mode the top-N scores (ties broken by lower gap index first) in
-    descending-score order. The corpus loader checks that scores, where
-    a turn has them, are one per word.
+    rank mode the ``RANK_LIMIT`` top scores (ties broken by lower gap
+    index first) in descending-score order. The corpus loader checks
+    that scores, where a turn has them, are one per word.
     """
     n = len(turn.words)
     scores = turn.gap_scores
@@ -154,7 +154,7 @@ def propose_trace_sites(turn, config):
         raise InputFormatError(
             turn, f"need one gap score per word (got 0 for {n} words)")
     if config.mode == "rank":
-        return gaps_by_score(scores)[: config.rank_limit]
+        return gaps_by_score(scores)[:RANK_LIMIT]
     return [g for g in range(1, n + 1) if scores[g - 1] >= config.threshold]
 
 

@@ -21,8 +21,7 @@ from .corpus import CorpusError, dumps_corpus, loads_corpus
 from .evaluation import EvalError, bench, fmt_pct, metrics, rank_experiment, \
     score_trace_hypotheses
 from .grammar import load_grammar
-from .mlp import LABEL_INDEX, MlpClassifier, TrainConfig, gap_vectors, \
-    score_turn, train
+from .mlp import LABEL_INDEX, MlpClassifier, gap_vectors, score_turn, train
 from .synth import synth_corpus
 
 # CorpusError, GrammarError, ParseError and EvalError are ValueErrors
@@ -85,9 +84,7 @@ def _training_pairs(corpus):
 def cmd_train(args):
     pairs = load_file(args.corpus,
                       lambda text: _training_pairs(loads_corpus(text)))
-    config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                         hidden1=args.hidden1, hidden2=args.hidden2)
-    clf = train(pairs, config, seed=args.seed)
+    clf = train(pairs, seed=args.seed)
     _write(clf.to_json() + "\n", args.out)
     return 0
 
@@ -112,8 +109,7 @@ def cmd_score(args):
 
 def cmd_parse(args):
     grammar, corpus = _grammar_and_corpus(args)
-    config = ParseConfig(mode=args.mode, threshold=args.threshold,
-                         rank_limit=args.rank_limit)
+    config = ParseConfig(mode=args.mode, threshold=args.threshold)
     turns = []
     for turn in sorted(corpus, key=lambda t: t.turn_id):
         result = parse(turn, grammar, config)
@@ -271,11 +267,6 @@ def build_parser():
     common(p, seed=True)
     p.add_argument("--corpus", required=True,
                    help="corpus JSONL with syllables and s3_labels")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--learning-rate", type=float,
-                   default=TrainConfig.learning_rate)
-    p.add_argument("--hidden1", type=int, default=TrainConfig.hidden1)
-    p.add_argument("--hidden2", type=int, default=TrainConfig.hidden2)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="write classifier gap scores into a corpus")
@@ -289,7 +280,6 @@ def build_parser():
     p.add_argument("--mode", choices=("threshold", "rank", "off"),
                    default=ParseConfig.mode)
     p.add_argument("--threshold", type=float, default=ParseConfig.threshold)
-    p.add_argument("--rank-limit", type=int, default=ParseConfig.rank_limit)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score a parse report against gold traces")

@@ -114,33 +114,23 @@ class RuleSchema:
                 return False
         return True
 
-    def mother(self, left, right, pattern):
-        """Unify two daughters with ``pattern`` (this schema's or a copy
-        of it) in the current generation.
-
-        Each daughter is unified first, so its nodes stay the
-        representatives and, where the pattern adds nothing, unchanged.
-        Returns the unresolved MOTHER; raises fs.UnificationFailure on a
-        clash.
-        """
-        arcs = pattern.attrs
-        fs.unify_mut(left, arcs["LEFT"])
-        fs.unify_mut(right, arcs["RIGHT"])
-        return arcs["MOTHER"]
-
     def apply(self, left_cat, right_cat):
         """Instantiate the schema on two daughter categories, which must
         share no node.
 
-        Returns the mother category or None. The mother shares the
-        daughter nodes the unification left unchanged, and no node of
-        the pattern. Neither the daughters nor the pattern change, and a
-        failing application copies nothing.
+        Returns the mother category or None. Each daughter is unified
+        with the pattern first, so its nodes stay the representatives
+        and, where the pattern adds nothing, unchanged: the mother
+        shares the daughter nodes the unification left unchanged, and no
+        node of the pattern. Neither the daughters nor the pattern
+        change, and a failing application copies nothing.
         """
+        arcs = self.pattern.attrs
         fs.new_generation()
         try:
-            return fs.resolve(self.mother(left_cat, right_cat, self.pattern),
-                              keep=self.pattern_nodes)
+            fs.unify_mut(left_cat, arcs["LEFT"])
+            fs.unify_mut(right_cat, arcs["RIGHT"])
+            return fs.resolve(arcs["MOTHER"], keep=self.pattern_nodes)
         except fs.UnificationFailure:
             return None
 

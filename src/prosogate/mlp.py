@@ -1,13 +1,14 @@
 """Two-output multilayer perceptron for boundary posteriors.
 
-Architecture is fixed at two sigmoid hidden layers (40/20 nodes in the
-default ``TrainConfig``) and two sigmoid output nodes, one for S3+ and
-one for S3-. Training is plain stochastic gradient descent on squared
-error against one-hot targets (1 for the node matching the reference
-label, 0 for the other), with per-epoch class balancing: the minority
-class is topped up to the majority count by random draws from it (a
-vector may be drawn more than once), so each epoch presents an equal
-number of vectors from each class.
+Architecture is fixed at two sigmoid hidden layers and two sigmoid
+output nodes, one for S3+ and one for S3-. ``train`` has one recipe:
+``HIDDEN`` = 40 and 20 hidden nodes, ``EPOCHS`` = 20 epochs and
+``LEARNING_RATE`` = 0.2. Training is plain stochastic gradient descent
+on squared error against one-hot targets (1 for the node matching the
+reference label, 0 for the other), with per-epoch class balancing: the
+minority class is topped up to the majority count by random draws from
+it (a vector may be drawn more than once), so each epoch presents an
+equal number of vectors from each class.
 
 The six parameters (weights and bias of each layer, in layer order) are
 reshaped views of one flat float64 vector, ``theta``; the gradient that
@@ -34,7 +35,6 @@ S3+ and an S3- pair) and the model loader; code here assumes them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,6 +44,9 @@ from .prosody import FEATURE_DIM, extract_features
 LAYOUT_ID = "default-242"  # the prosody module's fixed 242-value layout
 OUTPUT_NODES = 2  # S3+ at index 0, S3- at index 1
 LABEL_INDEX = {"S3+": 0, "S3-": 1}
+HIDDEN = (40, 20)  # nodes of the two hidden layers that train builds
+EPOCHS = 20
+LEARNING_RATE = 0.2
 
 
 def _all_numbers(value):
@@ -68,22 +71,6 @@ def _views(flat, shapes):
         views.append(flat[start:stop].reshape(shape))
         start = stop
     return tuple(views)
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 20
-    learning_rate: float = 0.2
-    hidden1: int = 40
-    hidden2: int = 20
-
-    def __post_init__(self):
-        if min(self.hidden1, self.hidden2) < 1:
-            raise ValueError("hidden layer sizes must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning rate must be a finite number above 0")
 
 
 class MlpClassifier:
@@ -270,8 +257,9 @@ class MlpClassifier:
         return cls(*dims[:3], seed=seed, weights=weights)
 
 
-def train(data, config=None, seed=0):
-    """Train a classifier on (vector, s3 label) pairs.
+def train(data, seed=0):
+    """Train a classifier on (vector, s3 label) pairs, ``HIDDEN`` hidden
+    nodes for ``EPOCHS`` epochs at ``LEARNING_RATE``.
 
     S3? items are excluded (they are held out for evaluation, never
     trained on). Deterministic given the seed, which drives both weight
@@ -290,8 +278,6 @@ def train(data, config=None, seed=0):
     biases as +0.0, and theta - g is -0.0 only where theta is -0.0.
     """
     check_seed(seed)
-    if config is None:
-        config = TrainConfig()
     vectors, labels = [], []
     for vec, label in data:
         if label == "S3?":
@@ -303,10 +289,10 @@ def train(data, config=None, seed=0):
     idx_plus = np.flatnonzero(labels == 0)
     idx_minus = np.flatnonzero(labels == 1)
 
-    clf = MlpClassifier(X.shape[1], config.hidden1, config.hidden2, seed=seed)
+    clf = MlpClassifier(X.shape[1], *HIDDEN, seed=seed)
     theta, grad = clf.theta, clf._grad  # grad: what gradients writes
     gw1 = clf._grads[0]
-    lr, width = config.learning_rate, config.hidden1
+    lr, width = LEARNING_RATE, HIDDEN[0]
     targets = np.eye(OUTPUT_NODES).tolist()
     # per vector: its input, its target, the (input column, gradient
     # rows) pairs of the first-layer rows outside its zero runs, and the
@@ -327,7 +313,7 @@ def train(data, config=None, seed=0):
     majority = max(len(idx_plus), len(idx_minus))
 
     with np.errstate(over="ignore"):  # once, not per step: see classify
-        for epoch in range(config.epochs):
+        for epoch in range(EPOCHS):
             epoch_idx = []
             for cls_idx in (idx_plus, idx_minus):
                 take = cls_idx

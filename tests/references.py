@@ -127,9 +127,14 @@ def extract_pred_arg(result, reading_index):
             if sem is not None:
                 sems.append(sem)
             return cat
-        # a schema may occur twice in one derivation: unify a copy
-        return schema.mother(build(left), build(right),
-                             fs.copy_fs(schema.pattern))
+        # a schema may occur twice in one derivation: unify a copy,
+        # LEFT then RIGHT as RuleSchema.apply does, and keep MOTHER
+        # unresolved
+        left_cat, right_cat = build(left), build(right)
+        arcs = fs.copy_fs(schema.pattern).attrs
+        fs.unify_mut(left_cat, arcs["LEFT"])
+        fs.unify_mut(right_cat, arcs["RIGHT"])
+        return arcs["MOTHER"]
 
     build(found[0])
     records = set()

@@ -14,7 +14,7 @@ from references import extract_pred_arg, squared_error
 from prosogate.chart import ParseConfig, parse, propose_trace_sites
 from prosogate.evaluation import (BenchReport, ConfusionCounts, EvalError,
                                   bench, fmt_pct, metrics, rank_experiment)
-from prosogate.mlp import MlpClassifier, TrainConfig, train
+from prosogate.mlp import MlpClassifier, train
 from prosogate.prosody import extract_features
 from prosogate.synth import synth_corpus
 
@@ -148,7 +148,7 @@ def test_criterion_09_classifier_property_suite(synth_104):
     # balanced epochs
     data = [(rng.normal(size=4), "S3-") for _ in range(90)]
     data += [(rng.normal(2.0, 1.0, size=4), "S3+") for _ in range(10)]
-    balanced = train(data, TrainConfig(epochs=1, hidden1=3, hidden2=3), seed=0)
+    balanced = train(data, seed=0)
     assert balanced.train_log[0]["presented"] == {"S3+": 90, "S3-": 90}
     # separable Gaussians, with a nearest-centroid oracle
     train_set, test_set = [], []
@@ -156,8 +156,7 @@ def test_criterion_09_classifier_property_suite(synth_104):
         for label, center in (("S3+", 1.5), ("S3-", -1.5)):
             vec = rng.normal(center, 1.0, size=8)
             (train_set if i < 1000 else test_set).append((vec, label))
-    gauss = train(train_set, TrainConfig(epochs=3, hidden1=8, hidden2=4),
-                  seed=0)
+    gauss = train(train_set, seed=0)
     centroids = {lab: np.mean([v for v, l in train_set if l == lab], axis=0)
                  for lab in ("S3+", "S3-")}
     mlp_acc = np.mean([(gauss.classify(v)[0] >= 0.5) == (l == "S3+")
@@ -177,7 +176,7 @@ def test_criterion_09_classifier_property_suite(synth_104):
                 continue
             pairs[part].append((extract_features(records, [syl])[0],
                                 turn.s3_labels[w - 1]))
-    boundary = train(pairs["train"], TrainConfig(epochs=5), seed=0)
+    boundary = train(pairs["train"], seed=0)
     rate = np.mean([(boundary.classify(v)[0] >= 0.5) == (l == "S3+")
                     for v, l in pairs["test"]])
     assert rate > 0.80

@@ -51,10 +51,10 @@ def test_traced_training_counts_one_gradients_call_per_step():
     data += [(rng.normal(size=4), "S3-") for _ in range(12)]
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.root("bench.setup") as block:
-        clf = mlp.train(data, mlp.TrainConfig(epochs=3, hidden1=2, hidden2=2))
+        clf = mlp.train(data)
     presented = sum(n for entry in clf.train_log
                     for n in entry["presented"].values())
-    assert presented == 3 * 2 * 12
+    assert presented == mlp.EPOCHS * 2 * 12
     assert block["mlp.gradients_calls"] == presented
     assert block["mlp.train_calls"] == 1
 

@@ -45,12 +45,12 @@ class TestProposeTraceSites:
 
     def test_rank_mode_orders_by_score(self):
         t = _turn(["a", "b", "c", "d"], [0.1, 0.9, 0.3, 0.05])
-        cfg = ParseConfig(mode="rank", rank_limit=2)
+        cfg = ParseConfig(mode="rank")
         assert propose_trace_sites(t, cfg) == [2, 3]
 
     def test_rank_tie_breaks_by_lower_gap(self):
         t = _turn(["a", "b", "c"], [0.5, 0.5, 0.5])
-        cfg = ParseConfig(mode="rank", rank_limit=2)
+        cfg = ParseConfig(mode="rank")
         assert propose_trace_sites(t, cfg) == [1, 2]
 
     def test_missing_scores_rejected(self):
@@ -63,8 +63,6 @@ class TestProposeTraceSites:
             ParseConfig(mode="sometimes")
         with pytest.raises(ValueError):
             ParseConfig(threshold=1.5)
-        with pytest.raises(ValueError):
-            ParseConfig(mode="rank", rank_limit=0)
 
 
 def test_v2_tree_bracketing(grammar, demo_corpus):
@@ -145,8 +143,7 @@ def test_monotone_gating(grammar, demo_corpus):
 
 
 GATES = [ParseConfig(threshold=0.01), ParseConfig(threshold=0.5),
-         ParseConfig(mode="rank", rank_limit=1),
-         ParseConfig(mode="rank", rank_limit=2)]
+         ParseConfig(mode="rank")]
 
 
 def _gating_rule_holds(turn, grammar):
