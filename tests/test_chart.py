@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import enumerate_readings
 from prosogate import demo_corpus_text, demo_grammar_text, fs
-from prosogate.chart import (MAX_READINGS, Chart, EdgeCapExceeded,
-                             InputFormatError, ParseConfig, ParseError,
-                             UnknownWordError, parse, propose_trace_sites,
-                             trace_gaps)
+from prosogate.chart import (MAX_READINGS, RANK_LIMIT, Chart,
+                             EdgeCapExceeded, InputFormatError, ParseConfig,
+                             ParseError, UnknownWordError, parse,
+                             propose_trace_sites, trace_gaps)
 from prosogate.corpus import TurnRecord, loads_corpus
 from prosogate.grammar import RuleSchema, load_grammar
 from prosogate.synth import synth_corpus
@@ -52,6 +52,14 @@ class TestProposeTraceSites:
         t = _turn(["a", "b", "c"], [0.5, 0.5, 0.5])
         cfg = ParseConfig(mode="rank")
         assert propose_trace_sites(t, cfg) == [1, 2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rank_mode_keeps_at_most_rank_limit_gaps(self, n):
+        # scores rise with the gap index, so the best gap is the last
+        t = _turn(["w"] * n, [0.1 * g for g in range(1, n + 1)])
+        sites = propose_trace_sites(t, ParseConfig(mode="rank"))
+        assert sites == list(range(n, 0, -1))[:RANK_LIMIT]
+        assert len(sites) == min(n, RANK_LIMIT)
 
     def test_missing_scores_rejected(self):
         t = TurnRecord(turn_id="t", words=["a", "b"])

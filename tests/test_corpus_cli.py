@@ -768,6 +768,22 @@ class TestCliExitCodes:
             assert all(math.isfinite(s) for s in turn.gap_scores)
         assert run(["parse", "--corpus", str(scored)]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", "2"], ["train", "--learning-rate", "0.1"],
+        ["train", "--hidden1", "8"], ["train", "--hidden2", "4"],
+        ["parse", "--mode", "rank", "--rank-limit", "1"],
+    ], ids=["epochs", "learning-rate", "hidden1", "hidden2", "rank-limit"])
+    def test_fixed_setting_flag_is_usage_error(self, tmp_path, capsys, argv):
+        # the training recipe and rank mode's N are module constants
+        out = tmp_path / "out"
+        command, *flags = argv
+        extra = (["--corpus", str(tmp_path / "c.jsonl")]
+                 if command == "train" else [])
+        assert run([command, *extra, "--out", str(out), *flags]) == 1
+        assert not out.exists()
+        assert f"unrecognized arguments: {' '.join(flags[-2:])}" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_negative_seed_is_data_error(self, tmp_path, capsys, command):
         corpus, out = tmp_path / "c.jsonl", tmp_path / "out"

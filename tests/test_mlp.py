@@ -274,6 +274,9 @@ def _imbalanced_set(rng, n_plus, n_minus, dim=6, padded=False):
     return data
 
 
+# the seed drives both the weight initialization and the per-epoch
+# balancing resample and shuffle; 2**32 + 5 is past 32 bits
+@pytest.mark.parametrize("train_seed", [0, 1, 7, 42, 2**32 + 5])
 @pytest.mark.parametrize("seed, n_plus, n_minus, padded, dim", [
     pytest.param(0, 9, 40, False, 6, id="0-9-40"),
     pytest.param(3, 31, 6, False, 6, id="3-31-6"),
@@ -283,12 +286,12 @@ def _imbalanced_set(rng, n_plus, n_minus, dim=6, padded=False):
     pytest.param(42, 24, 72, True, FEATURE_DIM,
                  id="42-24-72-zero-padded-242"),
 ])
-def test_train_matches_the_per_parameter_loop(seed, n_plus, n_minus, padded,
-                                              dim):
+def test_train_matches_the_per_parameter_loop(train_seed, seed, n_plus,
+                                              n_minus, padded, dim):
     data = _imbalanced_set(np.random.default_rng(100 + seed), n_plus,
                            n_minus, dim=dim, padded=padded)
-    ref_params, ref_log = _reference_train(data, seed)
-    clf = train(data, seed=seed)
+    ref_params, ref_log = _reference_train(data, train_seed)
+    clf = train(data, seed=train_seed)
     assert clf.train_log == ref_log
     assert len(clf.params) == len(ref_params)
     for p, ref in zip(clf.params, ref_params):
@@ -296,11 +299,12 @@ def test_train_matches_the_per_parameter_loop(seed, n_plus, n_minus, padded,
         assert np.array_equal(p.view(np.uint64), ref.view(np.uint64))
 
 
-def test_no_trained_parameter_is_negative_zero():
+@pytest.mark.parametrize("seed", [0, 1, 5, 7, 42])
+def test_no_trained_parameter_is_negative_zero(seed):
     # the invariant that lets a BLAS outer product, which writes +0.0
     # where np.outer writes -0.0, leave every weight unchanged
     data = _imbalanced_set(np.random.default_rng(105), 20, 13, padded=True)
-    for p in train(data, seed=5).params:
+    for p in train(data, seed=seed).params:
         assert not (np.signbit(p) & (p == 0)).any()
 
 
