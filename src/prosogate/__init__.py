@@ -11,9 +11,13 @@ __version__ = "0.1.0"
 # orjson 3.8 reads some texts to other values than json.loads does, and
 # the guard in ``loads_json`` sends each of them to json.loads:
 # - It reads an integer outside the 64-bit range as a float, and 2**63
-#   has 19 digits. ``_DIGIT_RUNS`` maps each digit to "0", "." to itself
-#   and every other byte to " ", so a run of 19 digits that does not
-#   follow a "." (a fraction's digits do) shows as ``_LONG_INT``.
+#   has 19 digits. The guard reads a text once, through ``_NUMBER_MAP``:
+#   each digit maps to "0", "." to itself, "[" and "{" to "[", and every
+#   other byte to " ". It searches the map for ``_LONG_RUN``, each search
+#   starting at the text's start or just after the last match. So a match
+#   after a "0" goes on the last match's run, and any other match is
+#   where a run of 19 or more digits begins. A run that follows a "." is
+#   a fraction's digits and is passed over; any other is a danger.
 # - It decodes any depth, where json.loads raises RecursionError near the
 #   interpreter's recursion limit (1000 by default). The limit is read at
 #   each call, and a text with fewer "[" and "{" than half of it (500 by
@@ -23,10 +27,22 @@ __version__ = "0.1.0"
 #   encoded with "surrogatepass", one is not UTF-8, so orjson raises.
 # NaN, Infinity, a float beyond the double range and every syntax error
 # also make orjson raise.
-_DIGIT_RUNS = bytes(ord("0") if chr(c) in "0123456789" else
-                    ord(".") if chr(c) == "." else ord(" ")
+_NUMBER_MAP = bytes(ord("0") if chr(c) in "0123456789" else
+                    ord("[") if chr(c) in "[{" else
+                    c if chr(c) == "." else ord(" ")
                     for c in range(256))
-_LONG_INT = b" " + b"0" * 19
+_LONG_RUN = b"0" * 19
+
+
+def _orjson_reads_alike(data):
+    """Whether the guard above lets orjson decode the UTF-8 ``data``."""
+    mapped = data.translate(_NUMBER_MAP)
+    if mapped.count(b"[") >= sys.getrecursionlimit() // 2:
+        return False
+    at = mapped.find(_LONG_RUN)
+    while at > 0 and mapped[at - 1] in b"0.":
+        at = mapped.find(_LONG_RUN, at + len(_LONG_RUN))
+    return at < 0
 
 
 def loads_json(text):
@@ -37,8 +53,7 @@ def loads_json(text):
     goes to json.loads, so every error is json.loads's own.
     """
     data = text.encode("utf-8", "surrogatepass")
-    if (data.count(b"[") + data.count(b"{") < sys.getrecursionlimit() // 2
-            and _LONG_INT not in (b" " + data).translate(_DIGIT_RUNS)):
+    if _orjson_reads_alike(data):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:

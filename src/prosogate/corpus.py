@@ -46,10 +46,19 @@ class CorpusError(ValueError):
 
 
 def _finite(values):
-    """Ints or floats (not bools), each convertible to a finite float."""
+    """Ints or floats (not bools), each convertible to a finite float.
+
+    A finite sum proves every value finite: an inf or a NaN makes the sum
+    inf or NaN. The sum starts from 0.0, so each int is converted to a
+    float as it is added, and one too large for a float raises
+    OverflowError instead of cancelling against another. Only a sum that
+    is not finite checks the values one by one.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return False
     try:
-        return (set(map(type, values)) <= {int, float}
-                and all(map(math.isfinite, values)))
+        return (math.isfinite(sum(values, 0.0))
+                or all(map(math.isfinite, values)))
     except OverflowError:  # an int too large for a float
         return False
 

@@ -4,17 +4,20 @@ Each rebuilds from the package's own parts something the package itself
 never needs: general unification and subsumption of feature structures,
 the predicate-argument record of a reading, the classifier's output
 layer as one out-of-place numpy expression, one syllable's feature
-vector built from its context window's records one by one, and the
-corpus loader's keyword-call syllable reader.
+vector built from its context window's records one by one, the corpus
+loader's keyword-call syllable reader with its value-by-value finiteness
+check, and the JSON decode guard as two passes over a text.
 """
 
+import math
 import re
+import sys
 
 import numpy as np
 
 from prosogate import fs
 from prosogate.chart import derivation_label
-from prosogate.corpus import CorpusError, Syllable, _finite, _scalar_features
+from prosogate.corpus import CorpusError, Syllable, _scalar_features
 from prosogate.prosody import (CONTEXT_RADIUS, PER_SYLLABLE_VALUES,
                                REGRESSION_LEN, SyllableRecord)
 
@@ -207,7 +210,7 @@ def syllable_from_dict(i, s):
         ok = (type(s["word"]) is int and type(f0) is type(energy) is list
               and len(f0) == len(energy) == REGRESSION_LEN
               and type(rec.accent) is type(rec.word_final) is bool
-              and _finite((*_scalar_features(rec), *f0, *energy))
+              and finite((*_scalar_features(rec), *f0, *energy))
               and rec.pause_before >= 0 <= rec.pause_after)
     except TypeError:  # not a mapping, or an unknown field
         ok = False
@@ -217,3 +220,30 @@ def syllable_from_dict(i, s):
             f"finite numbers (pauses >= 0), true/false flags and two lists "
             f"of {REGRESSION_LEN} finite numbers")
     return Syllable(s["word"], rec)
+
+
+def finite(values):
+    """Ints or floats (not bools), each convertible to a finite float,
+    checked one value at a time."""
+    try:
+        return (set(map(type, values)) <= {int, float}
+                and all(map(math.isfinite, values)))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# Each digit maps to "0", "." to itself and every other byte to " ", so
+# in the map of a text with a space before it, a run of 19 digits that
+# does not follow a "." shows as ``_LONG_INT``.
+_DIGIT_RUNS = bytes(ord("0") if chr(c) in "0123456789" else
+                    ord(".") if chr(c) == "." else ord(" ")
+                    for c in range(256))
+_LONG_INT = b" " + b"0" * 19
+
+
+def orjson_reads_alike(data):
+    """Whether ``loads_json`` hands the UTF-8 ``data`` to orjson, decided
+    in separate passes: fewer "[" and "{" than half the recursion limit,
+    and no integer literal of 19 or more digits."""
+    return (data.count(b"[") + data.count(b"{") < sys.getrecursionlimit() // 2
+            and _LONG_INT not in (b" " + data).translate(_DIGIT_RUNS))

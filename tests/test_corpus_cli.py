@@ -14,18 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prosogate import demo_grammar_text, load_file, loads_json
+from prosogate import (_orjson_reads_alike, demo_grammar_text, load_file,
+                       loads_json)
 from prosogate.chart import ParseConfig, ParseError, parse
 from prosogate.cli import build_parser, run
-from prosogate.corpus import (Corpus, CorpusError, TurnRecord, dumps_corpus,
-                              loads_corpus)
+from prosogate.corpus import (Corpus, CorpusError, TurnRecord, _finite,
+                              dumps_corpus, loads_corpus)
 from prosogate.evaluation import BenchReport
 from prosogate.grammar import GrammarError, load_grammar
 from prosogate.mlp import MlpClassifier
 from prosogate.prosody import (FEATURE_DIM, MEASUREMENTS, REGRESSION_LEN,
                                SyllableRecord, extract_features)
 from prosogate.synth import synth_corpus
-from references import extract_pred_arg, syllable_from_dict
+from references import (extract_pred_arg, finite, orjson_reads_alike,
+                        syllable_from_dict)
 
 
 def _valid_turn(n):
@@ -232,6 +234,15 @@ _PAUSES = ("pause_before", "pause_after")
 _BLOCKS = ("f0_regression", "energy_regression")
 _finite_numbers = (st.floats(allow_nan=False, allow_infinity=False)
                    | st.integers(-10 ** 6, 10 ** 6))
+# Lists that _finite may be given: any floats, bools and ints, and pairs
+# of same-signed floats and ints near the largest double, whose sum
+# overflows though each value is finite.
+_near_max = st.floats(min_value=1.6e308, max_value=sys.float_info.max)
+_number_lists = (
+    st.lists(st.floats() | st.booleans() | st.integers(-10 ** 400, 10 ** 400),
+             max_size=6)
+    | st.builds(lambda a, b, sign: [sign * a, sign * b], _near_max,
+                _near_max | _near_max.map(int), st.sampled_from([1, -1])))
 
 
 @st.composite
@@ -323,6 +334,16 @@ class TestCorpusFuzz:
             expected = _loaded(text)
         assert _loaded(text) == expected
 
+    @settings(max_examples=1000)
+    @given(_number_lists)
+    @example([])
+    @example([10 ** 308, 10 ** 308])
+    @example([10 ** 400, -10 ** 400])
+    @example([1.7e308, 1.7e308, -1.7e308])
+    @example([math.inf, -math.inf])
+    def test_finite_is_the_value_by_value_check(self, values):
+        assert _finite(values) == finite(values)
+
 
 def _decoded(loads, text):
     """What ``loads`` returns for ``text``, or the class and message of
@@ -400,6 +421,20 @@ class TestLoadsJson:
     @example(_CORPUS_LINE)
     def test_decodes_as_json_loads(self, text):
         assert _alike(_decoded(loads_json, text), _decoded(json.loads, text))
+
+    @settings(max_examples=1000)
+    @given(_json_texts)
+    @example("[0.1234567890123456789012, 1234567890123456789]")
+    @example("1234567890123456789")
+    @example("1234567890123456789 0.")  # index 0 has no byte before it
+    @example("[1234567890123456789]")
+    @example("-1234567890123456789")
+    @example("1e1234567890123456789")
+    @example('{"k":1234567890123456789}')
+    @example("[0.1234567890123456789012, 1.%s]" % ("1234567890" * 4))
+    def test_guard_sends_the_reference_texts_to_orjson(self, text):
+        data = text.encode("utf-8", "surrogatepass")
+        assert _orjson_reads_alike(data) == orjson_reads_alike(data)
 
     def test_depth_rule_follows_the_recursion_limit(self):
         # under a lowered limit json.loads raises at a depth orjson
