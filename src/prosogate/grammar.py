@@ -32,14 +32,19 @@ vectors (65 in an ungated pass over the seed-42 benchmark corpus, in
 
 ``RuleSchema.apply`` unifies each daughter with the stored pattern in
 place, daughter first, in a generation of its own (see ``fs``), and
-reads out only the mother of a successful application. The mother
-reuses every daughter node the unification left unchanged and copies
-the rest, and every node of the pattern. Its result equals unifying
-private copies of the pattern and of each daughter: the daughters must
-share no node, so the lexicon keeps every structure disjoint from every
-other (a V2 entry's trace template is stored as a copy), and the chart
-copies a right daughter that may share a lexicon structure with the
-left one, such as a second occurrence of one entry.
+reads out only the mother of a successful application. A daughter that
+the schema selects whole (its pattern root is a node of the other
+daughter's pattern, as a subject is a SUBCAT element of the head) is
+unified last, so the other's SUBCAT element is merged into it rather
+than it into that element, and its nodes stay the representatives;
+loading finds these schemata with the shared nodes of the quick check.
+The mother reuses every daughter node the unification left unchanged and
+copies the rest, and every node of the pattern. Its result equals
+unifying private copies of the pattern and of each daughter: the
+daughters must share no node, so the lexicon keeps every structure
+disjoint from every other (a V2 entry's trace template is stored as a
+copy), and the chart copies a right daughter that may share a lexicon
+structure with the left one, such as a second occurrence of one entry.
 
 Sharing stays exact because of two facts. A mother shares nodes only
 with its own sub-derivation (the daughters' categories, themselves
@@ -90,6 +95,9 @@ class RuleSchema:
     left_requires: tuple = ()
     right_requires: tuple = ()
     shared: tuple = ()  # (left, right) index pairs: one shared node
+    # unify the right daughter first: the left one is selected whole (its
+    # pattern root is a node of the right pattern)
+    right_first: bool = False
     # the pattern's nodes, which no mother shares
     pattern_nodes: frozenset = field(init=False, repr=False)
 
@@ -118,18 +126,29 @@ class RuleSchema:
         """Instantiate the schema on two daughter categories, which must
         share no node.
 
-        Returns the mother category or None. Each daughter is unified
-        with the pattern first, so its nodes stay the representatives
-        and, where the pattern adds nothing, unchanged: the mother
-        shares the daughter nodes the unification left unchanged, and no
-        node of the pattern. Neither the daughters nor the pattern
-        change, and a failing application copies nothing.
+        Returns the mother category or None. Each daughter category is
+        unified with its pattern daughter, category first, so its nodes
+        stay the representatives and, where the pattern adds nothing,
+        unchanged: the mother shares the daughter nodes the unification
+        left unchanged, and no node of the pattern. The left daughter is
+        unified first unless the schema selects it whole
+        (``right_first``): the daughter unified second meets the other
+        daughter's nodes where its pattern root is shared, so unifying
+        the selected one last keeps its nodes the representatives there
+        too. The order changes which nodes the mother shares, not its
+        value or whether the application fails. Neither the daughters
+        nor the pattern change, and a failing application copies
+        nothing.
         """
         arcs = self.pattern.attrs
         fs.new_generation()
         try:
-            fs.unify_mut(left_cat, arcs["LEFT"])
-            fs.unify_mut(right_cat, arcs["RIGHT"])
+            if self.right_first:
+                fs.unify_mut(right_cat, arcs["RIGHT"])
+                fs.unify_mut(left_cat, arcs["LEFT"])
+            else:
+                fs.unify_mut(left_cat, arcs["LEFT"])
+                fs.unify_mut(right_cat, arcs["RIGHT"])
             return fs.resolve(arcs["MOTHER"], keep=self.pattern_nodes)
         except fs.UnificationFailure:
             return None
@@ -255,7 +274,9 @@ def _check_features(node, declared, where):
 
 def _compile_quick_check(grammar):
     """Collect the schemata's quick-check paths into the grammar, and
-    store daughter requirements and shared-node pairs on each schema."""
+    store daughter requirements and shared-node pairs on each schema,
+    and whether its left daughter is selected whole (a topmost shared
+    node is the left daughter's root), which apply then unifies last."""
     index = {}  # path -> position in the vector
 
     def position(path):
@@ -279,6 +300,7 @@ def _compile_quick_check(grammar):
         for rp, node in _tree_paths(schema.pattern.attrs["RIGHT"]):
             if id(node) in left and not any(rp[:len(p)] == p for _, p in met):
                 met.append((left[id(node)], rp))
+        schema.right_first = any(lp == () for lp, _ in met)
         # only a daughter's root holds a category, where the first paths
         # can be defined
         schema.shared = tuple((position(lp + q), position(rp + q))

@@ -92,9 +92,9 @@ PASS_COUNTERS = {
         "chart.edges_lexical": 639, "chart.parse_calls": 104,
         "chart.proposed_sites": 498, "chart.readings": 125,
         "fs.canonical_calls": 84, "fs.copy_calls": 90, "fs.copy_nodes": 3444,
-        "fs.resolve_calls": 972, "fs.resolve_nodes": 17185,
+        "fs.resolve_calls": 972, "fs.resolve_nodes": 16110,
         "fs.unify_calls": 2548, "fs.unify_failures": 302,
-        "fs.unify_nodes": 23737, "grammar.apply_attempts.0.head-subject": 254,
+        "fs.unify_nodes": 24233, "grammar.apply_attempts.0.head-subject": 254,
         "grammar.apply_attempts.1.head-complement": 521,
         "grammar.apply_attempts.2.head-complement": 29,
         "grammar.apply_attempts.3.head-complement": 49,
@@ -117,9 +117,9 @@ PASS_COUNTERS = {
         "chart.edges_lexical": 639, "chart.parse_calls": 104,
         "chart.proposed_sites": 207, "chart.readings": 125,
         "fs.canonical_calls": 84, "fs.copy_calls": 90, "fs.copy_nodes": 3444,
-        "fs.resolve_calls": 893, "fs.resolve_nodes": 15576,
+        "fs.resolve_calls": 893, "fs.resolve_nodes": 14501,
         "fs.unify_calls": 2134, "fs.unify_failures": 174,
-        "fs.unify_nodes": 19862, "grammar.apply_attempts.0.head-subject": 245,
+        "fs.unify_nodes": 20116, "grammar.apply_attempts.0.head-subject": 245,
         "grammar.apply_attempts.1.head-complement": 400,
         "grammar.apply_attempts.2.head-complement": 29,
         "grammar.apply_attempts.3.head-complement": 49,

@@ -223,6 +223,38 @@ def test_apply_leaves_inputs_unchanged(grammar, structures):
     assert after == before
 
 
+def _forwarded(node):
+    """Whether node is forwarded in the current generation."""
+    return node.stamp == fs._generation and node.forward is not None
+
+
+# The daughter each schema selects whole (its pattern root is a node of
+# the other daughter's pattern), by the tracer's "index.name" label;
+# apply unifies it last, so its root stays the representative.
+SELECTED_WHOLE = {"0.head-subject": "left", "1.head-complement": "left",
+                  "2.head-complement": "left", "3.head-complement": "right",
+                  "4.head-complement": "right", "6.v2-selection": "right"}
+
+
+def test_apply_unifies_the_daughter_selected_whole_last(grammar, structures):
+    # head-subject and the left-complement head-complement schemata unify
+    # the right daughter first; comp, prep and v2-selection keep the
+    # left-first order, which already unifies their selected right
+    # daughter last
+    schemata = {f"{i}.{s.name}": s for i, s in enumerate(grammar.schemata)}
+    applied = dict.fromkeys(SELECTED_WHOLE, 0)
+    for label, side in SELECTED_WHOLE.items():
+        schema = schemata[label]
+        for left in structures:
+            for right in structures:
+                right = fs.copy_fs(right)
+                if schema.apply(left, right) is not None:
+                    applied[label] += 1
+                    selected = left if side == "left" else right
+                    assert not _forwarded(selected), label
+    assert all(applied.values()), applied
+
+
 def test_identical_daughters_stay_disjoint():
     # A word that occurs twice puts one category object on two edges;
     # the chart's leaf masks must still unify each daughter as a copy of
@@ -257,6 +289,22 @@ def test_unify_leaves_inputs_unchanged():
     assert unify(a, shared) is not None
     assert unify(shared, bad) is None
     assert _snapshot(a, good, bad, shared) == before
+
+
+@pytest.mark.parametrize("stale_first", [True, False],
+                         ids=["stale x", "stale y"])
+def test_unify_never_follows_a_stale_forward(stale_first):
+    # a is forwarded to a wider node in one generation; in the next, that
+    # forward is void whichever argument a is
+    a = fs.parse_avm({"F": "a", "G": "b"})
+    wider = fs.parse_avm({"F": "a", "G": "b", "H": "c"})
+    b = fs.parse_avm({"F": "a"})
+    fs.new_generation()
+    fs.unify_mut(wider, a)
+    assert a.forward is wider
+    x, y = (a, b) if stale_first else (b, a)
+    got = unify(x, y)
+    assert _form(got) == _form(reference_unify(x, y)) == fs.canonical(a)
 
 
 CHILDLESS = {"atom": lambda: fs.atom("x"), "top": fs.top,
