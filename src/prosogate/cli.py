@@ -4,7 +4,9 @@ Subcommands: synth, train, score, parse, eval, rank, bench. Exit codes:
 0 success, 1 usage error, 2 data or grammar error. Each subcommand
 takes only the flags it reads: randomness (synth, train) is driven by
 --seed (default 42), and identical invocations produce identical output
-bytes except for wall-clock fields.
+bytes except for wall-clock fields. A report command (parse, eval, rank,
+bench) builds one payload: --format json writes it with the tool
+version, --format text a fixed view of it.
 """
 
 from __future__ import annotations
@@ -52,10 +54,13 @@ def _grammar_and_corpus(args):
     return grammar, corpus
 
 
-def _report_json(payload):
-    payload = dict(payload)
-    payload["tool_version"] = __version__
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _report(args, payload, text):
+    """Write a report: ``payload`` and the tool version as sorted,
+    indented JSON under ``--format json``, else ``text``."""
+    if args.format == "json":
+        text = json.dumps({**payload, "tool_version": __version__},
+                          sort_keys=True, indent=2) + "\n"
+    _write(text, args.out)
 
 
 def cmd_synth(args):
@@ -110,25 +115,19 @@ def cmd_score(args):
 def cmd_parse(args):
     grammar, corpus = _grammar_and_corpus(args)
     config = ParseConfig(mode=args.mode, threshold=args.threshold)
-    turns = []
+    turns, lines = [], []
     for turn in sorted(corpus, key=lambda t: t.turn_id):
         result = parse(turn, grammar, config)
+        s = result.stats
         turns.append({"id": turn.turn_id, "readings": result.readings,
                       "proposed_sites": result.proposed_sites,
-                      "statistics": result.stats})
-    if args.format == "json":
-        _write(_report_json({"turns": turns}), args.out)
-    else:
-        lines = []
-        for t in turns:
-            s = t["statistics"]
-            lines.append(f"{t['id']}: {len(t['readings'])} reading(s), "
-                         f"sites {t['proposed_sites']}, "
-                         f"edges {s['lexical_edges']}/{s['empty_edges']}"
-                         f"/{s['derived_edges']}")
-            for r in t["readings"]:
-                lines.append(f"  {r}")
-        _write("\n".join(lines) + "\n", args.out)
+                      "statistics": s})
+        lines.append(f"{turn.turn_id}: {len(result.readings)} reading(s), "
+                     f"sites {result.proposed_sites}, "
+                     f"edges {s['lexical_edges']}/{s['empty_edges']}"
+                     f"/{s['derived_edges']}")
+        lines.extend(f"  {r}" for r in result.readings)
+    _report(args, {"turns": turns}, "\n".join(lines) + "\n")
     return 0
 
 
@@ -168,19 +167,15 @@ def cmd_eval(args):
     universe = [set(range(1, len(turn.words) + 1)) for turn in gold_corpus]
     counts = score_trace_hypotheses(gold, proposed, universe)
     report = metrics(counts)
-    if args.format == "json":
-        _write(_report_json({"counts": asdict(counts),
-                             "metrics": asdict(report)}), args.out)
-    else:
-        pct = report.as_pct()
-        _write(
+    pct = report.as_pct()
+    _report(args, {"counts": asdict(counts), "metrics": asdict(report)},
             f"correct      {counts.correct}\n"
             f"false alarm  {counts.false_alarm}\n"
             f"miss         {counts.miss}\n"
             f"reject       {counts.reject}\n"
             f"recall       {pct['recall']} %\n"
             f"precision    {pct['precision']} %\n"
-            f"error        {pct['error']} %\n", args.out)
+            f"error        {pct['error']} %\n")
     return 0
 
 
@@ -203,28 +198,20 @@ def _rank_sentences(text):
 def cmd_rank(args):
     counts = rank_experiment(load_file(args.corpus, _rank_sentences))
     total = sum(counts.values())
-    if args.format == "json":
-        _write(_report_json({
-            "counts": {str(k): v for k, v in counts.items()},
-            "total": total}), args.out)
-    else:
-        lines = ["rank  sentences"]
-        for k, v in counts.items():
-            lines.append(f"{k!s:>4}  {v}")
-        lines.append(f"total {total}")
-        _write("\n".join(lines) + "\n", args.out)
+    _report(args, {"counts": {str(k): v for k, v in counts.items()},
+                   "total": total},
+            "\n".join(["rank  sentences",
+                       *(f"{k!s:>4}  {v}" for k, v in counts.items()),
+                       f"total {total}"]) + "\n")
     return 0
 
 
 def cmd_bench(args):
     grammar, corpus = _grammar_and_corpus(args)
-    config_on = ParseConfig(mode="threshold", threshold=args.threshold)
-    config_off = ParseConfig(mode="off")
-    report = bench(corpus, grammar, config_on, config_off)
-    if args.format == "json":
-        _write(_report_json(asdict(report)), args.out)
-    else:
-        _write(
+    report = bench(corpus, grammar,
+                   ParseConfig(mode="threshold", threshold=args.threshold),
+                   ParseConfig(mode="off"))
+    _report(args, asdict(report),
             f"turns                 {report.turn_count}\n"
             f"overall with (s)      {report.overall_with:.3f}\n"
             f"overall without (s)   {report.overall_without:.3f}\n"
@@ -232,8 +219,7 @@ def cmd_bench(args):
             f"average without (s)   {report.average_without:.4f}\n"
             f"empty edges with      {report.empty_edges_with}\n"
             f"empty edges without   {report.empty_edges_without}\n"
-            f"speedup               {fmt_pct(report.speedup, 2)} %\n",
-            args.out)
+            f"speedup               {fmt_pct(report.speedup, 2)} %\n")
     return 0
 
 

@@ -439,6 +439,21 @@ def _predicted_work(turn, ungated, grammar, tau):
     return sum(edge.kind == "derived" for edge in live), applications
 
 
+def _gated_work(turn, grammar, config):
+    """(derived edges, schema applications) of the parse under config."""
+    applications = []
+    apply = RuleSchema.apply
+
+    def counting_apply(schema, left, right):
+        applications.append(schema)
+        return apply(schema, left, right)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RuleSchema, "apply", counting_apply)
+        gated = parse(turn, grammar, config)
+    return gated.stats["derived_edges"], len(applications)
+
+
 SYNTH_TURNS = [*synth_corpus(seed=42), *synth_corpus(seed=7)]
 
 
@@ -452,18 +467,20 @@ def test_one_ungated_parse_predicts_the_gated_work_load(grammar, index, data):
     tau = data.draw(st.one_of(st.floats(0.0, 1.0),
                               st.sampled_from(turn.gap_scores)), label="tau")
     ungated = parse(turn, grammar, ParseConfig(mode="off"))
-    applications = []
-    apply = RuleSchema.apply
-
-    def counting_apply(schema, left, right):
-        applications.append(schema)
-        return apply(schema, left, right)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RuleSchema, "apply", counting_apply)
-        gated = parse(turn, grammar, ParseConfig(threshold=tau))
     assert _predicted_work(turn, ungated, grammar, tau) == \
-        (gated.stats["derived_edges"], len(applications))
+        _gated_work(turn, grammar, ParseConfig(threshold=tau))
+
+
+def test_one_ungated_parse_predicts_the_rank_mode_work_load(grammar):
+    """A rank gate is a threshold gate over scores of 1.0 at the gaps it
+    picks and 0.0 elsewhere, so θ at τ 0.5 predicts its work-load too."""
+    for turn in SYNTH_TURNS:
+        sites = propose_trace_sites(turn, ParseConfig(mode="rank"))
+        picked = dataclasses.replace(turn, gap_scores=[
+            float(gap in sites) for gap in range(1, len(turn.words) + 1)])
+        ungated = parse(picked, grammar, ParseConfig(mode="off"))
+        assert _predicted_work(picked, ungated, grammar, 0.5) == \
+            _gated_work(turn, grammar, ParseConfig(mode="rank")), turn.turn_id
 
 
 def test_edge_cap(grammar, demo_corpus, monkeypatch):

@@ -1024,6 +1024,36 @@ BEHAVIOUR_DIGESTS = {
         "4c0059b02a1d01bb343053b155c66b64226af3a4f8e164b40bbe7c13650243fa",
 }
 
+# The same for the text reports and for `eval` in both formats:
+# `parse --format text` in each mode, `bench --format text` without its
+# five timing lines, `eval` of the seed-42 gold against the seed-42
+# threshold-mode parse report, and `rank --format text` of the seed-3
+# corpus.
+REPORT_DIGESTS = {
+    "parse text off demo":
+        "9da75f6737fe2000dfe113f3d501a350c4e8ff12693e98e05e9166c0ca416cf7",
+    "parse text threshold demo":
+        "5612a0f82b2a546a827eebd85d61fc794fadc1b45f11e4cd6bd8c49588227add",
+    "parse text rank demo":
+        "152a0ffc3cae8643bc93018c32cd85442b1e6aabb6c94336e48d767570f0e3d0",
+    "bench text demo":
+        "6528bed0d7029ceb725aa01a8c4cfb63d6671c5a5446a97efee38ff773ddd274",
+    "parse text off seed-42":
+        "c5a2587147fe2bf212caa6257611af3f6b7515cdf1ca15e11920ee46c7e3045f",
+    "parse text threshold seed-42":
+        "9a0435e9c4f03944c82e024da43be469e61d26c122731222267ef2096a78c095",
+    "parse text rank seed-42":
+        "12a958a4fabff92d62a4379107557f883a12061359803149ce97cc9052ae62aa",
+    "bench text seed-42":
+        "7d76ad9a1bd09232b59358ec2bd225027e2c62b71d4cde2413bcf56505f81212",
+    "eval text seed-42":
+        "2739e0a5c426f677504ae695dd7cceaaada1f37ce8cacf7ad2b63bb367e4d3cc",
+    "eval json seed-42":
+        "a792fc3c6a5c44696d0571cb74c7a0f5bc470e9d9eaabdcb4cfb143f00613a10",
+    "rank text seed-3":
+        "8cb010bc003dfb138a0acb05014b3beefb312218fe13ab0a0d2fc4a87d6d20a7",
+}
+
 
 class TestCliPipeline:
     def test_parse_report_shape(self, tmp_path):
@@ -1122,6 +1152,37 @@ class TestCliPipeline:
             digests[f"synth {name}"] = _sha256(turns)
         assert digests == BEHAVIOUR_DIGESTS, _toolchain_note(
             "a behaviour digest")
+
+    def test_report_digests(self, seed_42, tmp_path):
+        corpus_42, _ = seed_42
+        corpus_3, out = tmp_path / "c3-500.jsonl", tmp_path / "out"
+        assert run(["synth", "--seed", "3", "--turns", "500", "--v2-only",
+                    "--out", str(corpus_3)]) == 0
+        digests = {}
+        for name, path in {"demo": None, "seed-42": corpus_42}.items():
+            flags = ["--corpus", str(path)] if path else []
+            for mode in ("off", "threshold", "rank"):
+                assert run(["parse", "--format", "text", "--mode", mode,
+                            *flags, "--out", str(out)]) == 0
+                digests[f"parse text {mode} {name}"] = _sha256(
+                    out.read_bytes())
+            assert run(["bench", "--format", "text", *flags,
+                        "--out", str(out)]) == 0
+            lines = out.read_text().splitlines(keepends=True)
+            digests[f"bench text {name}"] = _sha256("".join(
+                line for line in lines
+                if not line.startswith(("overall ", "average ", "speedup"))))
+        report = tmp_path / "r42.json"
+        assert run(["parse", "--format", "json", "--mode", "threshold",
+                    "--corpus", str(corpus_42), "--out", str(report)]) == 0
+        for fmt in ("text", "json"):
+            assert run(["eval", "--format", fmt, "--gold", str(corpus_42),
+                        "--proposed", str(report), "--out", str(out)]) == 0
+            digests[f"eval {fmt} seed-42"] = _sha256(out.read_bytes())
+        assert run(["rank", "--format", "text", "--corpus", str(corpus_3),
+                    "--out", str(out)]) == 0
+        digests["rank text seed-3"] = _sha256(out.read_bytes())
+        assert digests == REPORT_DIGESTS, _toolchain_note("a report digest")
 
     def test_synth_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

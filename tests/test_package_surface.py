@@ -9,7 +9,9 @@ string). A definition that only the tests use belongs with them, in
 
 Every data file is decoded by ``prosogate.loads_json``, so only that
 function may name ``json.loads``. A command reads each of its files with
-one ``load_file`` call, so only ``cli`` may name ``load_file``.
+one ``load_file`` call, so only ``cli`` may name ``load_file``. A report
+command builds one payload and ``cli._report`` writes it, so only that
+function reads ``--format``.
 """
 
 import ast
@@ -110,3 +112,8 @@ def test_only_cli_calls_load_file():
     outside = [user for user in users(_names_load_file)
                if user.split(".")[0] != "cli"]
     assert outside == []
+
+
+def test_only_report_reads_the_format():
+    assert users(lambda node: isinstance(node, ast.Attribute)
+                 and node.attr == "format") == ["cli._report"]
