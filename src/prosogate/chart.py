@@ -27,24 +27,28 @@ zero-width, so empty edges cannot feed each other. But a mother over an
 empty edge keeps its left daughter's span, so a grammar can make an edge
 derive itself: a ParseError, checked only where such a mother packs.
 
+Leaves are placed directly (``Chart.place``), since no leaf can pack:
+one lexical edge per word position and entry, and one empty edge per
+(gap, V2 entry), however many lexical edges of that entry license it.
+Only derived edges go through ``Chart.add`` and its packing table,
+which packs them by category, with distinct derivations.
+
 The closure is one walk over the edge list in id order, and combining
 appends new edges to the list being walked. Each edge is combined with
 the edges walked before it, then indexed; an empty edge is never
 indexed by its end (``by_end``), as a left daughter. So each adjacent
-pair (non-empty left edge, any right edge) is combined exactly once. A
-leaf (lexical or empty) edge, one lexicon entry at one span, is keyed
-by its entry; only derived edges are packed by category, with distinct
-derivations.
+pair (non-empty left edge, any right edge) is combined exactly once.
 
 A pair is offered only to the schemata whose quick check (see
 ``grammar``) the edges' summary vectors pass: a clash means unification
 would fail, so the check changes no result. The check reads the two
 vectors alone, so it is decided once per vector pair, not once per
-edge pair: ``parse`` reads and fills the grammar's ``admitted``
-table in one place. A leaf takes its vector from its lexicon entry; a
-derived edge's is computed when it is added, and keys its packing
-bucket, so that ``fs.canonical`` keys only categories whose span and
-vector collide.
+edge pair: the walk reads the grammar's ``admitted`` table, keyed by
+interned vector ids, fills it when a pair is new, and offers to
+``combine`` only the pairs that some schema admits. A leaf takes its
+vector id from its lexicon entry; a derived edge's is computed when it
+is added, and keys its packing bucket, so that ``fs.canonical`` keys
+only categories whose span and vector collide.
 
 A mother shares the nodes of its daughters that its schema left
 unchanged (see ``grammar``), so a category may share nodes with the
@@ -62,7 +66,6 @@ from __future__ import annotations
 
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -136,7 +139,7 @@ class Edge:
     # (schema name, left edge id, right edge id) alternatives; a packed
     # forest node may collect several derivations of the same category.
     derivations: list = field(default_factory=list)
-    summaries: tuple = None  # quick-check summary vector of category
+    vector: int = None  # id of category's quick-check summary vector
     shares: int = 0  # leaf-structure bitmask, see above
 
 
@@ -177,38 +180,43 @@ class Chart:
     def __init__(self, grammar):
         self.grammar = grammar
         self.edges = []
-        # (start, end, kind, entry id) -> leaf; (start, end, summary
-        # vector) -> {canonical category, None while alone -> derived}
+        # (start, end, vector id) -> {canonical category, None while
+        # alone -> derived edge}
         self.seen = {}
         self.bits = {}  # (kind, entry id) -> its bit in Edge.shares
 
-    def add(self, start, end, category, kind, entry=None, derivation=None,
-            shares=0):
-        """Add a leaf or add or pack a derived edge. Returns (edge, is_new).
-        ``fs.canonical`` keys a category once its (span, vector) collides.
-        A leaf's ``shares`` is its own bit; a new derived edge keeps the
-        ``shares`` passed with its first derivation."""
-        if kind == "derived":
-            vector = self.grammar.summaries(category)
-            table = self.seen.get((start, end, vector))
-            if table is None:
-                table = self.seen[start, end, vector] = {}
-            if None in table:
-                lone = table.pop(None)
-                table[fs.canonical(lone.category)] = lone
-            key = fs.canonical(category) if table else None
+    def place(self, start, end, kind, entry):
+        """Append a leaf: entry's category (lexical) or trace template
+        (empty), whose ``shares`` is the bit of (kind, entry)."""
+        shares = self.bits.setdefault((kind, entry.entry_id),
+                                      1 << len(self.bits))
+        if kind == "lexical":
+            category, vector = entry.category, entry.vector
         else:
-            vector = entry.trace_summaries if kind == "empty" else entry.summaries
-            table, key = self.seen, (start, end, kind, entry.entry_id)
-            shares = self.bits.setdefault(key[2:], 1 << len(self.bits))
+            category, vector = entry.trace_template, entry.trace_vector
+        self.edges.append(Edge(len(self.edges), start, end, category, kind,
+                               entry, [], vector, shares))
+
+    def add(self, start, end, category, derivation, shares):
+        """Add or pack a derived edge. Returns (edge, is_new).
+        ``fs.canonical`` keys a category once its (span, vector) collides.
+        A new edge keeps the ``shares`` passed with its first
+        derivation."""
+        vector = self.grammar.vector_id(category)
+        table = self.seen.get((start, end, vector))
+        if table is None:
+            table = self.seen[start, end, vector] = {}
+        if None in table:
+            lone = table.pop(None)
+            table[fs.canonical(lone.category)] = lone
+        key = fs.canonical(category) if table else None
         edge = table.get(key)
         is_new = edge is None
         if is_new:
             edge = table[key] = Edge(len(self.edges), start, end, category,
-                                     kind, entry, [], vector, shares)
+                                     "derived", None, [], vector, shares)
             self.edges.append(edge)
-        if derivation is not None:
-            edge.derivations.append(derivation)
+        edge.derivations.append(derivation)
         return edge, is_new
 
 
@@ -236,46 +244,42 @@ def parse(turn, grammar, config):
     sites = propose_trace_sites(turn, config)
     chart = Chart(grammar)
 
-    def statistics():
-        kinds = Counter(e.kind for e in chart.edges)
-        stats = {f"{kind}_edges": kinds[kind]
-                 for kind in ("lexical", "empty", "derived")}
-        return {**stats, "proposed_sites": len(sites),
-                "elapsed_ms": (time.perf_counter() - t0) * 1000.0}
-
-    def check_cap():
-        if len(chart.edges) > MAX_EDGES:
-            raise EdgeCapExceeded(turn, MAX_EDGES, statistics())
-
     # (i) lexical edges
     for i, word in enumerate(turn.words):
         entries = grammar.lexicon.get(word)
         if not entries:
             raise UnknownWordError(turn, f"unknown word {word!r}")
         for entry in entries:
-            chart.add(i, i + 1, entry.category, "lexical", entry)
+            chart.place(i, i + 1, "lexical", entry)
+    lexical = len(chart.edges)
 
     # (ii) empty edges at eligible gaps, one per (gap, V2 entry), placed
-    # from the V2 lexical edges in chart order (a repeated V2 word packs)
-    v2_edges = [e for e in chart.edges if e.entry.is_v2]
+    # in the order of the first lexical edge of each V2 entry, the one
+    # that licenses the most gaps
+    firsts = {}  # V2 entry id -> its first lexical edge
+    for edge in chart.edges:
+        if edge.entry.is_v2:
+            firsts.setdefault(edge.entry.entry_id, edge)
     for g in sorted(sites):
-        for lexical in v2_edges:
-            if g >= lexical.end:  # constraint a
-                chart.add(g, g, lexical.entry.trace_template, "empty",
-                          lexical.entry)
+        for first in firsts.values():
+            if g >= first.end:  # constraint a
+                chart.place(g, g, "empty", first.entry)
+    leaves = len(chart.edges)
+
+    def statistics():
+        return {"lexical_edges": lexical, "empty_edges": leaves - lexical,
+                "derived_edges": len(chart.edges) - leaves,
+                "proposed_sites": len(sites),
+                "elapsed_ms": (time.perf_counter() - t0) * 1000.0}
+
+    def check_cap():
+        if len(chart.edges) > MAX_EDGES:
+            raise EdgeCapExceeded(turn, MAX_EDGES, statistics())
+
     check_cap()
 
     # (iii) close under the schemata; empty edges only as right daughters.
-    admitted = grammar.admitted
-
-    def combine(left, right):
-        key = (left.summaries, right.summaries)
-        schemata = admitted.get(key)
-        if schemata is None:  # a vector pair not seen before
-            schemata = admitted[key] = tuple(
-                s for s in grammar.schemata if s.admits(*key))
-        if not schemata:
-            return
+    def combine(left, right, schemata):
         right_cat = right.category
         overlap = left.shares & right.shares
         for schema in schemata:
@@ -285,7 +289,7 @@ def parse(turn, grammar, config):
             if mother is None:
                 continue
             edge, is_new = chart.add(
-                left.start, right.end, mother, "derived", None,
+                left.start, right.end, mother,
                 (schema, left.edge_id, right.edge_id),
                 left.shares | right.shares)
             if (right.kind == "empty" and not is_new
@@ -294,14 +298,26 @@ def parse(turn, grammar, config):
                                  f"derives edge {edge.edge_id} from itself")
             check_cap()
 
+    # each pair is offered to the schemata admitted for its vector ids,
+    # decided when the pair is new
+    admitted, admit = grammar.admitted, grammar.admit
     by_start, by_end = {}, {}  # start -> [edge]; end -> [non-empty edge]
     for edge in chart.edges:  # combine appends to the list walked here
+        vector = edge.vector
         if edge.kind != "empty":  # a left daughter, so indexed by its end
-            for right in by_start.get(edge.end, []):
-                combine(edge, right)
+            for right in by_start.get(edge.end, ()):
+                schemata = admitted.get((vector, right.vector))
+                if schemata is None:
+                    schemata = admit(vector, right.vector)
+                if schemata:
+                    combine(edge, right, schemata)
             by_end.setdefault(edge.end, []).append(edge)
-        for left in by_end.get(edge.start, []):
-            combine(left, edge)
+        for left in by_end.get(edge.start, ()):
+            schemata = admitted.get((left.vector, vector))
+            if schemata is None:
+                schemata = admit(left.vector, vector)
+            if schemata:
+                combine(left, edge, schemata)
         by_start.setdefault(edge.start, []).append(edge)
 
     # (iv) unpack the first MAX_READINGS readings of the root edges

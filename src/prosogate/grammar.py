@@ -28,7 +28,11 @@ pair. It reads only the two summary vectors, so the parser decides
 each vector pair once, for every schema, and keeps the schemata that
 pass in the grammar's ``admitted`` table: a parse has few distinct
 vectors (65 in an ungated pass over the seed-42 benchmark corpus, in
-305 pairs), and the table fills as pairs are first seen.
+305 pairs), and the table fills as pairs are first seen. Each distinct
+vector is interned to a small int (``Grammar.vector_id``), which lexicon
+entries and edges carry in place of the tuple, so ``admitted`` is keyed
+by a pair of ints, cheap to hash; ``Grammar.vectors`` reads a vector
+back for the check.
 
 ``RuleSchema.apply`` unifies each daughter with the stored pattern in
 place, daughter first, in a generation of its own (see ``fs``), and
@@ -77,8 +81,8 @@ class LexEntry:
     orth: str
     category: FS
     trace_template: FS | None = None
-    summaries: tuple = None  # quick-check vectors, set at load
-    trace_summaries: tuple = None
+    vector: int = None  # quick-check vector ids, set at load
+    trace_vector: int = None
 
     @property
     def is_v2(self):
@@ -162,9 +166,14 @@ class Grammar:
     quick_paths: tuple = ()  # paths the quick check compares
     # the same paths as a trie: [position or None, {step: subtrie}]
     quick_trie: list = field(default_factory=lambda: [None, {}])
-    # (left vector, right vector) -> the schemata that admit them, filled
-    # by the parser as pairs are first seen; a cache, so not part of the
-    # grammar's value
+    # Caches, so not part of the grammar's value: the interned summary
+    # vectors (vector -> id, and id -> vector), filled as vectors are
+    # first seen (the lexicon's at load, and entries keep their ids, so
+    # these only grow), and (left vector id, right vector id) -> the
+    # schemata that admit them, filled by the parser as pairs are first
+    # seen.
+    vector_ids: dict = field(default_factory=dict, compare=False, repr=False)
+    vectors: list = field(default_factory=list, compare=False, repr=False)
     admitted: dict = field(default_factory=dict, compare=False, repr=False)
 
     def summaries(self, cat):
@@ -172,6 +181,23 @@ class Grammar:
         out = [None] * len(self.quick_paths)
         _summarize_into(cat, self.quick_trie, out)
         return tuple(out)
+
+    def vector_id(self, cat):
+        """The id of a category's summary vector, interned when new."""
+        vector = self.summaries(cat)
+        vid = self.vector_ids.get(vector)
+        if vid is None:
+            vid = self.vector_ids[vector] = len(self.vectors)
+            self.vectors.append(vector)
+        return vid
+
+    def admit(self, left, right):
+        """The schemata whose quick check admits vector ids left and
+        right, decided and stored in ``admitted``."""
+        vectors = self.vectors[left], self.vectors[right]
+        schemata = self.admitted[left, right] = tuple(
+            s for s in self.schemata if s.admits(*vectors))
+        return schemata
 
 
 def _summarize_into(node, trie, out):
@@ -396,7 +422,7 @@ def load_grammar(text):
                 raise GrammarError(f"{where}: nested too deeply") from exc
     _compile_quick_check(grammar)
     for entry in grammar.entries_by_id.values():
-        entry.summaries = grammar.summaries(entry.category)
+        entry.vector = grammar.vector_id(entry.category)
         if entry.is_v2:
-            entry.trace_summaries = grammar.summaries(entry.trace_template)
+            entry.trace_vector = grammar.vector_id(entry.trace_template)
     return grammar

@@ -260,6 +260,11 @@ def _combination_order(edges):
                     if left.kind != "empty" and left.end == edge.start)
 
 
+def _vectors(grammar, left, right):
+    """The summary vectors of two edges, read by their vector ids."""
+    return grammar.vectors[left.vector], grammar.vectors[right.vector]
+
+
 def _check_applications(turns, grammar, config, monkeypatch):
     """For every turn, apply runs on each adjacent pair exactly for the
     schemata whose quick check admits it, in schema order, pair after
@@ -279,7 +284,7 @@ def _check_applications(turns, grammar, config, monkeypatch):
         assert len({(l.edge_id, r.edge_id) for l, r in pairs}) == len(pairs)
         expected = [(schema, left, right) for left, right in pairs
                     for schema in grammar.schemata
-                    if schema.admits(left.summaries, right.summaries)]
+                    if schema.admits(*_vectors(grammar, left, right))]
         assert len(log) == len(expected), turn.turn_id
         for (schema, lcat, rcat), (want, left, right) in zip(log, expected):
             assert schema is want and lcat is left.category, turn.turn_id
@@ -328,16 +333,21 @@ def _chart_snapshot(turns, grammar):
 
 def test_warmed_grammar_gives_fresh_charts(demo_corpus):
     """A grammar that has parsed another corpus builds the same demo
-    charts as a fresh one, and its table is no part of its value."""
+    charts as a fresh one, although it numbers the demo's vectors in
+    another order, and its tables are no part of its value."""
     warmed = load_grammar(demo_grammar_text())
     for turn in synth_corpus(seed=7):
         parse(turn, warmed, ParseConfig(mode="off"))
     fresh = load_grammar(demo_grammar_text())
     assert len(warmed.admitted) > len(fresh.admitted) == 0
+    assert len(warmed.vectors) > len(fresh.vectors)
     assert repr(warmed) == repr(fresh)
-    assert dataclasses.replace(warmed, admitted={}) == warmed
+    assert dataclasses.replace(warmed, admitted={}, vector_ids={},
+                               vectors=[]) == warmed
     assert _chart_snapshot(demo_corpus, warmed) == \
         _chart_snapshot(demo_corpus, fresh)
+    assert any(warmed.vector_ids[vector] != vid
+               for vector, vid in fresh.vector_ids.items())
 
 
 def test_quick_check_runs_once_per_vector_pair(demo_corpus, monkeypatch):
@@ -374,7 +384,7 @@ def test_quick_check_rejects_only_failing_applications(grammar, demo_corpus,
                 if right.start != left.end:
                     continue
                 for schema in grammar.schemata:
-                    if not schema.admits(left.summaries, right.summaries):
+                    if not schema.admits(*_vectors(grammar, left, right)):
                         rejected += 1
                         assert schema.apply(left.category,
                                             right.category) is None
@@ -433,7 +443,7 @@ def _predicted_work(turn, ungated, grammar, tau):
             zip(ungated.edges, _thetas(ungated.edges, turn.gap_scores))
             if theta >= tau]
     applications = sum(
-        len(grammar.admitted[left.summaries, right.summaries])
+        len(grammar.admitted[left.vector, right.vector])
         for left in live if left.kind != "empty"
         for right in live if right.start == left.end)
     return sum(edge.kind == "derived" for edge in live), applications
@@ -522,11 +532,10 @@ def test_packing_keys_only_collisions(grammar, monkeypatch):
     chart = Chart(grammar)
 
     def add(start, end, cat):
-        return chart.add(start, end, cat, "derived",
-                         derivation=("s", len(chart.edges), 0))
+        return chart.add(start, end, cat, ("s", len(chart.edges), 0), 0)
 
     first, is_new = add(0, 2, er)
-    assert is_new and first.summaries == grammar.summaries(er)
+    assert is_new and grammar.vectors[first.vector] == grammar.summaries(er)
     assert add(0, 3, er)[1] and add(1, 2, er)[1] and add(0, 2, im)[1]
     assert calls == []
     # equal vectors, different SEM: both keyed, and kept apart

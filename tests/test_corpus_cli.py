@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prosogate import (_orjson_reads_alike, demo_grammar_text, load_file,
+from prosogate import (_orjson_reads_alike, demo_grammar_text, fs, load_file,
                        loads_json)
 from prosogate.chart import ParseConfig, ParseError, parse
 from prosogate.cli import build_parser, run
@@ -968,6 +968,24 @@ def seed_42(tmp_path_factory):
     return _synth_and_train(tmp_path_factory.mktemp("seed-42"), 42)
 
 
+def _synth(tmp_path_factory, *flags):
+    """The corpus `synth` writes with these flags."""
+    corpus = tmp_path_factory.mktemp("synth") / "c.jsonl"
+    assert run(["synth", *flags, "--out", str(corpus)]) == 0
+    return corpus
+
+
+@pytest.fixture(scope="session")
+def corpus_7_300(tmp_path_factory):
+    return _synth(tmp_path_factory, "--seed", "7", "--turns", "300")
+
+
+@pytest.fixture(scope="session")
+def corpus_3_v2(tmp_path_factory):
+    return _synth(tmp_path_factory, "--seed", "3", "--turns", "500",
+                  "--v2-only")
+
+
 # Unchanged behaviour, artefact by artefact: `parse --format json` without
 # `elapsed_ms`, `bench --format json` without its timings and `speedup`,
 # every `extract_pred_arg` record of every gate-off reading, the seed-42
@@ -1054,6 +1072,51 @@ REPORT_DIGESTS = {
         "8cb010bc003dfb138a0acb05014b3beefb312218fe13ab0a0d2fc4a87d6d20a7",
 }
 
+# The charts themselves, corpus by corpus and mode by mode: every edge's
+# id, span, kind, entry id, leaf-structure mask (`shares`), canonical
+# category and derivations, in chart order. The fixed turn repeats a V2
+# verb, so two of its lexical edges license the empty edge at its last
+# gap, which is placed once.
+CHART_DIGESTS = {
+    "chart off demo":
+        "e18abc1d6d5fa9860203c1a2128fb5da9e80f6f081ac850627067a572a03955e",
+    "chart threshold demo":
+        "a979deb872983596aef12b6e298612c5619c2a4695b09f44727230179501fb9f",
+    "chart rank demo":
+        "706fb11c4abd6353614b13018e2b09502466435796ad7c3d6e815db7aeaa6743",
+    "chart off seed-42":
+        "3fd99e66d4e5279b86399d668a72814a89170912720801ff187d68be76553766",
+    "chart threshold seed-42":
+        "725ac13c50a80837bb968aa9408fc17df6e313f369f64c31d2c505dcd2feac1a",
+    "chart rank seed-42":
+        "17760a597cb340efab6a4067f68794783c4bf4d308c6782e0442dbe3944469f9",
+    "chart off seed-7":
+        "21e68cda0348a556b354affb0ff0d9612f83b00d783d4cacd54b90ba6a922fdd",
+    "chart threshold seed-7":
+        "9884518be3ce7a61512086e5b6720421cec138a0e15ccf1418855bfde121d3d2",
+    "chart rank seed-7":
+        "262b7784135543783c2a5dda049fb6eefb9e389567915a0b97e92716acf46c0c",
+    "chart off fixed":
+        "2a15397bd4bac54967cf9b053fa309f192b439e442266e0bcd9c4403defd556d",
+    "chart threshold fixed":
+        "cf1f32eaeb16f53973e7234d59b1af5cec21da6255a34f960c4533b6c41e4260",
+    "chart rank fixed":
+        "407ee20c1dcbe4ff5e16677875e21dd08e31f9be89d0dc8265fa8fba2471d217",
+}
+FIXED_TURN = TurnRecord(turn_id="fixed",
+                        words=["sollst", "er", "schlief", "sollst"],
+                        gap_scores=[0.2, 0.005, 0.6, 0.9])
+
+
+def _chart_digest(turns, grammar, config):
+    return _sha256(repr([
+        [(e.edge_id, e.start, e.end, e.kind,
+          e.entry.entry_id if e.entry else None, e.shares,
+          fs.canonical(e.category),
+          [(schema.name, left, right) for schema, left, right in e.derivations])
+         for e in parse(turn, grammar, config).edges]
+        for turn in turns]))
+
 
 class TestCliPipeline:
     def test_parse_report_shape(self, tmp_path):
@@ -1103,16 +1166,11 @@ class TestCliPipeline:
         for p in load_file(model, MlpClassifier.from_json).params:
             assert not (np.signbit(p) & (p == 0)).any()
 
-    def test_behaviour_digests(self, seed_42, tmp_path, grammar,
-                               demo_corpus):
+    def test_behaviour_digests(self, seed_42, corpus_7_300, corpus_3_v2,
+                               tmp_path, grammar, demo_corpus):
         corpus_42, model = seed_42
-        corpus_7, out = tmp_path / "c7-300.jsonl", tmp_path / "out"
-        corpus_3 = tmp_path / "c3-500.jsonl"
-        assert run(["synth", "--seed", "7", "--turns", "300",
-                    "--out", str(corpus_7)]) == 0
-        assert run(["synth", "--seed", "3", "--turns", "500", "--v2-only",
-                    "--out", str(corpus_3)]) == 0
-        corpora = {"demo": None, "seed-42": corpus_42, "seed-7": corpus_7}
+        out = tmp_path / "out"
+        corpora = {"demo": None, "seed-42": corpus_42, "seed-7": corpus_7_300}
         _, model_7 = _synth_and_train(tmp_path, 7)
         digests = {"model seed-42": _sha256(model.read_bytes()),
                    "model seed-7": _sha256(model_7.read_bytes())}
@@ -1143,21 +1201,19 @@ class TestCliPipeline:
         assert run(["score", "--corpus", str(corpus_42), "--model", str(model),
                     "--out", str(out)]) == 0
         digests["score seed-42"] = _sha256(out.read_bytes())
-        assert run(["rank", "--format", "json", "--corpus", str(corpus_3),
+        assert run(["rank", "--format", "json", "--corpus", str(corpus_3_v2),
                     "--out", str(out)]) == 0
         digests["rank seed-3"] = _sha256(out.read_bytes())
-        for name, path in (("seed-42", corpus_42), ("seed-7", corpus_7),
-                           ("seed-3", corpus_3)):
+        for name, path in (("seed-42", corpus_42), ("seed-7", corpus_7_300),
+                           ("seed-3", corpus_3_v2)):
             _meta, turns = path.read_text().split("\n", 1)
             digests[f"synth {name}"] = _sha256(turns)
         assert digests == BEHAVIOUR_DIGESTS, _toolchain_note(
             "a behaviour digest")
 
-    def test_report_digests(self, seed_42, tmp_path):
+    def test_report_digests(self, seed_42, corpus_3_v2, tmp_path):
         corpus_42, _ = seed_42
-        corpus_3, out = tmp_path / "c3-500.jsonl", tmp_path / "out"
-        assert run(["synth", "--seed", "3", "--turns", "500", "--v2-only",
-                    "--out", str(corpus_3)]) == 0
+        out = tmp_path / "out"
         digests = {}
         for name, path in {"demo": None, "seed-42": corpus_42}.items():
             flags = ["--corpus", str(path)] if path else []
@@ -1179,10 +1235,22 @@ class TestCliPipeline:
             assert run(["eval", "--format", fmt, "--gold", str(corpus_42),
                         "--proposed", str(report), "--out", str(out)]) == 0
             digests[f"eval {fmt} seed-42"] = _sha256(out.read_bytes())
-        assert run(["rank", "--format", "text", "--corpus", str(corpus_3),
+        assert run(["rank", "--format", "text", "--corpus", str(corpus_3_v2),
                     "--out", str(out)]) == 0
         digests["rank text seed-3"] = _sha256(out.read_bytes())
         assert digests == REPORT_DIGESTS, _toolchain_note("a report digest")
+
+    def test_chart_digests(self, seed_42, corpus_7_300, grammar,
+                           demo_corpus):
+        corpora = {"demo": demo_corpus,
+                   "seed-42": load_file(seed_42[0], loads_corpus),
+                   "seed-7": load_file(corpus_7_300, loads_corpus),
+                   "fixed": [FIXED_TURN]}
+        digests = {f"chart {mode} {name}": _chart_digest(
+                       turns, grammar, ParseConfig(mode=mode))
+                   for name, turns in corpora.items()
+                   for mode in ("off", "threshold", "rank")}
+        assert digests == CHART_DIGESTS, _toolchain_note("a chart digest")
 
     def test_synth_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -332,7 +332,8 @@ def test_quick_check_compares_nodes_shared_across_daughters():
         left = g.entries_by_id[f"l{i}"]
         for j in range(len(SHARED_VALUES)):
             right = g.entries_by_id[f"r{j}"]
-            admitted = schema.admits(left.summaries, right.summaries)
+            admitted = schema.admits(g.vectors[left.vector],
+                                     g.vectors[right.vector])
             rejected += not admitted
             assert admitted == (schema.apply(left.category, right.category)
                                 is not None), (SHARED_VALUES[i],

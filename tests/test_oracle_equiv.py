@@ -46,7 +46,7 @@ def _random_turns(draw):
     words = draw(st.lists(st.sampled_from(DEMO_WORDS), min_size=1,
                           max_size=5))
     if len(words) > 1 and draw(st.booleans()):
-        # one V2 verb twice, whose empty edges pack into one per gap
+        # one V2 verb twice, whose empty edges are placed once per gap
         i, j = draw(st.lists(st.integers(0, len(words) - 1), min_size=2,
                              max_size=2, unique=True))
         words[i] = words[j] = draw(st.sampled_from(V2_WORDS))
@@ -57,7 +57,7 @@ def _random_turns(draw):
 
 @settings(max_examples=40)
 @given(_random_turns())
-# both tokens of one verb leave a trace at gap 4, through one packed edge
+# both tokens of one verb leave a trace at gap 4, through one empty edge
 @example(TurnRecord(turn_id="h", words=["sollst", "er", "schlief", "sollst"],
                     gap_scores=[0.5] * 4))
 def test_random_turns_match_oracle(grammar, turn):
